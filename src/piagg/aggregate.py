@@ -33,13 +33,14 @@ from .candidates import (
 from .dataset import DataTable, SplitSpec, split
 from .densratio import DensityRatioModel, eval_ratio, fit_density_ratio
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     PiaggError,
     ShapeInfeasible,
     ShrinkExceedsOneWarning,
     ShrinkUnbounded,
 )
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from .numerics import LinearModel
 from .transport import AffineMap, apply_map, fit_affine_transport
 
@@ -122,53 +123,9 @@ class PiModel:
     holdout_violation: float = float("nan")
 
 
-def _solve_covering_dual(phi: np.ndarray, r2: np.ndarray, obj: np.ndarray,
-                         feas_tol: float) -> np.ndarray | None:
-    """Recover the covering-LP weights from its dual.
-
-    Primal: min obj@alpha s.t. phi@alpha >= r2, alpha >= 0.
-    Dual:   max r2@y     s.t. phi.T@y <= obj,  y >= 0.
-
-    The dual has only n_candidates rows, so the dense simplex stays small
-    even when the constraint sample is large. The primal point comes from
-    complementary slackness (solve the tight system) and is verified
-    against the primal constraints and strong duality; on any doubt the
-    caller falls back to solving the primal directly.
-    """
-    n, k = phi.shape
-    dual = LinearProgram(-r2, phi.T, obj, np.ones(n, dtype=bool))
-    sol = solve_lp(dual, feas_tol=feas_tol, max_pivots=200 * (n + k))
-    if sol.status == UNBOUNDED:
-        raise ShapeInfeasible("no nonnegative combination covers every constrained row")
-    if sol.status != OPTIMAL:
-        return None
-    y = sol.x
-    dual_value = float(r2 @ y)
-    slack = obj - phi.T @ y
-    tight = slack <= 1e-7 * max(1.0, float(np.max(np.abs(obj))))
-    active = y > 1e-9 * max(1.0, float(np.max(y)) if n else 1.0)
-    alpha = np.zeros(k)
-    if np.any(tight) and np.any(active):
-        sub = phi[np.ix_(active, tight)]
-        target = r2[active]
-        coef, *_ = np.linalg.lstsq(sub, target, rcond=None)
-        alpha[tight] = coef
-    if np.any(alpha < -1e-8):
-        return None
-    alpha = np.maximum(alpha, 0.0)
-    # the returned weights must satisfy the covering constraints to the
-    # same tolerance the direct primal solve would guarantee
-    scale = max(1.0, float(np.max(r2)) if n else 1.0)
-    if np.any(phi @ alpha < r2 - feas_tol * scale):
-        return None
-    value = float(obj @ alpha)
-    if abs(value - dual_value) > 1e-6 * max(1.0, abs(dual_value)):
-        return None
-    return alpha
-
-
-def _solve_covering_primal(phi: np.ndarray, r2: np.ndarray, obj: np.ndarray,
-                           feas_tol: float) -> np.ndarray:
+def _solve_covering(phi: np.ndarray, r2: np.ndarray, obj: np.ndarray,
+                    feas_tol: float) -> np.ndarray:
+    """Covering LP: min obj@alpha s.t. phi@alpha >= r2, alpha >= 0."""
     n, k = phi.shape
     prog = LinearProgram(obj, -phi, -r2, np.ones(k, dtype=bool))
     sol = solve_lp(prog, feas_tol=feas_tol, max_pivots=200 * (n + k))
@@ -177,16 +134,6 @@ def _solve_covering_primal(phi: np.ndarray, r2: np.ndarray, obj: np.ndarray,
     if sol.status != OPTIMAL:
         raise PiaggError(f"covering LP ended with status {sol.status}")
     return np.maximum(sol.x, 0.0)
-
-
-def _solve_covering(phi: np.ndarray, r2: np.ndarray, obj: np.ndarray,
-                    feas_tol: float) -> np.ndarray:
-    if phi.shape[0] == 0:
-        return np.zeros(phi.shape[1])
-    alpha = _solve_covering_dual(phi, r2, obj, feas_tol)
-    if alpha is None:
-        alpha = _solve_covering_primal(phi, r2, obj, feas_tol)
-    return alpha
 
 
 def fit_shape_cov_shift(bank: CandidateBank, r: ResidualSet,
@@ -285,17 +232,11 @@ def _scan_thresholds(thresholds: np.ndarray, weights: np.ndarray,
     t_sorted = np.sort(thresholds, kind="stable")
     w_sorted = weights[np.argsort(thresholds, kind="stable")]
     total = float(w_sorted.sum())
-    cum = np.cumsum(w_sorted) if w_sorted.size else np.zeros(0)
-
-    def mass_above(value: float) -> float:
-        pos = int(np.searchsorted(t_sorted, value, side="right"))
-        if pos == 0:
-            return total
-        return total - float(cum[pos - 1])
-
+    # cum[i] is the weight of the i smallest thresholds
+    cum = np.concatenate([[0.0], np.cumsum(w_sorted)])
     uniq = np.unique(t_sorted)
     candidates = np.concatenate([[0.0], uniq[uniq > 0.0]])
-    masses = np.array([mass_above(c) for c in candidates])
+    masses = total - cum[np.searchsorted(t_sorted, candidates, side="right")]
     violations = (permanent_mass + masses) / n
     feasible = violations <= alpha_level
     if not np.any(feasible):
@@ -421,6 +362,13 @@ def _as_target_matrix(target) -> np.ndarray:
     return np.atleast_2d(np.asarray(target, dtype=np.float64))
 
 
+def _known_weights(weight_fn, x: np.ndarray) -> np.ndarray:
+    w = np.asarray(weight_fn(x), dtype=np.float64).ravel()
+    if w.shape[0] != x.shape[0] or not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise PiaggError(f"weight_fn must return {x.shape[0]} finite nonnegative weights")
+    return w
+
+
 def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
                         specs: list[CandidateSpec] | None = None,
                         fractions: tuple[float, float, float] = (0.5, 0.25, 0.25),
@@ -454,8 +402,8 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
 
     if weight_fn is not None:
         adapter = None
-        w21 = np.asarray(weight_fn(d21.x), dtype=np.float64).ravel()
-        w22 = np.asarray(weight_fn(d22.x), dtype=np.float64).ravel()
+        w21 = _known_weights(weight_fn, d21.x)
+        w22 = _known_weights(weight_fn, d22.x)
     else:
         adapter = fit_density_ratio(d1.x, tx, ridge=ratio_ridge,
                                     prob_clip=prob_clip, ratio_cap=ratio_cap)
@@ -607,16 +555,38 @@ def model_to_dict(m: PiModel) -> dict:
     }
 
 
+_MODEL_FIELDS = ("alpha_level", "mode", "alpha", "shape_objective", "delta", "epsilon",
+                 "support_threshold", "lambda_hat", "achieved_violation",
+                 "lambda_exceeds_one", "holdout_violation", "floor", "alg2_delta",
+                 "mean_model", "bank", "adapter_kind", "adapter")
+
+
 def model_from_dict(d: dict) -> PiModel:
-    if d.get("format") != "piagg-model-v1":
-        raise PiaggError("not a recognized model document")
-    shape = ShapeModel(np.asarray(d["alpha"], float), d["mode"], d["delta"],
-                       d["epsilon"], d["support_threshold"], d["shape_objective"])
-    shrink = ShrinkResult(d["lambda_hat"], d["achieved_violation"],
-                          d["lambda_exceeds_one"])
-    return PiModel(shape, CandidateBank.from_state(d["bank"]),
-                   _mean_model_from_state(d["mean_model"]), shrink,
-                   d["alpha_level"], _adapter_from_state(d["adapter_kind"], d["adapter"]),
+    """Rebuild a fitted model from its document; a missing or malformed
+    field raises ConfigError naming the field or section."""
+    if not isinstance(d, dict) or d.get("format") != "piagg-model-v1":
+        raise ConfigError("model.format: not a recognized model document")
+    for key in _MODEL_FIELDS:
+        if key not in d:
+            raise ConfigError(f"model.{key}: missing required field")
+    section = "model"
+    try:
+        shape = ShapeModel(np.asarray(d["alpha"], float), d["mode"], d["delta"],
+                           d["epsilon"], d["support_threshold"], d["shape_objective"])
+        shrink = ShrinkResult(d["lambda_hat"], d["achieved_violation"],
+                              d["lambda_exceeds_one"])
+        section = "model.bank"
+        bank = CandidateBank.from_state(d["bank"])
+        section = "model.mean_model"
+        mean_model = _mean_model_from_state(d["mean_model"])
+        section = "model.adapter"
+        adapter = _adapter_from_state(d["adapter_kind"], d["adapter"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: malformed ({type(exc).__name__}: {exc})") from exc
+    if shape.alpha.shape[0] != bank.n_candidates:
+        raise ConfigError(f"model.alpha: {shape.alpha.shape[0]} weights for "
+                          f"{bank.n_candidates} candidates")
+    return PiModel(shape, bank, mean_model, shrink, d["alpha_level"], adapter,
                    alg2_delta=d["alg2_delta"], floor=d["floor"],
                    holdout_violation=d["holdout_violation"])
 
@@ -628,4 +598,8 @@ def save_model(m: PiModel, path: str) -> None:
 
 def load_model(path: str) -> PiModel:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"model: not a JSON document ({exc})") from exc
+    return model_from_dict(doc)

@@ -132,9 +132,15 @@ def _sq_distances(x: np.ndarray, train_x: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-# evaluation chunk size: caps the pairwise-distance matrices at
-# _CHUNK x n_train entries so large banks stay within memory
-_CHUNK = 1024
+# entries per block of pairwise distances: evaluation rows go in blocks of
+# _ENTRIES // n_train, so each block's temporaries stay cache-sized
+# (256 KB of float64) whatever the size of the training block
+_ENTRIES = 2 ** 15
+
+
+def _row_blocks(n_rows: int, n_train: int):
+    step = max(1, _ENTRIES // n_train)
+    return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
 def _knn_indices_block(d2: np.ndarray, k: int) -> np.ndarray:
@@ -155,9 +161,8 @@ def _knn_indices_block(d2: np.ndarray, k: int) -> np.ndarray:
 def _knn_indices(train_x: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     k = min(k, train_x.shape[0])
     out = np.empty((x.shape[0], k), dtype=np.int64)
-    for start in range(0, x.shape[0], _CHUNK):
-        block = x[start:start + _CHUNK]
-        out[start:start + _CHUNK] = _knn_indices_block(_sq_distances(block, train_x), k)
+    for rows in _row_blocks(x.shape[0], train_x.shape[0]):
+        out[rows] = _knn_indices_block(_sq_distances(x[rows], train_x), k)
     return out
 
 
@@ -217,10 +222,9 @@ class _KnnQuantile(_FittedCandidate):
             value = _equal_weight_quantile_rows(self.r2[None, :], self.tau)[0]
             return np.full(x.shape[0], value)
         out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], _CHUNK):
-            block = x[start:start + _CHUNK]
-            idx = _knn_indices_block(_sq_distances(block, self.train_x), self.k)
-            out[start:start + _CHUNK] = _equal_weight_quantile_rows(self.r2[idx], self.tau)
+        for rows in _row_blocks(x.shape[0], self.train_x.shape[0]):
+            idx = _knn_indices_block(_sq_distances(x[rows], self.train_x), self.k)
+            out[rows] = _equal_weight_quantile_rows(self.r2[idx], self.tau)
         return out
 
     def to_state(self):
@@ -239,12 +243,13 @@ class _KernelVariance(_FittedCandidate):
     def evaluate(self, x):
         x = np.atleast_2d(np.asarray(x, float))
         out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], _CHUNK):
-            block = x[start:start + _CHUNK]
-            logk = -0.5 * _sq_distances(block, self.train_x) / self.bandwidth ** 2
+        for rows in _row_blocks(x.shape[0], self.train_x.shape[0]):
+            logk = -0.5 * _sq_distances(x[rows], self.train_x) / self.bandwidth ** 2
             logk -= logk.max(axis=1, keepdims=True)
             w = np.exp(logk)
-            out[start:start + _CHUNK] = (w @ self.r2) / w.sum(axis=1)
+            # one dot product per row, not w @ r2: a matrix-vector product sums
+            # a row in an order that depends on the row's place in the block
+            out[rows] = np.vecdot(w, self.r2) / w.sum(axis=1)
         return out
 
     def to_state(self):

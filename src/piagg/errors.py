@@ -10,7 +10,7 @@ class DimensionMismatch(PiaggError):
 
 
 class PivotLimitExceeded(PiaggError):
-    """The simplex solver hit its pivot budget before reaching optimality."""
+    """The LP solver hit its simplex iteration limit before reaching optimality."""
 
 
 class NotSymmetric(PiaggError):
@@ -58,7 +58,7 @@ class LengthMismatch(PiaggError):
 
 
 class ConfigError(PiaggError):
-    """A scenario configuration document is invalid; the message carries the field path."""
+    """A configuration or model document is invalid; the message carries the field path."""
 
 
 class ShrinkExceedsOneWarning(UserWarning):

@@ -1,10 +1,11 @@
-"""Dense two-phase simplex solver with Bland's anti-cycling rule.
+"""Linear programs in one canonical form, solved by HiGHS.
 
 Canonical problem: minimize ``c @ x`` subject to ``A @ x <= b`` with an
 optional per-variable nonnegativity mask; unmasked variables are free.
-The solver is a deterministic pure function of its inputs, which matters
-more here than asymptotic speed: every shape-estimation and quantile LP
-in the package runs through it, and reruns must be bit-identical.
+Every shape-estimation LP in the package runs through ``solve_lp``, which
+hands the problem to HiGHS's dual simplex (via SciPy). The solver is
+deterministic: identical inputs give bit-identical output on the same
+machine.
 """
 
 from __future__ import annotations
@@ -12,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
-from .errors import DimensionMismatch, PivotLimitExceeded
+from .errors import DimensionMismatch, PiaggError, PivotLimitExceeded
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-# Reduced costs above -_OPT_TOL are treated as nonnegative.
-_OPT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,167 +75,39 @@ class LPSolution:
     objective_value: float
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    piv = tableau[row, col]
-    tableau[row, :] /= piv
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row, :])
-    # re-orthogonalize the pivot column exactly
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-
-
-def _bland_entering(reduced: np.ndarray) -> int:
-    improving = np.nonzero(reduced < -_OPT_TOL)[0]
-    return int(improving[0]) if improving.size else -1
-
-
-def _bland_leaving(tableau: np.ndarray, basis: list[int], col: int) -> int:
-    m = len(basis)
-    column = tableau[:m, col]
-    rhs = tableau[:m, -1]
-    eligible = np.nonzero(column > _OPT_TOL)[0]
-    if eligible.size == 0:
-        return -1
-    ratios = rhs[eligible] / column[eligible]
-    rmin = ratios.min()
-    tol = 1e-12 * (1.0 + abs(rmin))
-    tied = eligible[ratios <= rmin + tol]
-    # Bland: among tied rows, leave the basic variable with smallest index
-    return int(min(tied, key=lambda i: basis[i]))
-
-
-def _run_simplex(tableau: np.ndarray, basis: list[int], n_cols: int,
-                 pivots_used: int, max_pivots: int) -> tuple[str, int]:
-    while True:
-        j = _bland_entering(tableau[-1, :n_cols])
-        if j < 0:
-            return OPTIMAL, pivots_used
-        i = _bland_leaving(tableau, basis, j)
-        if i < 0:
-            return UNBOUNDED, pivots_used
-        if pivots_used >= max_pivots:
-            raise PivotLimitExceeded(f"exceeded {max_pivots} simplex pivots")
-        _pivot(tableau, i, j)
-        basis[i] = j
-        pivots_used += 1
+# SciPy's status codes for HiGHS outcomes that are answers, not failures
+_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
 def solve_lp(p: LinearProgram, feas_tol: float = 1e-9,
              max_pivots: int | None = None) -> LPSolution:
-    """Solve a canonical-form LP by the two-phase dense simplex method.
+    """Solve a canonical-form LP with HiGHS's dual simplex.
 
-    Phase 1 minimizes the sum of artificial variables; a positive optimum
-    (above ``feas_tol``) reports infeasibility. Phase 2 minimizes the
-    original objective from the feasible basis. Both the entering and the
-    leaving variable follow Bland's smallest-index rule, so the method
-    cannot cycle and identical inputs give bit-identical output.
+    ``feas_tol`` is HiGHS's primal feasibility tolerance and
+    ``max_pivots`` its simplex iteration limit.
 
     Raises
     ------
     PivotLimitExceeded
-        when the combined pivot count passes ``max_pivots``
+        when HiGHS stops at ``max_pivots`` iterations
         (default ``50 * (m + n_var)``).
-    DimensionMismatch
-        on malformed input.
+    PiaggError
+        when HiGHS ends without an optimum, an infeasibility or an
+        unboundedness proof.
     """
     if feas_tol <= 0:
         raise ValueError("feas_tol must be positive")
-    m, n = p.n_constraints, p.n_var
     if max_pivots is None:
-        max_pivots = 50 * (m + n)
-
-    # Extended variables: masked x_j stay as-is, free x_j split into two
-    # nonnegative parts. ext_map[k] = (original index, sign).
-    ext_map: list[tuple[int, float]] = []
-    for j in range(n):
-        ext_map.append((j, 1.0))
-    for j in range(n):
-        if not p.nonneg_mask[j]:
-            ext_map.append((j, -1.0))
-    n_ext = len(ext_map)
-
-    a_ext = np.zeros((m, n_ext))
-    c_ext = np.zeros(n_ext)
-    for k, (j, sign) in enumerate(ext_map):
-        a_ext[:, k] = sign * p.ineq_lhs[:, j]
-        c_ext[k] = sign * p.objective[j]
-
-    # Slack per row; rows with negative rhs are negated and get artificials.
-    b = p.ineq_rhs.copy()
-    slack_sign = np.ones(m)
-    neg = b < 0
-    a_ext[neg, :] *= -1.0
-    b[neg] *= -1.0
-    slack_sign[neg] = -1.0
-
-    n_slack = m
-    art_rows = np.nonzero(neg)[0]
-    n_art = len(art_rows)
-    n_cols = n_ext + n_slack + n_art
-
-    tableau = np.zeros((m + 1, n_cols + 1))
-    tableau[:m, :n_ext] = a_ext
-    tableau[:m, -1] = b
-    for i in range(m):
-        tableau[i, n_ext + i] = slack_sign[i]
-    basis: list[int] = []
-    art_ids = set()
-    next_art = n_ext + n_slack
-    for i in range(m):
-        if neg[i]:
-            tableau[i, next_art] = 1.0
-            basis.append(next_art)
-            art_ids.add(next_art)
-            next_art += 1
-        else:
-            basis.append(n_ext + i)
-
-    pivots = 0
-    if n_art > 0:
-        # Phase 1: cost 1 on artificials, reduced against the basic ones.
-        tableau[-1, :] = 0.0
-        for a_col in art_ids:
-            tableau[-1, a_col] = 1.0
-        for i, bvar in enumerate(basis):
-            if bvar in art_ids:
-                tableau[-1, :] -= tableau[i, :]
-        status, pivots = _run_simplex(tableau, basis, n_cols, pivots, max_pivots)
-        if status != OPTIMAL:
-            # the phase-1 objective is bounded below by zero
-            raise PivotLimitExceeded("phase-1 simplex failed to terminate cleanly")
-        if -tableau[-1, -1] > feas_tol:
-            return LPSolution(INFEASIBLE, None, float("nan"))
-        # Drive leftover artificials out of the basis where possible.
-        for i, bvar in enumerate(basis):
-            if bvar in art_ids:
-                row = tableau[i, :n_ext + n_slack]
-                nz = np.nonzero(np.abs(row) > 1e-10)[0]
-                if nz.size:
-                    _pivot(tableau, i, int(nz[0]))
-                    basis[i] = int(nz[0])
-        # Remaining artificial-basic rows are redundant (all-zero rows at
-        # level zero); zero their artificial columns so they cannot re-enter.
-        for a_col in art_ids:
-            tableau[:, a_col] = 0.0
-
-    # Phase 2: rebuild the reduced-cost row for the true objective.
-    n_real = n_ext + n_slack
-    tableau[-1, :] = 0.0
-    tableau[-1, :n_ext] = c_ext
-    for i, bvar in enumerate(basis):
-        if bvar < n_ext and c_ext[bvar] != 0.0:
-            tableau[-1, :] -= c_ext[bvar] * tableau[i, :]
-    status, pivots = _run_simplex(tableau, basis, n_real, pivots, max_pivots)
-    if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, float("nan"))
-
-    x_ext = np.zeros(n_ext)
-    for i, bvar in enumerate(basis):
-        if bvar < n_ext:
-            x_ext[bvar] = tableau[i, -1]
-    x = np.zeros(n)
-    for k, (j, sign) in enumerate(ext_map):
-        x[j] += sign * x_ext[k]
-    return LPSolution(OPTIMAL, x, float(p.objective @ x))
+        max_pivots = 50 * (p.n_constraints + p.n_var)
+    bounds = np.column_stack([np.where(p.nonneg_mask, 0.0, -np.inf), np.full(p.n_var, np.inf)])
+    res = optimize.linprog(p.objective, A_ub=p.ineq_lhs, b_ub=p.ineq_rhs,
+                           bounds=bounds, method="highs-ds",
+                           options={"primal_feasibility_tolerance": feas_tol,
+                                    "maxiter": max_pivots})
+    if res.status == 1:
+        raise PivotLimitExceeded(f"exceeded {max_pivots} simplex iterations")
+    if res.status not in _STATUS:
+        raise PiaggError(f"LP solve failed: {res.message}")
+    if _STATUS[res.status] != OPTIMAL:
+        return LPSolution(_STATUS[res.status], None, float("nan"))
+    return LPSolution(OPTIMAL, res.x, float(p.objective @ res.x))

@@ -282,10 +282,9 @@ def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
     """Linear quantile regression by minimizing the check loss.
 
     The problem is posed as the standard LP with split residual parts and
-    handed to a deterministic LP backend; the dense in-house simplex is
-    exercised against it on small instances in the test suite, but the
-    production path uses HiGHS because the tableau for thousands of data
-    points is impractical to carry densely.
+    handed to HiGHS as a sparse equality-constrained program; the test
+    suite cross-checks it on small instances against ``solve_lp`` with the
+    equalities written as inequality pairs.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")

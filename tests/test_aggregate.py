@@ -1,6 +1,7 @@
 """Shape estimation, shrinkage, prediction, and model serialization."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from piagg.aggregate import (
     PiModel,
     ShapeModel,
     ShrinkResult,
-    _solve_covering_primal,
+    _scan_thresholds,
     diagnose,
     fit_covariate_shift,
     fit_shape_cov_shift,
@@ -25,7 +26,15 @@ from piagg.aggregate import (
 )
 from piagg.candidates import CandidateBank, CandidateSpec, ResidualSet, build_bank
 from piagg.dataset import DataTable, gen_hetero_sim
-from piagg.errors import ShapeInfeasible, ShrinkExceedsOneWarning, ShrinkUnbounded
+from piagg.errors import (
+    ConfigError,
+    PiaggError,
+    ShapeInfeasible,
+    ShrinkExceedsOneWarning,
+    ShrinkUnbounded,
+)
+from piagg.linprog import OPTIMAL, LinearProgram, solve_lp
+from piagg.numerics import LinearModel
 from piagg.transport import AffineMap
 
 
@@ -93,7 +102,9 @@ class TestShapeCovShift:
                 lo, hi = max(a1[k] - 2 * step, 0.0), a1[k] + 2 * step
             assert shape.objective_value == pytest.approx(best, abs=1e-6)
 
-    def test_matches_direct_primal_solve(self):
+    def test_strong_duality(self):
+        # the covering optimum equals the optimum of its dual
+        # max r2@y s.t. phi.T@y <= obj, y >= 0
         rng = np.random.default_rng(6)
         for _ in range(30):
             n = int(rng.integers(3, 60))
@@ -104,8 +115,9 @@ class TestShapeCovShift:
             obj = rng.uniform(0.05, 1.0, size=k)
             bank = _bank_from_matrices(phi, obj[None, :])
             shape = fit_shape_cov_shift(bank, _resid(r2), np.ones(n))
-            ref = _solve_covering_primal(phi, r2, obj, 1e-9)
-            assert shape.objective_value == pytest.approx(float(obj @ ref), abs=1e-7)
+            dual = solve_lp(LinearProgram(-r2, phi.T, obj, np.ones(n, dtype=bool)))
+            assert dual.status == OPTIMAL
+            assert shape.objective_value == pytest.approx(-dual.objective_value, abs=1e-7)
 
     def test_infeasible_without_usable_candidates(self):
         bank = _bank_from_matrices(np.zeros((2, 1)), np.ones((2, 1)))
@@ -216,6 +228,46 @@ class TestShrinkCovShift:
         assert plain.lambda_hat <= normed.lambda_hat
 
 
+def _scan_thresholds_loop(thresholds, weights, permanent_mass, n, alpha_level):
+    """Reference scan: one searchsorted per candidate multiplier."""
+    t_sorted = np.sort(thresholds, kind="stable")
+    w_sorted = weights[np.argsort(thresholds, kind="stable")]
+    total = float(w_sorted.sum())
+    cum = np.cumsum(w_sorted) if w_sorted.size else np.zeros(0)
+
+    def mass_above(value):
+        pos = int(np.searchsorted(t_sorted, value, side="right"))
+        return total if pos == 0 else total - float(cum[pos - 1])
+
+    uniq = np.unique(t_sorted)
+    candidates = np.concatenate([[0.0], uniq[uniq > 0.0]])
+    violations = (permanent_mass + np.array([mass_above(c) for c in candidates])) / n
+    feasible = violations <= alpha_level
+    if not np.any(feasible):
+        raise ShrinkUnbounded("reference scan found no feasible multiplier")
+    idx = int(np.argmax(feasible))
+    return float(candidates[idx]), float(violations[idx])
+
+
+def test_scan_thresholds_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(0, 40))
+        # rounded thresholds give ties and exact zeros
+        t = np.round(rng.uniform(0, 3, n), int(rng.integers(0, 3)))
+        w = rng.uniform(0, 2, n)
+        permanent = float(rng.choice([0.0, 0.0, rng.uniform(0, 2)]))
+        n_all = n + int(rng.integers(1, 4))
+        a = float(rng.uniform(0.01, 0.9))
+        try:
+            ref = _scan_thresholds_loop(t, w, permanent, n_all, a)
+        except ShrinkUnbounded:
+            with pytest.raises(ShrinkUnbounded):
+                _scan_thresholds(t, w, permanent, n_all, a)
+            continue
+        assert _scan_thresholds(t, w, permanent, n_all, a) == ref
+
+
 class TestShrinkSource:
     def test_zero_residuals(self):
         assert shrink_source(np.zeros(3), np.zeros(3), 0.1, 0.5).lambda_hat == 0.0
@@ -318,6 +370,43 @@ class TestSerialization:
         x_new = np.linspace(-1, 1, 30)[:, None]
         assert np.array_equal(predict_interval(m, x_new).upper,
                               predict_interval(m2, x_new).upper)
+
+
+    @staticmethod
+    def _tiny_doc():
+        m = _tiny_model(alpha=1.0, lam=0.8)
+        return model_to_dict(replace(m, mean_model=LinearModel(np.zeros(2), "ols_mean")))
+
+    def test_missing_field_names_its_path(self):
+        doc = self._tiny_doc()
+        del doc["alpha"]
+        with pytest.raises(ConfigError, match=r"model\.alpha"):
+            model_from_dict(doc)
+
+    def test_malformed_section_names_its_path(self):
+        doc = self._tiny_doc()
+        del doc["bank"]["specs"][0]["kind"]
+        with pytest.raises(ConfigError, match=r"model\.bank"):
+            model_from_dict(doc)
+        doc = self._tiny_doc()
+        doc["alpha"] = [1.0, 2.0]
+        with pytest.raises(ConfigError, match=r"model\.alpha"):
+            model_from_dict(doc)
+        with pytest.raises(ConfigError, match=r"model\.format"):
+            model_from_dict([doc])
+
+
+class TestKnownWeights:
+    @pytest.mark.parametrize("weight_fn", [
+        lambda x: -np.ones(x.shape[0]),
+        lambda x: np.full(x.shape[0], np.nan),
+        lambda x: np.full(x.shape[0], np.inf),
+        lambda x: np.ones(x.shape[0] + 1),
+    ], ids=["negative", "nan", "inf", "wrong_size"])
+    def test_bad_weights_rejected(self, weight_fn):
+        src = gen_hetero_sim(300, seed=19)
+        with pytest.raises(PiaggError, match="weight_fn"):
+            fit_covariate_shift(src, src.x[:50], 0.1, weight_fn=weight_fn)
 
 
 def test_interval_batch_validates_order():

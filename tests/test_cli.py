@@ -98,3 +98,25 @@ def test_alg2_fit_roundtrip(tmp_path):
     doc = json.load(open(model))
     assert doc["adapter_kind"] == "map"
     assert doc["mode"] == "source_exact"
+
+
+def test_malformed_model_is_a_typed_error(tmp_path, capsys):
+    src = tmp_path / "s.csv"
+    model = tmp_path / "m.json"
+    main(["gen", "--scenario", "hetero1d", "--out", str(src), "--n", "400"])
+    assert main(["fit", "--source", str(src), "--target-x", str(src),
+                 "--method", "alg1", "--alpha", "0.1", "--model", str(model)]) == 0
+    capsys.readouterr()
+    doc = json.load(open(model))
+    del doc["alpha"]
+    missing = tmp_path / "missing_alpha.json"
+    missing.write_text(json.dumps(doc))
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("lower,center,upper\n")
+    for bad, field in ((missing, "model.alpha"), (not_json, "model")):
+        code = main(["predict", "--model", str(bad), "--x", str(src),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        obj = json.loads(capsys.readouterr().err.strip())
+        assert obj["error"] == "ConfigError"
+        assert obj["message"].startswith(field + ":")

@@ -209,8 +209,8 @@ class TestQuantileReg:
             assert loss_big <= loss_small + 1e-7
 
     def test_small_instance_matches_inhouse_simplex(self):
-        # same LP solved through the dense two-phase solver: equalities
-        # become inequality pairs, the coefficient block stays free
+        # same LP solved through solve_lp: equalities become inequality
+        # pairs, the coefficient block stays free
         rng = np.random.default_rng(21)
         for tau in (0.3, 0.5, 0.7):
             x = rng.normal(size=(7, 1))
