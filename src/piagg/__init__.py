@@ -31,9 +31,8 @@ from .bench import RunSummary, ScenarioConfig, coverage_and_width, emit_report, 
 from .candidates import (
     CandidateBank,
     CandidateSpec,
-    ResidualSet,
-    build_bank,
     default_bank_specs,
+    fit_candidate_set,
     fit_mean,
     residuals,
 )

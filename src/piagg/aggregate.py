@@ -24,7 +24,7 @@ from .candidates import (
     CandidateBank,
     CandidateSpec,
     KnnMean,
-    ResidualSet,
+    check_squared_residuals,
     default_bank_specs,
     fit_candidate_set,
     fit_mean,
@@ -35,6 +35,7 @@ from .densratio import DensityRatioModel, eval_ratio, fit_density_ratio
 from .errors import (
     ConfigError,
     DimensionMismatch,
+    NonFiniteInput,
     PiaggError,
     ShapeInfeasible,
     ShrinkExceedsOneWarning,
@@ -136,12 +137,26 @@ def _solve_covering(phi: np.ndarray, r2: np.ndarray, obj: np.ndarray,
     return np.maximum(sol.x, 0.0)
 
 
-def fit_shape_cov_shift(bank: CandidateBank, r: ResidualSet,
-                        weights_on_source: np.ndarray, mode: str = "exact",
+def _shape_block(phi, r2, w=None):
+    """Shape-block inputs as float arrays, checked to align row for row."""
+    phi = np.asarray(phi, dtype=np.float64)
+    r2 = check_squared_residuals(r2, phi.shape[0])
+    if w is not None:
+        w = np.asarray(w, dtype=np.float64).ravel()
+        if w.shape[0] != phi.shape[0]:
+            raise DimensionMismatch(f"weights_on_source: {w.shape[0]} weights for "
+                                    f"{phi.shape[0]} rows")
+    return phi, r2, w
+
+
+def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.ndarray,
+                        phi_target: np.ndarray, mode: str = "exact",
                         delta: float | None = None, epsilon: float | None = None,
                         support_threshold: float = 0.0,
                         feas_tol: float = 1e-9) -> ShapeModel:
-    """Shape weights under covariate shift.
+    """Shape weights under covariate shift, from the candidate evaluations
+    ``phi`` (one column per candidate), squared residuals and ratio weights
+    of the source rows, and the evaluations ``phi_target`` on the target.
 
     Exact mode enforces coverage on every source row whose estimated
     ratio exceeds ``support_threshold``; hinge mode replaces the hard
@@ -149,14 +164,11 @@ def fit_shape_cov_shift(bank: CandidateBank, r: ResidualSet,
     within ``epsilon`` (delta is the hinge scale). The objective is always
     the average combined candidate on the target covariates.
     """
-    if bank.phi_target is None:
-        raise PiaggError("bank must carry target evaluations for the covariate-shift fit")
-    w = np.asarray(weights_on_source, dtype=np.float64).ravel()
-    phi = bank.phi_source
-    r2 = r.r2
-    if w.shape[0] != phi.shape[0] or r2.shape[0] != phi.shape[0]:
-        raise DimensionMismatch("weights, residuals and bank evaluations must align")
-    obj = bank.phi_target.mean(axis=0)
+    phi, r2, w = _shape_block(phi, r2, weights_on_source)
+    phi_target = np.atleast_2d(np.asarray(phi_target, dtype=np.float64))
+    if phi_target.shape[1] != phi.shape[1]:
+        raise DimensionMismatch(f"phi_target: needs {phi.shape[1]} candidate columns")
+    obj = phi_target.mean(axis=0)
     if mode == "exact":
         keep = w > support_threshold
         alpha = _solve_covering(phi[keep], r2[keep], obj, feas_tol)
@@ -192,27 +204,24 @@ def fit_shape_cov_shift(bank: CandidateBank, r: ResidualSet,
                       float(obj @ alpha))
 
 
-def fit_shape_source(bank: CandidateBank, r: ResidualSet,
+def fit_shape_source(phi: np.ndarray, r2: np.ndarray,
                      feas_tol: float = 1e-9) -> ShapeModel:
     """Shape weights on the source alone: cover every squared residual
-    while minimizing the average combined candidate on the same block."""
-    phi = bank.phi_source
-    if r.r2.shape[0] != phi.shape[0]:
-        raise DimensionMismatch("residuals and bank evaluations must align")
+    while minimizing the average combined candidate on the same rows."""
+    phi, r2, _ = _shape_block(phi, r2)
     obj = phi.mean(axis=0) if phi.shape[0] else np.zeros(phi.shape[1])
-    alpha = _solve_covering(phi, r.r2, obj, feas_tol)
+    alpha = _solve_covering(phi, r2, obj, feas_tol)
     return ShapeModel(alpha, MODE_SOURCE, None, None, 0.0, float(obj @ alpha))
 
 
-def hinge_constraint_value(shape: ShapeModel, bank: CandidateBank, r: ResidualSet,
+def hinge_constraint_value(shape: ShapeModel, phi: np.ndarray, r2: np.ndarray,
                            weights_on_source: np.ndarray) -> float:
     """Directly evaluated hinge budget of a fitted shape: the weighted
     mean of max(0, (r2 - f)/delta + 1) over the constraint block."""
     if shape.delta is None or shape.delta <= 0:
         raise ValueError("shape has no hinge scale")
-    f = bank.phi_source @ shape.alpha
-    hinge = np.maximum(0.0, (r.r2 - f) / shape.delta + 1.0)
-    w = np.asarray(weights_on_source, dtype=np.float64).ravel()
+    phi, r2, w = _shape_block(phi, r2, weights_on_source)
+    hinge = np.maximum(0.0, (r2 - phi @ shape.alpha) / shape.delta + 1.0)
     return float(np.mean(w * hinge))
 
 
@@ -319,7 +328,7 @@ def shrink_source(f_hat_cal: np.ndarray, r2_cal: np.ndarray,
 def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
     """Centered intervals ``mean(z) +- sqrt(lam * shape(z))`` where z is x
     routed through the transport map when one is attached."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = _covariates("x", x)
     z = apply_map(m.adapter, x) if isinstance(m.adapter, AffineMap) else x
     center = np.asarray(m.mean_model.predict(z), dtype=np.float64).ravel()
     f = m.bank.evaluate(z) @ m.shape.alpha
@@ -356,10 +365,13 @@ def diagnose(m: PiModel) -> DiagnosticReport:
                             m.shrink.achieved_violation, m.holdout_violation)
 
 
-def _as_target_matrix(target) -> np.ndarray:
-    if isinstance(target, DataTable):
-        return target.x
-    return np.atleast_2d(np.asarray(target, dtype=np.float64))
+def _covariates(name: str, x) -> np.ndarray:
+    """A covariate matrix (or the covariates of a DataTable), rejected with
+    the argument's name when any entry is NaN or infinite."""
+    x = x.x if isinstance(x, DataTable) else np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput(f"{name}: covariates must be finite")
+    return x
 
 
 def _known_weights(weight_fn, x: np.ndarray) -> np.ndarray:
@@ -367,6 +379,37 @@ def _known_weights(weight_fn, x: np.ndarray) -> np.ndarray:
     if w.shape[0] != x.shape[0] or not np.all(np.isfinite(w)) or np.any(w < 0):
         raise PiaggError(f"weight_fn must return {x.shape[0]} finite nonnegative weights")
     return w
+
+
+@dataclass(frozen=True)
+class _Blocks:
+    """The fitted mean and bank, and their evaluations on D21 and D22."""
+
+    mean_model: object
+    bank: CandidateBank
+    x1: np.ndarray
+    x21: np.ndarray
+    phi21: np.ndarray
+    r2_21: np.ndarray
+    x22: np.ndarray
+    phi22: np.ndarray
+    r2_22: np.ndarray
+
+
+def _fit_pipeline(source: DataTable, alpha_level: float, specs, fractions, seed: int,
+                  mean_method: str, mean_k: int) -> _Blocks:
+    """The three-block plan of both algorithms up to the shape LP: split
+    the source, fit the mean and the candidates on D1, and evaluate them
+    on D21 and D22."""
+    if not 0.0 < alpha_level < 1.0:
+        raise ConfigError("alpha_level: must lie in (0, 1)")
+    d1, d21, d22 = split(source, SplitSpec(tuple(fractions), seed))
+    mean_model = fit_mean(d1, mean_method, mean_k)
+    bank = fit_candidate_set(d1, residuals(d1, mean_model),
+                             default_bank_specs() if specs is None else specs)
+    return _Blocks(mean_model, bank, d1.x,
+                   d21.x, bank.evaluate(d21.x), residuals(d21, mean_model),
+                   d22.x, bank.evaluate(d22.x), residuals(d22, mean_model))
 
 
 def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
@@ -389,48 +432,34 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
     (a callable on covariate matrices); the fitted classifier is skipped
     entirely in that case. Target labels, if present, are ignored.
     """
-    if not 0.0 < alpha_level < 1.0:
-        raise ValueError("alpha_level must lie in (0, 1)")
-    tx = _as_target_matrix(target_x)
-    if specs is None:
-        specs = default_bank_specs()
-    d1, d21, d22 = split(source, SplitSpec(tuple(fractions), seed))
-    mean_model = fit_mean(d1, mean_method, mean_k)
-    r1 = residuals(d1, mean_model)
-    bank = fit_candidate_set(d1, r1, specs)
-    phi_target = bank.evaluate(tx)
-
+    tx = _covariates("target_x", target_x)
+    b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method, mean_k)
     if weight_fn is not None:
         adapter = None
-        w21 = _known_weights(weight_fn, d21.x)
-        w22 = _known_weights(weight_fn, d22.x)
+        w21 = _known_weights(weight_fn, b.x21)
+        w22 = _known_weights(weight_fn, b.x22)
     else:
-        adapter = fit_density_ratio(d1.x, tx, ridge=ratio_ridge,
+        adapter = fit_density_ratio(b.x1, tx, ridge=ratio_ridge,
                                     prob_clip=prob_clip, ratio_cap=ratio_cap)
-        w21 = eval_ratio(adapter, d21.x)
-        w22 = eval_ratio(adapter, d22.x)
+        w21 = eval_ratio(adapter, b.x21)
+        w22 = eval_ratio(adapter, b.x22)
 
-    r21 = residuals(d21, mean_model)
-    bank21 = CandidateBank(list(bank.specs), list(bank.fitted),
-                           bank.evaluate(d21.x), phi_target)
     if mode == "hinge":
         if delta is None:
-            delta = 0.1 * float(np.quantile(r21.r2, 0.9))
-            delta = max(delta, 1e-12)
+            delta = max(0.1 * float(np.quantile(b.r2_21, 0.9)), 1e-12)
         if epsilon is None:
             epsilon = 0.01
-    shape = fit_shape_cov_shift(bank21, r21, w21, mode=mode, delta=delta,
-                                epsilon=epsilon, support_threshold=support_threshold,
-                                feas_tol=feas_tol)
+    shape = fit_shape_cov_shift(b.phi21, b.r2_21, w21, b.bank.evaluate(tx), mode=mode,
+                                delta=delta, epsilon=epsilon,
+                                support_threshold=support_threshold, feas_tol=feas_tol)
 
-    r22 = residuals(d22, mean_model)
-    f22 = bank.evaluate(d22.x) @ shape.alpha
+    f22 = b.phi22 @ shape.alpha
     if floor is None:
-        floor = 1e-9 * max(float(np.max(r22.r2, initial=0.0)), 1.0)
-    shrink = shrink_cov_shift(f22, r22.r2, w22, alpha_level, floor=floor,
+        floor = 1e-9 * max(float(np.max(b.r2_22, initial=0.0)), 1.0)
+    shrink = shrink_cov_shift(f22, b.r2_22, w22, alpha_level, floor=floor,
                               normalize_weights=normalize_weights)
-    holdout = float(np.mean(r22.r2 > shrink.lambda_hat * np.maximum(f22, floor)))
-    return PiModel(shape, bank, mean_model, shrink, alpha_level, adapter,
+    holdout = float(np.mean(b.r2_22 > shrink.lambda_hat * np.maximum(f22, floor)))
+    return PiModel(shape, b.bank, b.mean_model, shrink, alpha_level, adapter,
                    alg2_delta=0.0, floor=floor, holdout_violation=holdout)
 
 
@@ -449,36 +478,23 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
     With no target covariates and no explicit map this degenerates to the
     unshifted source pipeline whose intervals are used as-is.
     """
-    if not 0.0 < alpha_level < 1.0:
-        raise ValueError("alpha_level must lie in (0, 1)")
-    if specs is None:
-        specs = default_bank_specs()
-    d1, d21, d22 = split(source, SplitSpec(tuple(fractions), seed))
-    mean_model = fit_mean(d1, mean_method, mean_k)
-    r1 = residuals(d1, mean_model)
-    bank = fit_candidate_set(d1, r1, specs)
-
+    tx = None if target_x is None else _covariates("target_x", target_x)
+    b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method, mean_k)
     if transport_map is not None:
         adapter: AffineMap | None = transport_map
-    elif target_x is not None:
-        adapter = fit_affine_transport(_as_target_matrix(target_x), d1.x,
-                                       mode=transport_mode, cov_ridge=cov_ridge)
+    elif tx is not None:
+        adapter = fit_affine_transport(tx, b.x1, mode=transport_mode, cov_ridge=cov_ridge)
     else:
         adapter = None
 
-    r21 = residuals(d21, mean_model)
-    bank21 = CandidateBank(list(bank.specs), list(bank.fitted),
-                           bank.evaluate(d21.x), None)
-    shape = fit_shape_source(bank21, r21, feas_tol=feas_tol)
+    shape = fit_shape_source(b.phi21, b.r2_21, feas_tol=feas_tol)
 
-    r22 = residuals(d22, mean_model)
-    f22 = bank.evaluate(d22.x) @ shape.alpha
+    f22 = b.phi22 @ shape.alpha
     if alg2_delta is None:
-        alg2_delta = 0.01 * float(np.quantile(r21.r2, 0.9))
-        alg2_delta = max(alg2_delta, 1e-12)
-    shrink = shrink_source(f22, r22.r2, alpha_level, alg2_delta)
-    holdout = float(np.mean(r22.r2 >= shrink.lambda_hat * (f22 + alg2_delta)))
-    return PiModel(shape, bank, mean_model, shrink, alpha_level, adapter,
+        alg2_delta = max(0.01 * float(np.quantile(b.r2_21, 0.9)), 1e-12)
+    shrink = shrink_source(f22, b.r2_22, alpha_level, alg2_delta)
+    holdout = float(np.mean(b.r2_22 >= shrink.lambda_hat * (f22 + alg2_delta)))
+    return PiModel(shape, b.bank, b.mean_model, shrink, alpha_level, adapter,
                    alg2_delta=alg2_delta, floor=0.0, holdout_violation=holdout)
 
 

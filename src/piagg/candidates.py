@@ -1,4 +1,4 @@
-"""Candidate interval-width functions and the bank of their evaluations.
+"""Candidate interval-width functions and the fitted bank that holds them.
 
 Each candidate maps covariates to a nonnegative squared-scale width
 estimate; the aggregation step searches the nonnegative span of the
@@ -75,20 +75,6 @@ def default_bank_specs() -> list[CandidateSpec]:
 
 
 @dataclass(frozen=True)
-class ResidualSet:
-    """Squared residuals of a mean model on labeled rows."""
-
-    r2: np.ndarray
-    mean_model: object
-
-    def __post_init__(self):
-        r2 = np.asarray(self.r2, dtype=np.float64).ravel()
-        if np.any(r2 < 0):
-            raise ValueError("squared residuals must be nonnegative")
-        object.__setattr__(self, "r2", r2)
-
-
-@dataclass(frozen=True)
 class KnnMean:
     """k-nearest-neighbor regression mean, ties broken by row index."""
 
@@ -112,12 +98,22 @@ def fit_mean(train: DataTable, method: str = "ols", k: int = 10):
     raise ValueError(f"unknown mean method '{method}'")
 
 
-def residuals(train: DataTable, mean_model) -> ResidualSet:
+def residuals(train: DataTable, mean_model) -> np.ndarray:
     """Elementwise squared residuals of the mean model on the table."""
     if train.y is None:
         raise PiaggError("residuals need a labeled table")
     pred = np.asarray(mean_model.predict(train.x), dtype=np.float64).ravel()
-    return ResidualSet((train.y - pred) ** 2, mean_model)
+    return (train.y - pred) ** 2
+
+
+def check_squared_residuals(r2, n_rows: int) -> np.ndarray:
+    """``r2`` as a float vector of ``n_rows`` nonnegative entries."""
+    r2 = np.asarray(r2, dtype=np.float64).ravel()
+    if r2.shape[0] != n_rows:
+        raise DimensionMismatch(f"r2: {r2.shape[0]} squared residuals for {n_rows} rows")
+    if np.any(r2 < 0):
+        raise PiaggError("r2: squared residuals must be nonnegative")
+    return r2
 
 
 def _sq_distances(x: np.ndarray, train_x: np.ndarray) -> np.ndarray:
@@ -232,7 +228,9 @@ class _KnnQuantile(_FittedCandidate):
                 "k": self.k, "tau": self.tau}
 
 
-class _KernelVariance(_FittedCandidate):
+class KernelVariance(_FittedCandidate):
+    """Gaussian-kernel (Nadaraya-Watson) smoother of the squared residuals."""
+
     kind = "kernel_variance"
 
     def __init__(self, train_x, r2, bandwidth):
@@ -293,7 +291,7 @@ def _fit_candidate(spec: CandidateSpec, train_x: np.ndarray, r2: np.ndarray) -> 
         return _KnnQuantile(train_x.copy(), r2.copy(), spec.k, spec.tau)
     if spec.kind == "kernel_variance":
         h = spec.bandwidth if spec.bandwidth is not None else _normal_reference_bandwidth(train_x)
-        return _KernelVariance(train_x.copy(), r2.copy(), h)
+        return KernelVariance(train_x.copy(), r2.copy(), h)
     if spec.kind == "linear_quantile_sq":
         return _LinearQuantileSq(quantile_reg_fit(train_x, r2, spec.tau))
     if spec.kind == "binned_quantile":
@@ -301,13 +299,11 @@ def _fit_candidate(spec: CandidateSpec, train_x: np.ndarray, r2: np.ndarray) -> 
         qs = np.quantile(x0, np.linspace(0, 1, spec.bins + 1)[1:-1]) if spec.bins > 1 else np.array([])
         idx = np.searchsorted(qs, x0, side="right")
         values = []
-        ones = None
         for b in range(spec.bins):
             in_bin = r2[idx == b]
             if in_bin.size == 0:
                 raise EmptyBin(f"bin {b} of {spec.bins} received no training rows")
-            ones = np.ones(in_bin.size)
-            values.append(weighted_quantile(in_bin, ones, spec.tau))
+            values.append(weighted_quantile(in_bin, np.ones(in_bin.size), spec.tau))
         return _BinnedQuantile(qs, values)
     raise ValueError(f"unknown candidate kind '{spec.kind}'")
 
@@ -319,8 +315,8 @@ def _candidate_from_state(kind: str, state: dict) -> _FittedCandidate:
         return _KnnQuantile(np.asarray(state["train_x"], float), np.asarray(state["r2"], float),
                             state["k"], state["tau"])
     if kind == "kernel_variance":
-        return _KernelVariance(np.asarray(state["train_x"], float),
-                               np.asarray(state["r2"], float), state["bandwidth"])
+        return KernelVariance(np.asarray(state["train_x"], float),
+                              np.asarray(state["r2"], float), state["bandwidth"])
     if kind == "linear_quantile_sq":
         model = LinearModel(np.asarray(state["coefficients"], float), "quantile",
                             tau=state["tau"])
@@ -332,13 +328,11 @@ def _candidate_from_state(kind: str, state: dict) -> _FittedCandidate:
 
 @dataclass(frozen=True)
 class CandidateBank:
-    """Fitted candidates plus their evaluations on a source block and,
-    when present, on the target covariates. All entries are nonnegative."""
+    """Fitted candidates; ``evaluate`` gives one nonnegative column per
+    candidate. Built by ``fit_candidate_set`` or ``from_state``."""
 
     specs: list[CandidateSpec]
     fitted: list[_FittedCandidate]
-    phi_source: np.ndarray
-    phi_target: np.ndarray | None = None
 
     @property
     def n_candidates(self) -> int:
@@ -348,12 +342,6 @@ class CandidateBank:
         cols = [cand.evaluate(x) for cand in self.fitted]
         return np.column_stack(cols)
 
-    def with_evaluations(self, source_x: np.ndarray,
-                         target_x: np.ndarray | None = None) -> "CandidateBank":
-        phi_t = self.evaluate(target_x) if target_x is not None else None
-        return CandidateBank(list(self.specs), list(self.fitted),
-                             self.evaluate(source_x), phi_t)
-
     def to_state(self) -> dict:
         return {"specs": [s.to_dict() for s in self.specs],
                 "state": [c.to_state() for c in self.fitted]}
@@ -362,24 +350,16 @@ class CandidateBank:
     def from_state(cls, d: dict) -> "CandidateBank":
         specs = [CandidateSpec.from_dict(s) for s in d["specs"]]
         fitted = [_candidate_from_state(s.kind, st) for s, st in zip(specs, d["state"])]
-        return cls(specs, fitted, np.zeros((0, len(specs))), None)
+        return cls(specs, fitted)
 
 
-def fit_candidate_set(train: DataTable, r: ResidualSet,
+def fit_candidate_set(train: DataTable, r2: np.ndarray,
                       specs: list[CandidateSpec]) -> CandidateBank:
-    """Fit the candidates without evaluating them anywhere yet."""
+    """Fit every candidate on the table's covariates and the squared
+    residuals ``r2`` of its rows."""
     if not specs:
         raise ValueError("specs must be non-empty")
     if train.y is None:
-        raise PiaggError("build_bank needs a labeled table")
-    if r.r2.shape[0] != train.n:
-        raise DimensionMismatch("residuals do not align with the table")
-    fitted = [_fit_candidate(spec, train.x, r.r2) for spec in specs]
-    return CandidateBank(list(specs), fitted, np.zeros((0, len(specs))), None)
-
-
-def build_bank(train: DataTable, r: ResidualSet, target_x: np.ndarray | None,
-               specs: list[CandidateSpec]) -> CandidateBank:
-    """Fit every candidate on (train.x, r.r2) and evaluate the bank on the
-    training covariates and, when given, the target covariates."""
-    return fit_candidate_set(train, r, specs).with_evaluations(train.x, target_x)
+        raise PiaggError("fit_candidate_set needs a labeled table")
+    r2 = check_squared_residuals(r2, train.n)
+    return CandidateBank(list(specs), [_fit_candidate(spec, train.x, r2) for spec in specs])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import _KernelVariance, _normal_reference_bandwidth
+from .candidates import CandidateSpec, KernelVariance, fit_candidate_set
 from .dataset import DataTable
 from .densratio import DensityRatioModel, eval_ratio
 from .errors import PiaggError
@@ -32,7 +32,7 @@ class KernelScale:
     """Conditional-scale estimate: square root of a kernel smoother of the
     squared residuals, floored at ``sigma_min``."""
 
-    smoother: _KernelVariance
+    smoother: KernelVariance
     sigma_min: float
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -79,13 +79,12 @@ def fit_wvac(train1: DataTable, cal: DataTable, ratio: DensityRatioModel | None,
         raise PiaggError("both blocks must be labeled")
     mean_model = ols_fit(train1.x, train1.y)
     resid2 = (train1.y - mean_model.predict(train1.x)) ** 2
-    if bandwidth is None:
-        bandwidth = _normal_reference_bandwidth(train1.x)
     if sigma_min is None:
         scale = float(np.std(train1.y))
         sigma_min = 1e-6 * (scale if scale > 0 else 1.0)
-    scale_model = KernelScale(_KernelVariance(train1.x.copy(), resid2, bandwidth),
-                              sigma_min)
+    smoother = fit_candidate_set(train1, resid2,
+                                 [CandidateSpec("kernel_variance", bandwidth=bandwidth)])
+    scale_model = KernelScale(smoother.fitted[0], sigma_min)
     scores = np.abs(cal.y - mean_model.predict(cal.x)) / scale_model.predict(cal.x)
     return WvacModel(mean_model, scale_model, scores,
                      _ratio_weights(ratio, cal.x), ratio)

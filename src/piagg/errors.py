@@ -57,6 +57,10 @@ class LengthMismatch(PiaggError):
     """Paired vectors have different lengths."""
 
 
+class NonFiniteInput(PiaggError):
+    """An input array holds NaN or infinite entries; the message names the argument."""
+
+
 class ConfigError(PiaggError):
     """A configuration or model document is invalid; the message carries the field path."""
 

@@ -34,9 +34,8 @@ from piagg.aggregate import (
     shrink_source,
 )
 from piagg.bench import ScenarioConfig, coverage_and_width, run_scenario
-from piagg.candidates import CandidateBank, CandidateSpec, ResidualSet, build_bank
+from piagg.candidates import CandidateSpec, KernelVariance, fit_candidate_set
 from piagg.conformal import KernelScale, WvacModel, predict_wvac
-from piagg.candidates import _KernelVariance
 from piagg.dataset import DataTable, SplitSpec, gen_hetero_sim, split, weighted_resample
 from piagg.errors import ShrinkExceedsOneWarning
 from piagg.linprog import LinearProgram, solve_lp
@@ -264,12 +263,6 @@ def _boundary_grid_minimum(phi, r2, c, alpha2_of_alpha1, hi=25.0):
     return best
 
 
-def _bank(phi_source, phi_target):
-    k = phi_source.shape[1]
-    return CandidateBank([CandidateSpec("constant_one")] * k, [],
-                         np.asarray(phi_source, float), np.asarray(phi_target, float))
-
-
 class _ZeroMean:
     def predict(self, x):
         return np.zeros(np.atleast_2d(x).shape[0])
@@ -297,8 +290,7 @@ def test_criterion_6_lp_oracles():
         phi_t = rng.uniform(0.1, 1.0, size=(2, 2))
         r2 = rng.uniform(0.0, 1.0, size=3)
         c = phi_t.mean(axis=0)
-        shape = fit_shape_cov_shift(_bank(phi_s, phi_t),
-                                    ResidualSet(r2, _ZeroMean()), np.ones(3))
+        shape = fit_shape_cov_shift(phi_s, r2, np.ones(3), phi_t)
 
         def a2_exact(a1):
             need = (r2[None, :] - a1[:, None] * phi_s[:, 0][None, :])
@@ -317,8 +309,7 @@ def test_criterion_6_lp_oracles():
         w = rng.uniform(0.2, 1.5, size=n)
         c = phi_t.mean(axis=0)
         delta, eps = 0.25, 0.05
-        shape = fit_shape_cov_shift(_bank(phi_s, phi_t),
-                                    ResidualSet(r2, _ZeroMean()), w,
+        shape = fit_shape_cov_shift(phi_s, r2, w, phi_t,
                                     mode="hinge", delta=delta, epsilon=eps)
 
         def budget(a1, a2):
@@ -362,9 +353,7 @@ def test_criterion_7_hinge_feasibility_transfer():
         mean_model = fit_mean(d1, "ols")
         r21 = residuals(d21, mean_model)
         w21 = eval_ratio(model.adapter, d21.x)
-        bank21 = CandidateBank(list(model.bank.specs), list(model.bank.fitted),
-                               model.bank.evaluate(d21.x), None)
-        value = hinge_constraint_value(model.shape, bank21, r21, w21)
+        value = hinge_constraint_value(model.shape, model.bank.evaluate(d21.x), r21, w21)
         slack = value - model.shape.epsilon
         worst = max(worst, slack)
         assert value <= model.shape.epsilon + 1e-9
@@ -380,9 +369,8 @@ def test_criterion_8_shrink_level_diagnostics(robustness, affine4b):
           f"{lams.size} replications (target >= 0.95); max={lams.max():.3f}")
     assert frac >= 0.95
     # any exceedance must surface through the diagnostic warning
-    bank = build_bank(DataTable(np.zeros((2, 1)), np.zeros(2)),
-                      ResidualSet(np.zeros(2), _ZeroMean()), None,
-                      [CandidateSpec("constant_one")])
+    bank = fit_candidate_set(DataTable(np.zeros((2, 1)), np.zeros(2)), np.zeros(2),
+                             [CandidateSpec("constant_one")])
     exceeding = PiModel(ShapeModel(np.array([1.0]), "cov_shift_exact"), bank,
                         _ZeroMean(), ShrinkResult(1.3, 0.04, True), ALPHA, None,
                         alg2_delta=0.0, floor=0.0, holdout_violation=0.0)
@@ -392,7 +380,7 @@ def test_criterion_8_shrink_level_diagnostics(robustness, affine4b):
 
 def test_criterion_9_classical_conformal_reduction():
     rng = np.random.default_rng(11)
-    scale = KernelScale(_KernelVariance(np.zeros((1, 1)), np.ones(1), 1.0), 1e-6)
+    scale = KernelScale(KernelVariance(np.zeros((1, 1)), np.ones(1), 1.0), 1e-6)
     mean = LinearModel(np.array([0.0, 0.0]), "ols_mean")
     checked = 0
     for n_cal in range(1, 51):

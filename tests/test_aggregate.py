@@ -24,10 +24,12 @@ from piagg.aggregate import (
     shrink_cov_shift,
     shrink_source,
 )
-from piagg.candidates import CandidateBank, CandidateSpec, ResidualSet, build_bank
+from piagg.candidates import CandidateSpec, fit_candidate_set
 from piagg.dataset import DataTable, gen_hetero_sim
 from piagg.errors import (
     ConfigError,
+    DimensionMismatch,
+    NonFiniteInput,
     PiaggError,
     ShapeInfeasible,
     ShrinkExceedsOneWarning,
@@ -43,35 +45,21 @@ class ZeroMean:
         return np.zeros(np.atleast_2d(x).shape[0])
 
 
-def _bank_from_matrices(phi_source, phi_target=None):
-    k = phi_source.shape[1]
-    specs = [CandidateSpec("constant_one")] * k
-    return CandidateBank(specs, [], np.asarray(phi_source, float),
-                         None if phi_target is None else np.asarray(phi_target, float))
-
-
-def _resid(r2):
-    return ResidualSet(np.asarray(r2, float), ZeroMean())
-
-
 class TestShapeCovShift:
     def test_constant_bank_covers_max_residual(self):
-        bank = _bank_from_matrices(np.ones((5, 1)), np.ones((3, 1)))
         r2 = [1.0, 4.0, 0.25, 2.0, 3.5]
-        shape = fit_shape_cov_shift(bank, _resid(r2), np.ones(5))
+        shape = fit_shape_cov_shift(np.ones((5, 1)), r2, np.ones(5), np.ones((3, 1)))
         assert shape.alpha[0] == pytest.approx(4.0, abs=1e-9)
 
     def test_hinge_zero_budget_adds_delta(self):
-        bank = _bank_from_matrices(np.ones((4, 1)), np.ones((2, 1)))
         r2 = [1.0, 2.0, 0.5, 1.5]
-        shape = fit_shape_cov_shift(bank, _resid(r2), np.ones(4), mode="hinge",
-                                    delta=0.3, epsilon=0.0)
+        shape = fit_shape_cov_shift(np.ones((4, 1)), r2, np.ones(4), np.ones((2, 1)),
+                                    mode="hinge", delta=0.3, epsilon=0.0)
         assert shape.alpha[0] == pytest.approx(2.3, abs=1e-8)
 
     def test_support_threshold_drops_rows(self):
-        bank = _bank_from_matrices(np.ones((3, 1)), np.ones((2, 1)))
         w = np.array([1.0, 0.0, 1.0])
-        shape = fit_shape_cov_shift(bank, _resid([1.0, 50.0, 2.0]), w,
+        shape = fit_shape_cov_shift(np.ones((3, 1)), [1.0, 50.0, 2.0], w, np.ones((2, 1)),
                                     support_threshold=0.0)
         assert shape.alpha[0] == pytest.approx(2.0, abs=1e-9)
 
@@ -83,8 +71,7 @@ class TestShapeCovShift:
             phi_s = rng.uniform(0.1, 1.0, size=(3, 2))
             phi_t = rng.uniform(0.1, 1.0, size=(2, 2))
             r2 = rng.uniform(0.0, 1.0, size=3)
-            bank = _bank_from_matrices(phi_s, phi_t)
-            shape = fit_shape_cov_shift(bank, _resid(r2), np.ones(3))
+            shape = fit_shape_cov_shift(phi_s, r2, np.ones(3), phi_t)
             c = phi_t.mean(axis=0)
 
             def profile(a1):
@@ -113,16 +100,14 @@ class TestShapeCovShift:
             phi[:, 0] = 1.0
             r2 = rng.uniform(0, 3, size=n)
             obj = rng.uniform(0.05, 1.0, size=k)
-            bank = _bank_from_matrices(phi, obj[None, :])
-            shape = fit_shape_cov_shift(bank, _resid(r2), np.ones(n))
+            shape = fit_shape_cov_shift(phi, r2, np.ones(n), obj[None, :])
             dual = solve_lp(LinearProgram(-r2, phi.T, obj, np.ones(n, dtype=bool)))
             assert dual.status == OPTIMAL
             assert shape.objective_value == pytest.approx(-dual.objective_value, abs=1e-7)
 
     def test_infeasible_without_usable_candidates(self):
-        bank = _bank_from_matrices(np.zeros((2, 1)), np.ones((2, 1)))
         with pytest.raises(ShapeInfeasible):
-            fit_shape_cov_shift(bank, _resid([1.0, 2.0]), np.ones(2))
+            fit_shape_cov_shift(np.zeros((2, 1)), [1.0, 2.0], np.ones(2), np.ones((2, 1)))
 
     def test_hinge_constraint_transfers(self):
         rng = np.random.default_rng(7)
@@ -131,21 +116,33 @@ class TestShapeCovShift:
             phi = np.column_stack([np.ones(n), rng.uniform(0, 1, n)])
             r2 = rng.uniform(0, 2, n)
             w = rng.uniform(0.2, 2.0, n)
-            bank = _bank_from_matrices(phi, rng.uniform(0.1, 1, size=(4, 2)))
-            shape = fit_shape_cov_shift(bank, _resid(r2), w, mode="hinge",
-                                        delta=0.2, epsilon=0.05)
-            assert hinge_constraint_value(shape, bank, _resid(r2), w) <= 0.05 + 1e-9
+            shape = fit_shape_cov_shift(phi, r2, w, rng.uniform(0.1, 1, size=(4, 2)),
+                                        mode="hinge", delta=0.2, epsilon=0.05)
+            assert hinge_constraint_value(shape, phi, r2, w) <= 0.05 + 1e-9
+
+
+@pytest.mark.parametrize("fit", [
+    lambda phi, r2, w: fit_shape_cov_shift(phi, r2, w, phi),
+    lambda phi, r2, w: fit_shape_source(phi, r2),
+    lambda phi, r2, w: hinge_constraint_value(
+        ShapeModel(np.ones(1), "cov_shift_hinge", delta=0.1), phi, r2, w),
+], ids=["cov_shift", "source", "hinge_value"])
+@pytest.mark.parametrize("r2, error", [
+    ([1.0, 2.0, 0.5], DimensionMismatch),
+    ([1.0, -0.5, 2.0, 0.5], PiaggError),
+], ids=["misaligned", "negative"])
+def test_shape_inputs_checked(fit, r2, error):
+    with pytest.raises(error, match="^r2:"):
+        fit(np.ones((4, 1)), r2, np.ones(4))
 
 
 class TestShapeSource:
     def test_constant_bank(self):
-        bank = _bank_from_matrices(np.ones((4, 1)))
-        shape = fit_shape_source(bank, _resid([0.5, 3.0, 1.0, 2.0]))
+        shape = fit_shape_source(np.ones((4, 1)), [0.5, 3.0, 1.0, 2.0])
         assert shape.alpha[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_zero_residuals_zero_weights(self):
-        bank = _bank_from_matrices(np.ones((4, 1)))
-        shape = fit_shape_source(bank, _resid(np.zeros(4)))
+        shape = fit_shape_source(np.ones((4, 1)), np.zeros(4))
         assert shape.alpha[0] == pytest.approx(0.0, abs=1e-12)
         assert shape.objective_value == pytest.approx(0.0, abs=1e-12)
 
@@ -153,7 +150,7 @@ class TestShapeSource:
         rng = np.random.default_rng(8)
         phi = np.column_stack([np.ones(30), rng.uniform(0, 1, 30)])
         r2 = rng.uniform(0, 2, 30)
-        shape = fit_shape_source(_bank_from_matrices(phi), _resid(r2))
+        shape = fit_shape_source(phi, r2)
         assert np.all(phi @ shape.alpha >= r2 - 1e-7)
 
     def test_width_monotone_in_bank(self):
@@ -162,8 +159,8 @@ class TestShapeSource:
         extra = rng.uniform(0, 1, size=(20, 2))
         phi_big = np.hstack([phi_small, extra])
         r2 = rng.uniform(0, 2, 20)
-        obj_small = fit_shape_source(_bank_from_matrices(phi_small), _resid(r2))
-        obj_big = fit_shape_source(_bank_from_matrices(phi_big), _resid(r2))
+        obj_small = fit_shape_source(phi_small, r2)
+        obj_big = fit_shape_source(phi_big, r2)
         assert obj_big.objective_value <= obj_small.objective_value + 1e-9
 
 
@@ -292,8 +289,8 @@ class TestShrinkSource:
 
 
 def _tiny_model(alpha, lam, alg2=False):
-    bank = build_bank(DataTable(np.zeros((3, 1)), np.zeros(3)),
-                      _resid(np.zeros(3)), None, [CandidateSpec("constant_one")])
+    bank = fit_candidate_set(DataTable(np.zeros((3, 1)), np.zeros(3)), np.zeros(3),
+                             [CandidateSpec("constant_one")])
     mode = "source_exact" if alg2 else "cov_shift_exact"
     shape = ShapeModel(np.array([alpha]), mode)
     shrink = ShrinkResult(lam, 0.0, lam > 1.0)
@@ -322,6 +319,25 @@ class TestPredict:
         b2 = predict_interval(m_none, x_new)
         assert np.max(np.abs(b1.lower - b2.lower)) <= 1e-9
         assert np.max(np.abs(b1.upper - b2.upper)) <= 1e-9
+
+
+class TestNonFiniteCovariates:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_predict_rejects(self, bad):
+        x = np.zeros((4, 1))
+        x[2, 0] = bad
+        with pytest.raises(NonFiniteInput, match="^x:"):
+            predict_interval(_tiny_model(alpha=9.0, lam=1.0), x)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("fit", [fit_covariate_shift, fit_transport],
+                             ids=["alg1", "alg2"])
+    def test_fit_rejects_target(self, fit, bad):
+        src = gen_hetero_sim(300, seed=19)
+        target_x = src.x[:50].copy()
+        target_x[7, 0] = bad
+        with pytest.raises(NonFiniteInput, match="^target_x:"):
+            fit(src, target_x, 0.1)
 
 
 class TestDiagnose:

@@ -3,6 +3,8 @@ bench subcommand, and error reporting."""
 
 import json
 
+import pytest
+
 from piagg.cli import main
 
 
@@ -85,6 +87,22 @@ def test_error_object_on_stderr(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     obj = json.loads(err)
     assert "error" in obj and "message" in obj
+
+
+@pytest.mark.parametrize("method", ["alg1", "alg2"])
+@pytest.mark.parametrize("alpha", ["1.5", "0"])
+def test_bad_alpha_is_a_typed_error(tmp_path, capsys, method, alpha):
+    src = tmp_path / "s.csv"
+    main(["gen", "--scenario", "hetero1d", "--out", str(src), "--n", "200"])
+    capsys.readouterr()
+    code = main(["fit", "--source", str(src), "--target-x", str(src),
+                 "--method", method, "--alpha", alpha,
+                 "--model", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": "alpha_level: must lie in (0, 1)"}
 
 
 def test_alg2_fit_roundtrip(tmp_path):

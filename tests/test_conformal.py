@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from piagg.bench import coverage_and_width
-from piagg.candidates import _KernelVariance
+from piagg.candidates import KernelVariance
 from piagg.conformal import (
     KernelScale,
     WqcModel,
@@ -21,7 +21,7 @@ from piagg.numerics import LinearModel
 
 
 def _unit_scale_model(scores, weights=None, ratio=None):
-    scale = KernelScale(_KernelVariance(np.zeros((1, 1)), np.ones(1), 1.0), 1e-6)
+    scale = KernelScale(KernelVariance(np.zeros((1, 1)), np.ones(1), 1.0), 1e-6)
     mean = LinearModel(np.array([0.0, 0.0]), "ols_mean")
     scores = np.asarray(scores, float)
     w = np.ones(scores.size) if weights is None else np.asarray(weights, float)
