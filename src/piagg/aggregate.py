@@ -49,6 +49,9 @@ MODE_COV_EXACT = "cov_shift_exact"
 MODE_COV_HINGE = "cov_shift_hinge"
 MODE_SOURCE = "source_exact"
 
+# HiGHS primal feasibility tolerance for every shape LP
+_FEAS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ShapeModel:
@@ -124,12 +127,11 @@ class PiModel:
     holdout_violation: float = float("nan")
 
 
-def _solve_covering(phi: np.ndarray, r2: np.ndarray, obj: np.ndarray,
-                    feas_tol: float) -> np.ndarray:
+def _solve_covering(phi: np.ndarray, r2: np.ndarray, obj: np.ndarray) -> np.ndarray:
     """Covering LP: min obj@alpha s.t. phi@alpha >= r2, alpha >= 0."""
     n, k = phi.shape
     prog = LinearProgram(obj, -phi, -r2, np.ones(k, dtype=bool))
-    sol = solve_lp(prog, feas_tol=feas_tol, max_pivots=200 * (n + k))
+    sol = solve_lp(prog, feas_tol=_FEAS_TOL, max_pivots=200 * (n + k))
     if sol.status == INFEASIBLE:
         raise ShapeInfeasible("no nonnegative combination covers every constrained row")
     if sol.status != OPTIMAL:
@@ -152,8 +154,7 @@ def _shape_block(phi, r2, w=None):
 def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.ndarray,
                         phi_target: np.ndarray, mode: str = "exact",
                         delta: float | None = None, epsilon: float | None = None,
-                        support_threshold: float = 0.0,
-                        feas_tol: float = 1e-9) -> ShapeModel:
+                        support_threshold: float = 0.0) -> ShapeModel:
     """Shape weights under covariate shift, from the candidate evaluations
     ``phi`` (one column per candidate), squared residuals and ratio weights
     of the source rows, and the evaluations ``phi_target`` on the target.
@@ -171,7 +172,7 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
     obj = phi_target.mean(axis=0)
     if mode == "exact":
         keep = w > support_threshold
-        alpha = _solve_covering(phi[keep], r2[keep], obj, feas_tol)
+        alpha = _solve_covering(phi[keep], r2[keep], obj)
         return ShapeModel(alpha, MODE_COV_EXACT, delta, epsilon, support_threshold,
                           float(obj @ alpha))
     if mode != "hinge":
@@ -194,7 +195,7 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
     lhs[n_k, k:] = w_k
     c = np.concatenate([obj, np.zeros(n_k)])
     prog = LinearProgram(c, lhs, rhs, np.ones(n_var, dtype=bool))
-    sol = solve_lp(prog, feas_tol=feas_tol, max_pivots=200 * (n_k + n_var))
+    sol = solve_lp(prog, feas_tol=_FEAS_TOL, max_pivots=200 * (n_k + n_var))
     if sol.status == INFEASIBLE:
         raise ShapeInfeasible("hinge budget cannot be met by any candidate combination")
     if sol.status != OPTIMAL:
@@ -204,13 +205,12 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
                       float(obj @ alpha))
 
 
-def fit_shape_source(phi: np.ndarray, r2: np.ndarray,
-                     feas_tol: float = 1e-9) -> ShapeModel:
+def fit_shape_source(phi: np.ndarray, r2: np.ndarray) -> ShapeModel:
     """Shape weights on the source alone: cover every squared residual
     while minimizing the average combined candidate on the same rows."""
     phi, r2, _ = _shape_block(phi, r2)
     obj = phi.mean(axis=0) if phi.shape[0] else np.zeros(phi.shape[1])
-    alpha = _solve_covering(phi, r2, obj, feas_tol)
+    alpha = _solve_covering(phi, r2, obj)
     return ShapeModel(alpha, MODE_SOURCE, None, None, 0.0, float(obj @ alpha))
 
 
@@ -328,7 +328,7 @@ def shrink_source(f_hat_cal: np.ndarray, r2_cal: np.ndarray,
 def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
     """Centered intervals ``mean(z) +- sqrt(lam * shape(z))`` where z is x
     routed through the transport map when one is attached."""
-    x = _covariates("x", x)
+    x = check_covariates("x", x)
     z = apply_map(m.adapter, x) if isinstance(m.adapter, AffineMap) else x
     center = np.asarray(m.mean_model.predict(z), dtype=np.float64).ravel()
     f = m.bank.evaluate(z) @ m.shape.alpha
@@ -365,7 +365,7 @@ def diagnose(m: PiModel) -> DiagnosticReport:
                             m.shrink.achieved_violation, m.holdout_violation)
 
 
-def _covariates(name: str, x) -> np.ndarray:
+def check_covariates(name: str, x) -> np.ndarray:
     """A covariate matrix (or the covariates of a DataTable), rejected with
     the argument's name when any entry is NaN or infinite."""
     x = x.x if isinstance(x, DataTable) else np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -422,8 +422,7 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
                         ratio_ridge: float = 1e-6, prob_clip: float = 1e-6,
                         ratio_cap: float = 1e3,
                         weight_fn=None, floor: float | None = None,
-                        normalize_weights: bool = False,
-                        feas_tol: float = 1e-9) -> PiModel:
+                        normalize_weights: bool = False) -> PiModel:
     """Full reweighting pipeline: fit nuisances on the first block, the
     shape LP on the second (with target covariates in the objective), and
     the shrink level on the third.
@@ -432,7 +431,7 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
     (a callable on covariate matrices); the fitted classifier is skipped
     entirely in that case. Target labels, if present, are ignored.
     """
-    tx = _covariates("target_x", target_x)
+    tx = check_covariates("target_x", target_x)
     b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method, mean_k)
     if weight_fn is not None:
         adapter = None
@@ -451,7 +450,7 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
             epsilon = 0.01
     shape = fit_shape_cov_shift(b.phi21, b.r2_21, w21, b.bank.evaluate(tx), mode=mode,
                                 delta=delta, epsilon=epsilon,
-                                support_threshold=support_threshold, feas_tol=feas_tol)
+                                support_threshold=support_threshold)
 
     f22 = b.phi22 @ shape.alpha
     if floor is None:
@@ -469,8 +468,7 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
                   seed: int = 0, transport_mode: str = "gaussian_ot",
                   cov_ridge: float = 0.0, alg2_delta: float | None = None,
                   transport_map: AffineMap | None = None,
-                  mean_method: str = "ols", mean_k: int = 10,
-                  feas_tol: float = 1e-9) -> PiModel:
+                  mean_method: str = "ols", mean_k: int = 10) -> PiModel:
     """Transport pipeline: build the band on the source alone, then carry
     it to the target through an affine map fitted from target covariates
     to the first source block (or a map supplied directly).
@@ -478,7 +476,7 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
     With no target covariates and no explicit map this degenerates to the
     unshifted source pipeline whose intervals are used as-is.
     """
-    tx = None if target_x is None else _covariates("target_x", target_x)
+    tx = None if target_x is None else check_covariates("target_x", target_x)
     b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method, mean_k)
     if transport_map is not None:
         adapter: AffineMap | None = transport_map
@@ -487,7 +485,7 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
     else:
         adapter = None
 
-    shape = fit_shape_source(b.phi21, b.r2_21, feas_tol=feas_tol)
+    shape = fit_shape_source(b.phi21, b.r2_21)
 
     f22 = b.phi22 @ shape.alpha
     if alg2_delta is None:

@@ -24,7 +24,7 @@ from .dataset import DataTable
 from .densratio import DensityRatioModel, eval_ratio
 from .errors import PiaggError
 from .numerics import LinearModel, ols_fit, quantile_reg_fit
-from .aggregate import IntervalBatch
+from .aggregate import IntervalBatch, check_covariates
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def predict_wvac(m: WvacModel, x: np.ndarray, alpha_level: float) -> IntervalBat
     """Intervals mean(x) +- scale(x) * eta(x) at coverage 1 - alpha_level;
     eta comes from the weighted calibration-score quantile with the test
     point's own mass at +infinity."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = check_covariates("x", x)
     w_test = _ratio_weights(m.ratio, x)
     eta = _weighted_eta(m.cal_scores, m.cal_weights, w_test, 1.0 - alpha_level)
     center = m.mean_model.predict(x)
@@ -148,7 +148,7 @@ def predict_wqc(m: WqcModel, x: np.ndarray, alpha_level: float) -> IntervalBatch
     """Intervals [q_lo(x) - eta, q_hi(x) + eta]; eta is floored at zero so
     calibration points sitting comfortably inside the quantile band never
     shrink it."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = check_covariates("x", x)
     w_test = _ratio_weights(m.ratio, x)
     eta = _weighted_eta(m.cal_scores, m.cal_weights, w_test, 1.0 - alpha_level)
     eta = np.maximum(eta, 0.0)

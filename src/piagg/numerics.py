@@ -8,12 +8,10 @@ construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize as _sp_optimize
-from scipy import sparse as _sp
 
 from .errors import (
     AllZeroWeights,
@@ -85,48 +83,19 @@ def design_with_intercept(x: np.ndarray) -> np.ndarray:
 
 
 def sym_eig(m: np.ndarray, tol: float = 1e-10) -> SymEig:
-    """Symmetric eigendecomposition by the cyclic Jacobi method.
+    """Symmetric eigendecomposition by LAPACK's ``eigh``.
 
-    Sweeps of plane rotations run until the largest off-diagonal entry
-    falls below ``tol * max|m|``. Raises NotSymmetric when the input's
-    asymmetry exceeds that same threshold.
+    Raises NotSymmetric when the input's asymmetry exceeds
+    ``tol * max|m|``; the symmetrized matrix is decomposed.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("sym_eig expects a square matrix")
-    d = a.shape[0]
-    scale = np.max(np.abs(a)) if d else 0.0
-    thresh = tol * max(scale, np.finfo(float).tiny)
-    if np.max(np.abs(a - a.T)) > thresh:
+    scale = np.max(np.abs(a), initial=0.0)
+    if np.max(np.abs(a - a.T), initial=0.0) > tol * max(scale, np.finfo(float).tiny):
         raise NotSymmetric("matrix asymmetry exceeds tolerance")
-    a = (a + a.T) / 2.0
-    v = np.eye(d)
-    for _ in range(100):
-        off = np.abs(a - np.diag(np.diag(a)))
-        if off.size == 0 or off.max() <= thresh:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                vrot_p = c * v[:, p] - s * v[:, q]
-                vrot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vrot_p, vrot_q
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    return SymEig(eigenvalues[order], v[:, order])
+    eigenvalues, v = np.linalg.eigh((a + a.T) / 2.0)
+    return SymEig(eigenvalues[::-1].copy(), v[:, ::-1].copy())
 
 
 def ols_fit(x: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> LinearModel:
@@ -257,34 +226,14 @@ def check_loss(residuals: np.ndarray, tau: float) -> float:
     return float(np.sum(np.where(r >= 0, tau * r, (tau - 1.0) * r)))
 
 
-def quantile_reg_lp_arrays(x: np.ndarray, y: np.ndarray, tau: float, sparse: bool = False):
-    """Arrays of the standard LP reformulation of check-loss regression.
-
-    Variables are ``[beta, u, v]`` with ``u, v >= 0`` the positive and
-    negative residual parts; the equalities are ``X beta + u - v = y`` and
-    the objective is ``tau * sum(u) + (1 - tau) * sum(v)``. The identity
-    blocks dominate the constraint matrix, so a sparse representation is
-    available for large n.
-    """
-    xd = design_with_intercept(x)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n, p = xd.shape
-    c = np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)])
-    if sparse:
-        a_eq = _sp.hstack([_sp.csc_matrix(xd), _sp.eye(n, format="csc"),
-                           -_sp.eye(n, format="csc")], format="csc")
-    else:
-        a_eq = np.hstack([xd, np.eye(n), -np.eye(n)])
-    return c, a_eq, y, p
-
-
 def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
     """Linear quantile regression by minimizing the check loss.
 
-    The problem is posed as the standard LP with split residual parts and
-    handed to HiGHS as a sparse equality-constrained program; the test
-    suite cross-checks it on small instances against ``solve_lp`` with the
-    equalities written as inequality pairs.
+    HiGHS solves the Koenker-Bassett rank-score dual, ``max y@a`` subject
+    to ``X'a = (1 - tau) X'1`` and ``0 <= a <= 1`` with X the design with
+    intercept; the coefficients are the multipliers of its equalities.
+    The test suite checks the check loss against the primal LP with split
+    residual parts, solved through ``solve_lp``.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
@@ -295,10 +244,9 @@ def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
         raise DimensionMismatch("y length does not match x rows")
     if n < p + 1:
         raise ValueError(f"need at least {p + 1} observations for {p - 1} covariates")
-    c, a_eq, b_eq, n_coef = quantile_reg_lp_arrays(x, y, tau, sparse=True)
-    bounds = [(None, None)] * n_coef + [(0, None)] * (2 * n)
-    res = _sp_optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = _sp_optimize.linprog(-y, A_eq=xd.T, b_eq=(1.0 - tau) * xd.sum(axis=0),
+                               bounds=(0, 1), method="highs")
     if not res.success:
         raise PiaggError(f"quantile regression LP failed: {res.message}")
-    beta = np.asarray(res.x[:n_coef], dtype=np.float64)
+    beta = -np.asarray(res.eqlin.marginals, dtype=np.float64)
     return LinearModel(beta, "quantile", tau=tau, converged=True)

@@ -7,7 +7,7 @@ Three variants share the form T(x) = mu_S + A (x - mu_T) and differ in A:
 * ``coral``: A = S_S^{1/2} S_T^{-1/2}, whitening then recoloring;
 * ``location_scale``: A = diag(sd_S / sd_T), componentwise.
 
-All matrix roots go through the in-house Jacobi eigensolver.
+All matrix roots go through ``sym_eig`` (LAPACK's ``eigh``).
 """
 
 from __future__ import annotations

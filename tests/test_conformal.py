@@ -17,6 +17,7 @@ from piagg.conformal import (
 )
 from piagg.dataset import DataTable, SplitSpec, split
 from piagg.densratio import DensityRatioModel
+from piagg.errors import NonFiniteInput
 from piagg.numerics import LinearModel
 
 
@@ -152,3 +153,17 @@ class TestWqc:
         m = WqcModel(q_lo, q_hi, np.array([0.0]), np.ones(1), None)
         b = predict_wqc(m, np.array([[2.0]]), alpha_level=0.5)
         assert b.lower[0] <= b.upper[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("method", ["wvac", "wqc"])
+def test_predict_rejects_non_finite_covariates(method, bad):
+    tr, cal = split(_linear_data(np.random.default_rng(11), 200), SplitSpec((0.5, 0.5), seed=3))
+    if method == "wvac":
+        m, predict = fit_wvac(tr, cal, None), predict_wvac
+    else:
+        m, predict = fit_wqc(tr, cal, None, alpha_level=0.1), predict_wqc
+    x = np.zeros((3, 1))
+    x[1, 0] = bad
+    with pytest.raises(NonFiniteInput, match="^x:"):
+        predict(m, x, alpha_level=0.1)

@@ -1,8 +1,14 @@
-"""Kernel checks: Jacobi eigensolver, least squares, logistic IRLS,
-weighted quantiles, and check-loss quantile regression."""
+"""Kernel checks: the LAPACK-backed eigendecomposition, least squares,
+logistic IRLS, weighted quantiles, and check-loss quantile regression
+(fitted through its rank-score dual, checked against the primal LP).
+
+The property tests draw their cases deterministically, so the suite's
+outcome does not depend on the run."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from piagg.errors import (
     AllZeroWeights,
@@ -17,10 +23,24 @@ from piagg.numerics import (
     logistic_fit,
     ols_fit,
     quantile_reg_fit,
-    quantile_reg_lp_arrays,
     sym_eig,
     weighted_quantile,
 )
+
+
+def _primal_check_loss_optimum(x, y, tau):
+    """Optimal check loss of the primal LP with split residual parts,
+    solved through solve_lp: variables [beta, u, v] with u, v >= 0, the
+    equalities X beta + u - v = y written as inequality pairs, and the
+    objective tau * sum(u) + (1 - tau) * sum(v)."""
+    xd = np.hstack([np.ones((len(y), 1)), x])
+    n, p = xd.shape
+    c = np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)])
+    a_eq = np.hstack([xd, np.eye(n), -np.eye(n)])
+    mask = np.concatenate([np.zeros(p, dtype=bool), np.ones(2 * n, dtype=bool)])
+    sol = solve_lp(LinearProgram(c, np.vstack([a_eq, -a_eq]), np.concatenate([y, -y]), mask))
+    assert sol.status == "optimal"
+    return sol.objective_value
 
 
 class TestSymEig:
@@ -43,6 +63,24 @@ class TestSymEig:
             assert np.max(np.abs(e.reconstruct() - m)) <= 1e-8 * scale
             assert np.max(np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(5))) <= 1e-8
             assert np.all(np.diff(e.eigenvalues) <= 1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(spectrum=st.lists(st.sampled_from([0.0, 1.0, -2.5]) |
+                             st.floats(-10.0, 10.0, allow_subnormal=False),
+                             min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_random_spectrum(self, spectrum, seed):
+        # a random rotation of a spectrum that may repeat values or hold zeros
+        d = len(spectrum)
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+        m = (q * spectrum) @ q.T
+        m = (m + m.T) / 2
+        e = sym_eig(m)
+        scale = max(np.max(np.abs(m)), 1.0)
+        assert np.max(np.abs(e.reconstruct() - m)) <= 1e-8 * scale
+        assert np.max(np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(d))) <= 1e-8
+        assert np.all(np.diff(e.eigenvalues) <= 0.0)
+        assert np.max(np.abs(e.eigenvalues - np.sort(spectrum)[::-1])) <= 1e-8 * scale
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
@@ -209,18 +247,28 @@ class TestQuantileReg:
             assert loss_big <= loss_small + 1e-7
 
     def test_small_instance_matches_inhouse_simplex(self):
-        # same LP solved through solve_lp: equalities become inequality
-        # pairs, the coefficient block stays free
+        # same objective through solve_lp on the primal LP
         rng = np.random.default_rng(21)
         for tau in (0.3, 0.5, 0.7):
             x = rng.normal(size=(7, 1))
             y = rng.normal(size=7)
             m = quantile_reg_fit(x, y, tau)
-            c, a_eq, b_eq, p = quantile_reg_lp_arrays(x, y, tau)
-            a = np.vstack([a_eq, -a_eq])
-            b = np.concatenate([b_eq, -b_eq])
-            mask = np.concatenate([np.zeros(p, dtype=bool), np.ones(2 * len(y), dtype=bool)])
-            sol = solve_lp(LinearProgram(c, a, b, mask))
-            assert sol.status == "optimal"
             fitted = check_loss(y - m.predict(x), tau)
-            assert fitted == pytest.approx(sol.objective_value, abs=1e-8)
+            assert fitted == pytest.approx(_primal_check_loss_optimum(x, y, tau), abs=1e-8)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(n=st.integers(4, 40), d=st.integers(1, 3), tau=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans(), integer_n_tau=st.booleans())
+    def test_property_reaches_primal_optimum(self, n, d, tau, seed, ties, integer_n_tau):
+        assume(n >= d + 2)
+        if integer_n_tau:
+            # n * tau integral: the degenerate case with a non-unique optimum
+            tau = min(max(round(n * tau), 1), n - 1) / n
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        y = x @ rng.normal(size=d) + rng.standard_t(3, size=n)
+        if ties:
+            y = np.round(y)
+        m = quantile_reg_fit(x, y, tau)
+        fitted = check_loss(y - m.predict(x), tau)
+        assert fitted == pytest.approx(_primal_check_loss_optimum(x, y, tau), rel=1e-8, abs=1e-12)
