@@ -29,6 +29,7 @@ from .candidates import (
     fit_candidate_set,
     fit_mean,
     residuals,
+    state_dict,
 )
 from .dataset import DataTable, SplitSpec, split
 from .densratio import DensityRatioModel, eval_ratio, fit_density_ratio
@@ -505,18 +506,18 @@ def _mean_model_state(model) -> dict:
     if isinstance(model, LinearModel):
         return {"kind": "ols", "coefficients": model.coefficients.tolist()}
     if isinstance(model, KnnMean):
-        return {"kind": "knn", "train_x": model.train_x.tolist(),
-                "train_y": model.train_y.tolist(), "k": model.k}
+        return {"kind": "knn", **state_dict(model)}
     raise PiaggError(f"cannot serialize mean model {type(model).__name__}")
 
 
 def _mean_model_from_state(d: dict):
-    if d["kind"] == "ols":
-        return LinearModel(np.asarray(d["coefficients"], float), "ols_mean")
-    if d["kind"] == "knn":
-        return KnnMean(np.asarray(d["train_x"], float),
-                       np.asarray(d["train_y"], float), d["k"])
-    raise PiaggError(f"unknown mean model kind '{d['kind']}'")
+    state = dict(d)
+    kind = state.pop("kind")
+    if kind == "ols":
+        return LinearModel(np.asarray(state["coefficients"], float), "ols_mean")
+    if kind == "knn":
+        return KnnMean(**state)
+    raise PiaggError(f"unknown mean model kind '{kind}'")
 
 
 def _adapter_state(adapter) -> tuple[str, dict | None]:
@@ -528,8 +529,7 @@ def _adapter_state(adapter) -> tuple[str, dict | None]:
             "n_source": adapter.n_source, "n_target": adapter.n_target,
             "prob_clip": adapter.prob_clip, "ratio_cap": adapter.ratio_cap}
     if isinstance(adapter, AffineMap):
-        return "map", {"a": adapter.a.tolist(), "b": adapter.b.tolist(),
-                       "mode": adapter.mode}
+        return "map", state_dict(adapter)
     raise PiaggError(f"cannot serialize adapter {type(adapter).__name__}")
 
 
@@ -541,7 +541,7 @@ def _adapter_from_state(kind: str, d: dict | None):
         return DensityRatioModel(clf, d["n_source"], d["n_target"],
                                  d["prob_clip"], d["ratio_cap"])
     if kind == "map":
-        return AffineMap(np.asarray(d["a"], float), np.asarray(d["b"], float), d["mode"])
+        return AffineMap(**d)
     raise PiaggError(f"unknown adapter kind '{kind}'")
 
 

@@ -35,7 +35,15 @@ from .errors import ConfigError, LengthMismatch
 from .numerics import sigmoid
 from .rng import derive_seed
 
-METHOD_NAMES = ("alg1", "alg2", "wvac", "wqc")
+# the keys each method entry may set besides "name"; a key is handed to the
+# fit only when the entry sets it, so the defaults live in the fit functions
+METHOD_KEYS = {
+    "alg1": ("candidates", "fractions", "mode", "delta", "epsilon", "support_threshold",
+             "ratio_cap", "prob_clip", "normalize_weights"),
+    "alg2": ("candidates", "fractions", "transport_mode", "cov_ridge", "alg2_delta"),
+    "wvac": ("ratio_ridge", "prob_clip", "ratio_cap", "sigma_min", "bandwidth"),
+    "wqc": ("ratio_ridge", "prob_clip", "ratio_cap"),
+}
 
 DEFAULT_AFFINE_A = np.diag([1.5, 1.2, 1.6, 2.0, 1.8])
 DEFAULT_AFFINE_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
@@ -97,8 +105,11 @@ class ScenarioConfig:
             raise ConfigError("config.methods: must be a non-empty list")
         for i, m in enumerate(methods):
             name = need(m, "name", f"config.methods[{i}]")
-            if name not in METHOD_NAMES:
+            if name not in METHOD_KEYS:
                 raise ConfigError(f"config.methods[{i}].name: unknown method '{name}'")
+            for key in m:
+                if key != "name" and key not in METHOD_KEYS[name]:
+                    raise ConfigError(f"config.methods[{i}].{key}: not a parameter of {name}")
 
         alpha = float(need(doc, "alpha_level", "config"))
         if not 0.0 < alpha < 1.0:
@@ -177,12 +188,6 @@ def coverage_and_width(intervals, y: np.ndarray) -> tuple[float, float]:
     return float(np.mean(covered)), avg_width
 
 
-def _parse_specs(method_cfg: dict) -> list[CandidateSpec] | None:
-    if "candidates" not in method_cfg:
-        return None
-    return [CandidateSpec.from_dict(d) for d in method_cfg["candidates"]]
-
-
 def _run_method(method_cfg: dict, train: DataTable, target_x: np.ndarray,
                 alpha_level: float, fractions: tuple[float, float, float],
                 seed: int) -> tuple[object, float | None]:
@@ -192,46 +197,24 @@ def _run_method(method_cfg: dict, train: DataTable, target_x: np.ndarray,
     function; its signature only admits the covariate matrix.
     """
     name = method_cfg["name"]
-    if name == "alg1":
-        model = fit_covariate_shift(
-            train, target_x, alpha_level,
-            specs=_parse_specs(method_cfg),
-            fractions=tuple(method_cfg.get("fractions", fractions)),
-            seed=seed,
-            mode=method_cfg.get("mode", "exact"),
-            delta=method_cfg.get("delta"),
-            epsilon=method_cfg.get("epsilon"),
-            support_threshold=method_cfg.get("support_threshold", 0.0),
-            ratio_cap=method_cfg.get("ratio_cap", 1e3),
-            prob_clip=method_cfg.get("prob_clip", 1e-6),
-            normalize_weights=method_cfg.get("normalize_weights", False),
-        )
+    kw = {key: method_cfg[key] for key in METHOD_KEYS[name] if key in method_cfg}
+    if name in ("alg1", "alg2"):
+        if "candidates" in kw:
+            kw["specs"] = [CandidateSpec.from_dict(d) for d in kw.pop("candidates")]
+        kw["fractions"] = tuple(kw.get("fractions", fractions))
+        fit = fit_covariate_shift if name == "alg1" else fit_transport
+        model = fit(train, target_x, alpha_level, seed=seed, **kw)
         return predict_interval(model, target_x), model.shrink.lambda_hat
-    if name == "alg2":
-        model = fit_transport(
-            train, target_x, alpha_level,
-            specs=_parse_specs(method_cfg),
-            fractions=tuple(method_cfg.get("fractions", fractions)),
-            seed=seed,
-            transport_mode=method_cfg.get("transport_mode", "gaussian_ot"),
-            cov_ridge=method_cfg.get("cov_ridge", 0.0),
-            alg2_delta=method_cfg.get("alg2_delta"),
-        )
-        return predict_interval(model, target_x), model.shrink.lambda_hat
-    if name in ("wvac", "wqc"):
-        train1, cal = split(train, SplitSpec((0.5, 0.5), seed))
-        ratio = fit_density_ratio(train1.x, target_x,
-                                  ridge=method_cfg.get("ratio_ridge", 1e-6),
-                                  prob_clip=method_cfg.get("prob_clip", 1e-6),
-                                  ratio_cap=method_cfg.get("ratio_cap", 1e3))
-        if name == "wvac":
-            model = fit_wvac(train1, cal, ratio,
-                             sigma_min=method_cfg.get("sigma_min"),
-                             bandwidth=method_cfg.get("bandwidth"))
-            return predict_wvac(model, target_x, alpha_level), None
-        model = fit_wqc(train1, cal, ratio, alpha_level)
-        return predict_wqc(model, target_x, alpha_level), None
-    raise ConfigError(f"unknown method '{name}'")
+    train1, cal = split(train, SplitSpec((0.5, 0.5), seed))
+    ratio_kw = {key: kw.pop(key) for key in ("prob_clip", "ratio_cap") if key in kw}
+    if "ratio_ridge" in kw:
+        ratio_kw["ridge"] = kw.pop("ratio_ridge")
+    ratio = fit_density_ratio(train1.x, target_x, **ratio_kw)
+    if name == "wvac":
+        model = fit_wvac(train1, cal, ratio, **kw)
+        return predict_wvac(model, target_x, alpha_level), None
+    model = fit_wqc(train1, cal, ratio, alpha_level)
+    return predict_wqc(model, target_x, alpha_level), None
 
 
 def _make_rep_data(cfg: ScenarioConfig, seed: int,

@@ -9,16 +9,15 @@ the squared residuals, and equal-frequency binned quantiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .dataset import DataTable
 from .errors import DimensionMismatch, EmptyBin, PiaggError
 from .numerics import LinearModel, ols_fit, quantile_reg_fit, weighted_quantile
-
-KINDS = ("constant_one", "knn_quantile", "kernel_variance",
-         "linear_quantile_sq", "binned_quantile")
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,34 @@ def default_bank_specs() -> list[CandidateSpec]:
     ]
 
 
+def state_dict(obj) -> dict:
+    """The fields of a state dataclass in declaration order, arrays as
+    nested lists: the JSON form that ``type(obj)(**state)`` reads back."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
+
+
+def _set_training_rows(obj, values: str) -> None:
+    """Store ``train_x`` and the per-row field ``values`` of a frozen state
+    dataclass as float arrays, checked to align row for row."""
+    train_x = np.asarray(obj.train_x, dtype=np.float64)
+    v = np.asarray(getattr(obj, values), dtype=np.float64)
+    if train_x.ndim != 2 or train_x.shape[0] == 0 or v.shape != (train_x.shape[0],):
+        raise ValueError(f"{values}: needs one entry per row of a non-empty train_x")
+    object.__setattr__(obj, "train_x", train_x)
+    object.__setattr__(obj, values, v)
+
+
+def _set_neighbour_count(obj) -> None:
+    k = operator.index(obj.k)
+    if not 1 <= k <= obj.train_x.shape[0]:
+        raise ValueError(f"k: must lie in [1, {obj.train_x.shape[0]}], got {k}")
+    object.__setattr__(obj, "k", k)
+
+
 @dataclass(frozen=True)
 class KnnMean:
     """k-nearest-neighbor regression mean, ties broken by row index."""
@@ -82,9 +109,13 @@ class KnnMean:
     train_y: np.ndarray
     k: int
 
+    def __post_init__(self):
+        _set_training_rows(self, "train_y")
+        _set_neighbour_count(self)
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        idx = _knn_indices(self.train_x, np.atleast_2d(np.asarray(x, float)), self.k)
-        return self.train_y[idx].mean(axis=1)
+        return _by_distance_block(
+            x, self.train_x, lambda d2: self.train_y[_knn_indices_block(d2, self.k)].mean(axis=1))
 
 
 def fit_mean(train: DataTable, method: str = "ols", k: int = 10):
@@ -116,27 +147,32 @@ def check_squared_residuals(r2, n_rows: int) -> np.ndarray:
     return r2
 
 
-def _sq_distances(x: np.ndarray, train_x: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances; the expanded quadratic form
-    pays off once there is more than one coordinate."""
-    if x.shape[1] != train_x.shape[1]:
-        raise DimensionMismatch("covariate dimension does not match training data")
-    if x.shape[1] == 1:
-        return (x[:, 0][:, None] - train_x[:, 0][None, :]) ** 2
-    d2 = ((x ** 2).sum(axis=1)[:, None] + (train_x ** 2).sum(axis=1)[None, :]
-          - 2.0 * (x @ train_x.T))
-    return np.maximum(d2, 0.0)
-
-
 # entries per block of pairwise distances: evaluation rows go in blocks of
 # _ENTRIES // n_train, so each block's temporaries stay cache-sized
 # (256 KB of float64) whatever the size of the training block
 _ENTRIES = 2 ** 15
 
 
-def _row_blocks(n_rows: int, n_train: int):
-    step = max(1, _ENTRIES // n_train)
-    return (slice(start, start + step) for start in range(0, n_rows, step))
+def _by_distance_block(x, train_x: np.ndarray, row_fn) -> np.ndarray:
+    """``row_fn(d2)`` over blocks of evaluation rows, stacked into one
+    vector; ``d2`` holds a block's squared Euclidean distances to every
+    training row. Each row's distances are computed on their own (a
+    broadcast difference in 1-d, where it is faster, SciPy's ``cdist``
+    otherwise), so a row's value does not depend on the rows evaluated
+    with it."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != train_x.shape[1]:
+        raise DimensionMismatch("covariate dimension does not match training data")
+    out = np.empty(x.shape[0])
+    step = max(1, _ENTRIES // train_x.shape[0])
+    for start in range(0, x.shape[0], step):
+        rows = x[start:start + step]
+        if x.shape[1] == 1:
+            d2 = (rows[:, 0][:, None] - train_x[:, 0][None, :]) ** 2
+        else:
+            d2 = cdist(rows, train_x, "sqeuclidean")
+        out[start:start + step] = row_fn(d2)
+    return out
 
 
 def _knn_indices_block(d2: np.ndarray, k: int) -> np.ndarray:
@@ -152,14 +188,6 @@ def _knn_indices_block(d2: np.ndarray, k: int) -> np.ndarray:
     for i in tie_rows:
         part[i] = np.argsort(d2[i], kind="stable")[:k]
     return part
-
-
-def _knn_indices(train_x: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    k = min(k, train_x.shape[0])
-    out = np.empty((x.shape[0], k), dtype=np.int64)
-    for rows in _row_blocks(x.shape[0], train_x.shape[0]):
-        out[rows] = _knn_indices_block(_sq_distances(x[rows], train_x), k)
-    return out
 
 
 def _equal_weight_quantile_rows(values: np.ndarray, tau: float) -> np.ndarray:
@@ -180,150 +208,120 @@ def _normal_reference_bandwidth(train_x: np.ndarray) -> float:
     return float(np.mean(sd) * factor)
 
 
-class _FittedCandidate:
-    kind: str
+# Fitted candidates: frozen dataclasses whose fields are exactly their
+# saved state, so ``state_dict`` writes them and ``cls(**state)`` reads
+# them back; ``__post_init__`` coerces and checks that state.
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_state(self) -> dict:
-        raise NotImplementedError
-
-
-class _ConstantOne(_FittedCandidate):
-    kind = "constant_one"
-
+@dataclass(frozen=True)
+class _ConstantOne:
     def evaluate(self, x):
         return np.ones(np.atleast_2d(x).shape[0])
 
-    def to_state(self):
-        return {}
 
+@dataclass(frozen=True)
+class _KnnQuantile:
+    train_x: np.ndarray
+    r2: np.ndarray
+    k: int
+    tau: float
 
-class _KnnQuantile(_FittedCandidate):
-    kind = "knn_quantile"
-
-    def __init__(self, train_x, r2, k, tau):
-        self.train_x = train_x
-        self.r2 = r2
-        self.k = min(int(k), train_x.shape[0])
-        self.tau = float(tau)
+    def __post_init__(self):
+        _set_training_rows(self, "r2")
+        _set_neighbour_count(self)
+        object.__setattr__(self, "tau", float(self.tau))
 
     def evaluate(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
-        if self.k >= self.train_x.shape[0]:
-            # every point shares the full neighbor set
-            if x.shape[1] != self.train_x.shape[1]:
-                raise DimensionMismatch("covariate dimension does not match training data")
-            value = _equal_weight_quantile_rows(self.r2[None, :], self.tau)[0]
-            return np.full(x.shape[0], value)
-        out = np.empty(x.shape[0])
-        for rows in _row_blocks(x.shape[0], self.train_x.shape[0]):
-            idx = _knn_indices_block(_sq_distances(x[rows], self.train_x), self.k)
-            out[rows] = _equal_weight_quantile_rows(self.r2[idx], self.tau)
-        return out
-
-    def to_state(self):
-        return {"train_x": self.train_x.tolist(), "r2": self.r2.tolist(),
-                "k": self.k, "tau": self.tau}
+        return _by_distance_block(x, self.train_x, lambda d2: _equal_weight_quantile_rows(
+            self.r2[_knn_indices_block(d2, self.k)], self.tau))
 
 
-class KernelVariance(_FittedCandidate):
+@dataclass(frozen=True)
+class KernelVariance:
     """Gaussian-kernel (Nadaraya-Watson) smoother of the squared residuals."""
 
-    kind = "kernel_variance"
+    train_x: np.ndarray
+    r2: np.ndarray
+    bandwidth: float
 
-    def __init__(self, train_x, r2, bandwidth):
-        self.train_x = train_x
-        self.r2 = r2
-        self.bandwidth = float(bandwidth)
-
-    def evaluate(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
-        out = np.empty(x.shape[0])
-        for rows in _row_blocks(x.shape[0], self.train_x.shape[0]):
-            logk = -0.5 * _sq_distances(x[rows], self.train_x) / self.bandwidth ** 2
-            logk -= logk.max(axis=1, keepdims=True)
-            w = np.exp(logk)
-            # one dot product per row, not w @ r2: a matrix-vector product sums
-            # a row in an order that depends on the row's place in the block
-            out[rows] = np.vecdot(w, self.r2) / w.sum(axis=1)
-        return out
-
-    def to_state(self):
-        return {"train_x": self.train_x.tolist(), "r2": self.r2.tolist(),
-                "bandwidth": self.bandwidth}
-
-
-class _LinearQuantileSq(_FittedCandidate):
-    kind = "linear_quantile_sq"
-
-    def __init__(self, model: LinearModel):
-        self.model = model
+    def __post_init__(self):
+        _set_training_rows(self, "r2")
+        h = float(self.bandwidth)
+        if not (np.isfinite(h) and h > 0):
+            raise ValueError(f"bandwidth: must be finite and positive, got {h}")
+        object.__setattr__(self, "bandwidth", h)
 
     def evaluate(self, x):
-        return np.maximum(self.model.predict(x), 0.0)
+        return _by_distance_block(x, self.train_x, self._smooth)
 
-    def to_state(self):
-        return {"coefficients": self.model.coefficients.tolist(), "tau": self.model.tau}
+    def _smooth(self, d2):
+        logk = -0.5 * d2 / self.bandwidth ** 2
+        logk -= logk.max(axis=1, keepdims=True)
+        w = np.exp(logk)
+        # one dot product per row, not w @ r2: a matrix-vector product sums
+        # a row in an order that depends on the row's place in the block
+        return np.vecdot(w, self.r2) / w.sum(axis=1)
 
 
-class _BinnedQuantile(_FittedCandidate):
-    kind = "binned_quantile"
+@dataclass(frozen=True)
+class _LinearQuantileSq:
+    coefficients: np.ndarray
+    tau: float
 
-    def __init__(self, edges, values):
-        self.edges = np.asarray(edges, dtype=np.float64)
-        self.values = np.asarray(values, dtype=np.float64)
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients",
+                           np.asarray(self.coefficients, dtype=np.float64))
+        object.__setattr__(self, "tau", float(self.tau))
+
+    def evaluate(self, x):
+        return np.maximum(LinearModel(self.coefficients, "quantile", self.tau).predict(x), 0.0)
+
+
+@dataclass(frozen=True)
+class _BinnedQuantile:
+    edges: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if edges.ndim != 1 or values.shape != (edges.shape[0] + 1,):
+            raise ValueError("values: needs one entry more than edges")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "values", values)
 
     def evaluate(self, x):
         x0 = np.atleast_2d(np.asarray(x, float))[:, 0]
         idx = np.searchsorted(self.edges, x0, side="right")
         return self.values[np.clip(idx, 0, len(self.values) - 1)]
 
-    def to_state(self):
-        return {"edges": self.edges.tolist(), "values": self.values.tolist()}
+
+_FITTED = {"constant_one": _ConstantOne, "knn_quantile": _KnnQuantile,
+           "kernel_variance": KernelVariance, "linear_quantile_sq": _LinearQuantileSq,
+           "binned_quantile": _BinnedQuantile}
+KINDS = tuple(_FITTED)
 
 
-def _fit_candidate(spec: CandidateSpec, train_x: np.ndarray, r2: np.ndarray) -> _FittedCandidate:
+def _fit_candidate(spec: CandidateSpec, train_x: np.ndarray, r2: np.ndarray):
     if spec.kind == "constant_one":
         return _ConstantOne()
     if spec.kind == "knn_quantile":
-        return _KnnQuantile(train_x.copy(), r2.copy(), spec.k, spec.tau)
+        return _KnnQuantile(train_x.copy(), r2.copy(), min(spec.k, train_x.shape[0]), spec.tau)
     if spec.kind == "kernel_variance":
         h = spec.bandwidth if spec.bandwidth is not None else _normal_reference_bandwidth(train_x)
         return KernelVariance(train_x.copy(), r2.copy(), h)
     if spec.kind == "linear_quantile_sq":
-        return _LinearQuantileSq(quantile_reg_fit(train_x, r2, spec.tau))
-    if spec.kind == "binned_quantile":
-        x0 = train_x[:, 0]
-        qs = np.quantile(x0, np.linspace(0, 1, spec.bins + 1)[1:-1]) if spec.bins > 1 else np.array([])
-        idx = np.searchsorted(qs, x0, side="right")
-        values = []
-        for b in range(spec.bins):
-            in_bin = r2[idx == b]
-            if in_bin.size == 0:
-                raise EmptyBin(f"bin {b} of {spec.bins} received no training rows")
-            values.append(weighted_quantile(in_bin, np.ones(in_bin.size), spec.tau))
-        return _BinnedQuantile(qs, values)
-    raise ValueError(f"unknown candidate kind '{spec.kind}'")
-
-
-def _candidate_from_state(kind: str, state: dict) -> _FittedCandidate:
-    if kind == "constant_one":
-        return _ConstantOne()
-    if kind == "knn_quantile":
-        return _KnnQuantile(np.asarray(state["train_x"], float), np.asarray(state["r2"], float),
-                            state["k"], state["tau"])
-    if kind == "kernel_variance":
-        return KernelVariance(np.asarray(state["train_x"], float),
-                              np.asarray(state["r2"], float), state["bandwidth"])
-    if kind == "linear_quantile_sq":
-        model = LinearModel(np.asarray(state["coefficients"], float), "quantile",
-                            tau=state["tau"])
-        return _LinearQuantileSq(model)
-    if kind == "binned_quantile":
-        return _BinnedQuantile(state["edges"], state["values"])
-    raise ValueError(f"unknown candidate kind '{kind}'")
+        model = quantile_reg_fit(train_x, r2, spec.tau)
+        return _LinearQuantileSq(model.coefficients, model.tau)
+    x0 = train_x[:, 0]
+    qs = np.quantile(x0, np.linspace(0, 1, spec.bins + 1)[1:-1]) if spec.bins > 1 else np.array([])
+    idx = np.searchsorted(qs, x0, side="right")
+    values = []
+    for b in range(spec.bins):
+        in_bin = r2[idx == b]
+        if in_bin.size == 0:
+            raise EmptyBin(f"bin {b} of {spec.bins} received no training rows")
+        values.append(weighted_quantile(in_bin, np.ones(in_bin.size), spec.tau))
+    return _BinnedQuantile(qs, values)
 
 
 @dataclass(frozen=True)
@@ -332,7 +330,7 @@ class CandidateBank:
     candidate. Built by ``fit_candidate_set`` or ``from_state``."""
 
     specs: list[CandidateSpec]
-    fitted: list[_FittedCandidate]
+    fitted: list  # one fitted candidate per spec, of the spec's kind
 
     @property
     def n_candidates(self) -> int:
@@ -344,12 +342,12 @@ class CandidateBank:
 
     def to_state(self) -> dict:
         return {"specs": [s.to_dict() for s in self.specs],
-                "state": [c.to_state() for c in self.fitted]}
+                "state": [state_dict(c) for c in self.fitted]}
 
     @classmethod
     def from_state(cls, d: dict) -> "CandidateBank":
         specs = [CandidateSpec.from_dict(s) for s in d["specs"]]
-        fitted = [_candidate_from_state(s.kind, st) for s, st in zip(specs, d["state"])]
+        fitted = [_FITTED[s.kind](**st) for s, st in zip(specs, d["state"], strict=True)]
         return cls(specs, fitted)
 
 

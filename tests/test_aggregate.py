@@ -2,9 +2,12 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piagg.aggregate import (
     IntervalBatch,
@@ -18,6 +21,7 @@ from piagg.aggregate import (
     fit_shape_source,
     fit_transport,
     hinge_constraint_value,
+    load_model,
     model_from_dict,
     model_to_dict,
     predict_interval,
@@ -38,6 +42,8 @@ from piagg.errors import (
 from piagg.linprog import OPTIMAL, LinearProgram, solve_lp
 from piagg.numerics import LinearModel
 from piagg.transport import AffineMap
+
+DATA = Path(__file__).parent / "data"
 
 
 class ZeroMean:
@@ -410,6 +416,77 @@ class TestSerialization:
             model_from_dict(doc)
         with pytest.raises(ConfigError, match=r"model\.format"):
             model_from_dict([doc])
+
+    # Indices into the bank of the 1-d fixture: 0 constant_one, 1 and 2
+    # knn_quantile (k < n and k >= n), 3 and 4 kernel_variance, 5
+    # linear_quantile_sq, 6 binned_quantile.
+    @pytest.mark.parametrize("section, corrupt", [
+        ("bank", lambda d: d["bank"]["state"].pop()),
+        ("bank", lambda d: d["bank"]["state"][3].update(bandwidth=0)),
+        ("bank", lambda d: d["bank"]["state"][3].update(bandwidth=-1)),
+        ("bank", lambda d: d["bank"]["state"][4].update(bandwidth=float("nan"))),
+        ("bank", lambda d: d["bank"]["state"][1].update(k=0)),
+        ("bank", lambda d: d["bank"]["state"][2].update(k=10_000)),
+        ("bank", lambda d: d["bank"]["state"][3]["r2"].pop()),
+        ("bank", lambda d: d["bank"]["state"][6]["values"].pop()),
+        ("mean_model", lambda d: d["mean_model"].update(k=0)),
+        ("mean_model", lambda d: d["mean_model"]["train_y"].pop()),
+    ], ids=["state_one_short", "bandwidth_zero", "bandwidth_negative", "bandwidth_nan",
+            "k_zero", "k_above_rows", "r2_misaligned", "binned_values_short",
+            "knn_mean_k_zero", "knn_mean_y_misaligned"])
+    def test_malformed_candidate_state_rejected(self, section, corrupt):
+        doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
+        corrupt(doc)
+        with pytest.raises(ConfigError, match=rf"^model\.{section}: "):
+            model_from_dict(doc)
+
+    # Written by the package before its fitted candidates became state
+    # dataclasses, with the intervals and bank evaluations that code gave on
+    # 20 fixed rows: a 1-d alg1 fit (all five kinds, k < n and k >= n, the
+    # kNN mean, a density-ratio adapter) and a 2-d alg2 fit (a map adapter).
+    @pytest.mark.parametrize("name", ["alg1_1d", "alg2_2d"])
+    def test_v1_fixture_round_trips(self, name):
+        path = DATA / f"model_v1_{name}.json"
+        m = load_model(str(path))
+        assert json.dumps(model_to_dict(m)) == path.read_text()
+        ref = json.loads((DATA / f"intervals_v1_{name}.json").read_text())
+        x = np.asarray(ref["x"])
+        got = predict_interval(m, x)
+        got = {"lower": got.lower, "center": got.center, "upper": got.upper,
+               "phi": m.bank.evaluate(x)}
+        for key, value in got.items():
+            if x.shape[1] == 1:
+                assert np.array_equal(value, ref[key]), key
+            else:
+                # the 2-d fixture was written when distances in d > 1 came from a
+                # quadratic form; cdist rounds differently
+                np.testing.assert_allclose(value, ref[key], rtol=1e-12, atol=0.0, err_msg=key)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 16), d=st.integers(1, 3), n=st.integers(60, 140),
+           k=st.integers(1, 90), bins=st.integers(1, 3),
+           bandwidth=st.one_of(st.none(), st.floats(0.05, 2.0)),
+           method=st.sampled_from(["alg1", "alg1_knn_mean", "alg2"]))
+    def test_property_document_round_trip(self, seed, d, n, k, bins, bandwidth, method):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        src = DataTable(x, x[:, 0] + (1.0 + np.abs(x[:, 0])) * rng.normal(size=n))
+        tx = rng.normal(0.3, 1.2, size=(n // 2, d))
+        specs = [CandidateSpec("constant_one"), CandidateSpec("knn_quantile", k=k, tau=0.8),
+                 CandidateSpec("kernel_variance", bandwidth=bandwidth),
+                 CandidateSpec("linear_quantile_sq", tau=0.9),
+                 CandidateSpec("binned_quantile", bins=bins, tau=0.9)]
+        if method == "alg2":
+            m = fit_transport(src, tx, 0.1, specs=specs, seed=seed)
+        else:
+            m = fit_covariate_shift(src, tx, 0.1, specs=specs, seed=seed,
+                                    mean_method="knn" if method == "alg1_knn_mean" else "ols")
+        text = json.dumps(model_to_dict(m))
+        m2 = model_from_dict(json.loads(text))
+        assert json.dumps(model_to_dict(m2)) == text
+        b1, b2 = predict_interval(m, tx), predict_interval(m2, tx)
+        for a, b in ((b1.lower, b2.lower), (b1.center, b2.center), (b1.upper, b2.upper)):
+            assert np.array_equal(a, b)
 
 
 class TestKnownWeights:

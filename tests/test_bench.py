@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from piagg import bench
 from piagg.aggregate import IntervalBatch
 from piagg.bench import (
     RunSummary,
@@ -153,6 +154,28 @@ class TestConfigValidation:
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match=r"methods\[0\]"):
             _base_config(methods=[{"name": "mystery"}])
+
+    @pytest.mark.parametrize("method, key", [
+        ({"name": "alg1", "ratio_capp": 10}, "ratio_capp"),
+        ({"name": "alg2", "mode": "hinge"}, "mode"),
+        ({"name": "wqc", "bandwidth": 0.1}, "bandwidth"),
+    ])
+    def test_unknown_method_key(self, method, key):
+        with pytest.raises(ConfigError, match=rf"^config\.methods\[1\]\.{key}:"):
+            _base_config(methods=[{"name": "wvac"}, method])
+
+    def test_only_given_keys_reach_the_fit(self, monkeypatch):
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        real = bench.fit_density_ratio
+        monkeypatch.setattr(bench, "fit_density_ratio", record)
+        run_scenario(_base_config(methods=[{"name": "wqc", "ratio_ridge": 1e-3},
+                                           {"name": "wvac"}], replications=1))
+        assert seen == [{"ridge": 1e-3}, {}]
 
     def test_bad_alpha(self):
         with pytest.raises(ConfigError, match="alpha_level"):

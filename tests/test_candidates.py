@@ -141,25 +141,19 @@ class TestBankInvariants:
         assert np.allclose(a, b, atol=1e-10)
 
 
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [1, 3, 5])
 def test_blocked_evaluation_matches_row_by_row(d):
     # the distance blocks are sized from the training block; evaluating
-    # all rows in one call must agree with one row per call. In d > 1 the
-    # distances come from a matrix product whose rounding depends on the
-    # block's shape, so the kernel agrees only to rounding there.
+    # all rows in one call must agree bit for bit with one row per call
     rng = np.random.default_rng(30 + d)
     train = _labeled(rng, n=700, d=d)
     specs = [CandidateSpec("knn_quantile", k=15, tau=0.9), CandidateSpec("kernel_variance")]
     bank = fit_candidate_set(train, residuals(train, fit_mean(train)), specs)
+    knn_mean = fit_mean(train, "knn", k=9)
     x = rng.normal(size=(400, d))
-    knn, kernel = bank.fitted
     rows = [slice(i, i + 1) for i in range(x.shape[0])]
-    assert np.array_equal(knn.evaluate(x), np.concatenate([knn.evaluate(x[r]) for r in rows]))
-    by_row = np.concatenate([kernel.evaluate(x[r]) for r in rows])
-    if d == 1:
-        assert np.array_equal(kernel.evaluate(x), by_row)
-    else:
-        np.testing.assert_allclose(kernel.evaluate(x), by_row, rtol=1e-12, atol=0.0)
+    for f in [cand.evaluate for cand in bank.fitted] + [knn_mean.predict]:
+        assert np.array_equal(f(x), np.concatenate([f(x[r]) for r in rows]))
 
 
 def test_spec_validation():

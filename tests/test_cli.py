@@ -138,3 +138,28 @@ def test_malformed_model_is_a_typed_error(tmp_path, capsys):
         obj = json.loads(capsys.readouterr().err.strip())
         assert obj["error"] == "ConfigError"
         assert obj["message"].startswith(field + ":")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda state: state.pop(),
+    lambda state: state[-1].update(bandwidth=0),
+], ids=["state_one_short", "bandwidth_zero"])
+def test_malformed_candidate_state_is_a_typed_error(tmp_path, capsys, corrupt):
+    src = tmp_path / "s.csv"
+    model = tmp_path / "m.json"
+    main(["gen", "--scenario", "hetero1d", "--out", str(src), "--n", "400"])
+    assert main(["fit", "--source", str(src), "--target-x", str(src),
+                 "--method", "alg1", "--alpha", "0.1", "--model", str(model)]) == 0
+    capsys.readouterr()
+    doc = json.load(open(model))
+    assert doc["bank"]["specs"][-1]["kind"] == "kernel_variance"
+    corrupt(doc["bank"]["state"])
+    model.write_text(json.dumps(doc))
+    code = main(["predict", "--model", str(model), "--x", str(src),
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    obj = json.loads(err)
+    assert obj["error"] == "ConfigError"
+    assert obj["message"].startswith("model.bank: ")

@@ -1,5 +1,7 @@
 """Affine moment-matching transport maps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,17 @@ def test_energy_distance_alignment_diagnostic():
     after = energy_distance(mapped, src)
     assert after < before
     assert after < 0.1
+
+
+def test_energy_distance_matches_double_loop():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(23, 3))
+    b = rng.normal(0.5, 2.0, size=(17, 3))
+
+    def mean_dist(u, v):
+        return sum(math.dist(p, q) for p in u for q in v) / (len(u) * len(v))
+
+    # both samples are cut to their first max_points rows
+    u, v = a[:15], b[:15]
+    expect = 2.0 * mean_dist(u, v) - mean_dist(u, u) - mean_dist(v, v)
+    assert energy_distance(a, b, max_points=15) == pytest.approx(expect, rel=1e-12)
