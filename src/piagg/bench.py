@@ -10,6 +10,7 @@ exclusively by the evaluation step, never by any fit.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .densratio import fit_density_ratio
 from .errors import ConfigError, LengthMismatch
 from .numerics import sigmoid
 from .rng import derive_seed
+from .transport import MODES as TRANSPORT_MODES
 
 # the keys each method entry may set besides "name"; a key is handed to the
 # fit only when the entry sets it, so the defaults live in the fit functions
@@ -44,6 +46,40 @@ METHOD_KEYS = {
     "wvac": ("ratio_ridge", "prob_clip", "ratio_cap", "sigma_min", "bandwidth"),
     "wqc": ("ratio_ridge", "prob_clip", "ratio_cap"),
 }
+
+
+# allowed values of method keys, checked at load so that a bad value is one
+# ConfigError, not a failure in every replication; null keeps a default rule
+_POSITIVE_OR_NULL = ("null or a number > 0", lambda v: v is None or _number(v) and v > 0)
+METHOD_VALUES = {
+    "mode": ("'exact' or 'hinge'", lambda v: v in ("exact", "hinge")),
+    "transport_mode": (f"one of {TRANSPORT_MODES}", lambda v: v in TRANSPORT_MODES),
+    "bandwidth": ("null or a finite number > 0",
+                  lambda v: v is None or _number(v) and 0 < v < math.inf),
+    "sigma_min": _POSITIVE_OR_NULL, "delta": _POSITIVE_OR_NULL, "alg2_delta": _POSITIVE_OR_NULL,
+    "epsilon": ("null or a number >= 0", lambda v: v is None or _number(v) and v >= 0),
+    "ratio_cap": ("a number > 0", lambda v: _number(v) and v > 0),
+    "prob_clip": ("a number in (0, 0.5)", lambda v: _number(v) and 0 < v < 0.5),
+    "cov_ridge": ("a number >= 0", lambda v: _number(v) and v >= 0),
+}
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_method_value(path: str, key: str, value) -> None:
+    if key == "candidates":
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: must be a non-empty list")
+        for j, entry in enumerate(value):
+            try:
+                CandidateSpec.from_dict(entry)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: entry {j}: {exc}") from None
+    elif key in METHOD_VALUES and not METHOD_VALUES[key][1](value):
+        raise ConfigError(f"{path}: must be {METHOD_VALUES[key][0]}, got {value!r}")
+
 
 DEFAULT_AFFINE_A = np.diag([1.5, 1.2, 1.6, 2.0, 1.8])
 DEFAULT_AFFINE_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
@@ -107,9 +143,12 @@ class ScenarioConfig:
             name = need(m, "name", f"config.methods[{i}]")
             if name not in METHOD_KEYS:
                 raise ConfigError(f"config.methods[{i}].name: unknown method '{name}'")
-            for key in m:
-                if key != "name" and key not in METHOD_KEYS[name]:
+            for key, value in m.items():
+                if key == "name":
+                    continue
+                if key not in METHOD_KEYS[name]:
                     raise ConfigError(f"config.methods[{i}].{key}: not a parameter of {name}")
+                _check_method_value(f"config.methods[{i}].{key}", key, value)
 
         alpha = float(need(doc, "alpha_level", "config"))
         if not 0.0 < alpha < 1.0:
@@ -308,19 +347,3 @@ def emit_report(s: RunSummary, out_dir: str) -> tuple[str, str]:
         json.dump({"aggregates": s.aggregates(), "failures": s.failures}, fh, indent=2)
     return csv_path, json_path
 
-
-def read_per_rep(path: str) -> RunSummary:
-    """Inverse of the CSV side of ``emit_report``."""
-    summary = RunSummary()
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
-            raise ConfigError(f"unexpected per-rep header {header}")
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            summary.rows.append(RepResult(
-                rep=int(cells[0]), method=cells[1], coverage=float(cells[2]),
-                avg_width=float(cells[3]),
-                lambda_hat=None if cells[4] == "" else float(cells[4]),
-                runtime_s=float(cells[5]), n_infinite=int(cells[6])))
-    return summary

@@ -37,6 +37,9 @@ class CandidateSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown candidate kind '{self.kind}'")
+        for name in ("k", "bins"):  # counts: a float such as 2.5 is a TypeError
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.kind in ("knn_quantile",) and (self.k is None or self.k < 1):
             raise ValueError("knn_quantile needs k >= 1")
         if self.kind in ("knn_quantile", "linear_quantile_sq", "binned_quantile"):
@@ -88,8 +91,9 @@ def _set_training_rows(obj, values: str) -> None:
     dataclass as float arrays, checked to align row for row."""
     train_x = np.asarray(obj.train_x, dtype=np.float64)
     v = np.asarray(getattr(obj, values), dtype=np.float64)
-    if train_x.ndim != 2 or train_x.shape[0] == 0 or v.shape != (train_x.shape[0],):
-        raise ValueError(f"{values}: needs one entry per row of a non-empty train_x")
+    if (train_x.ndim != 2 or train_x.shape[0] == 0 or v.shape != (train_x.shape[0],)
+            or not np.all(np.isfinite(train_x))):
+        raise ValueError(f"{values}: needs one entry per row of a non-empty, finite train_x")
     object.__setattr__(obj, "train_x", train_x)
     object.__setattr__(obj, values, v)
 
@@ -190,14 +194,41 @@ def _knn_indices_block(d2: np.ndarray, k: int) -> np.ndarray:
     return part
 
 
+def _window_knn_block(x0: np.ndarray, order: np.ndarray, sorted_x: np.ndarray,
+                      k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Original indices of the k nearest training rows of the 1-d queries
+    ``x0`` by (d², index), searched among the W = min(2k + 2, n) rows of the
+    stably sorted training column ``sorted_x`` (order ``order``) from k + 1
+    rows before each query's ``searchsorted`` position; and a mask of the
+    rows whose answer this proves. Rows beyond a window edge are at least
+    as far as that edge, so a finite query is proven when its k-th d² is
+    below each edge that is not an end of the array: always, unless
+    distances tie, as the k nearest lie within k rows on either side."""
+    n = sorted_x.shape[0]
+    w = min(2 * k + 2, n)
+    start = np.clip(np.searchsorted(sorted_x, x0) - k - 1, 0, n - w)
+    pos = start[:, None] + np.arange(w)
+    d2 = (x0[:, None] - sorted_x[pos]) ** 2
+    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(d2, part, axis=1).max(axis=1)
+    proven = (np.isfinite(x0) & ((start == 0) | (kth < d2[:, 0]))
+              & ((start + w == n) | (kth < d2[:, -1])))
+    index = order[pos]
+    # distance ties straddling the selection boundary: lowest index wins
+    tie = (d2 <= kth[:, None]).sum(axis=1) > k
+    part[tie] = np.lexsort((index[tie], d2[tie]), axis=-1)[:, :k]
+    return np.take_along_axis(index, part, axis=1), proven
+
+
 def _equal_weight_quantile_rows(values: np.ndarray, tau: float) -> np.ndarray:
     """Row-wise left-continuous quantile at level tau, matching
-    ``weighted_quantile`` with unit weights exactly."""
+    ``weighted_quantile`` with unit weights exactly; the partition picks
+    the same entry as a full sort."""
     k = values.shape[1]
     cum = np.arange(1.0, k + 1.0)
     idx = int(np.searchsorted(cum, tau * float(k), side="left"))
     idx = min(idx, k - 1)
-    return np.sort(values, axis=1)[:, idx]
+    return np.partition(values, idx, axis=1)[:, idx]
 
 
 def _normal_reference_bandwidth(train_x: np.ndarray) -> float:
@@ -231,8 +262,21 @@ class _KnnQuantile:
         object.__setattr__(self, "tau", float(self.tau))
 
     def evaluate(self, x):
-        return _by_distance_block(x, self.train_x, lambda d2: _equal_weight_quantile_rows(
-            self.r2[_knn_indices_block(d2, self.k)], self.tau))
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        out = np.empty(x.shape[0])
+        proven = np.zeros(x.shape[0], dtype=bool)
+        if x.shape[1] == self.train_x.shape[1] == 1:
+            # sorted on each call, so the saved state stays piagg-model-v1
+            order = np.argsort(self.train_x[:, 0], kind="stable")
+            sorted_x = self.train_x[order, 0]
+            step = max(1, _ENTRIES // (2 * self.k + 2))
+            for start in range(0, x.shape[0], step):
+                rows = slice(start, start + step)
+                nearest, proven[rows] = _window_knn_block(x[rows, 0], order, sorted_x, self.k)
+                out[rows] = _equal_weight_quantile_rows(self.r2[nearest], self.tau)
+        out[~proven] = _by_distance_block(x[~proven], self.train_x, lambda d2: (
+            _equal_weight_quantile_rows(self.r2[_knn_indices_block(d2, self.k)], self.tau)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -278,6 +322,9 @@ class _LinearQuantileSq:
 
 @dataclass(frozen=True)
 class _BinnedQuantile:
+    """Per-bin residual quantiles over bins of the first covariate column;
+    in d > 1 the other columns are ignored."""
+
     edges: np.ndarray
     values: np.ndarray
 

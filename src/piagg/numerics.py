@@ -32,10 +32,6 @@ class SymEig:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -127,8 +123,7 @@ def _penalized_nll(xd: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float
 
 
 def logistic_fit(x: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
-                 max_iter: int = 100, grad_tol: float = 1e-8,
-                 return_path: bool = False):
+                 max_iter: int = 100, grad_tol: float = 1e-8) -> LinearModel:
     """Ridge-penalized logistic regression by iteratively reweighted least
     squares with step-halving.
 
@@ -156,7 +151,6 @@ def logistic_fit(x: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
 
     beta = np.zeros(xd.shape[1])
     nll = _penalized_nll(xd, y, beta, ridge)
-    path = [nll]
     converged = False
     for _ in range(max_iter):
         p = sigmoid(xd @ beta)
@@ -178,7 +172,6 @@ def logistic_fit(x: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
             new_beta = beta - t * step
             new_nll = _penalized_nll(xd, y, new_beta, ridge)
         beta, nll = new_beta, new_nll
-        path.append(nll)
         # a vanishing unpenalized likelihood or exploding coefficients both
         # indicate separation, where the MLE does not exist
         if ridge == 0.0 and (nll < 1e-6 or np.max(np.abs(beta)) > 1e6):
@@ -187,10 +180,7 @@ def logistic_fit(x: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
         p = sigmoid(xd @ beta)
         grad = xd.T @ (p - y) + ridge * beta
         converged = bool(np.max(np.abs(grad)) <= grad_tol)
-    model = LinearModel(beta, "logistic", converged=converged)
-    if return_path:
-        return model, path
-    return model
+    return LinearModel(beta, "logistic", converged=converged)
 
 
 def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
@@ -219,11 +209,6 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> floa
     idx = int(np.searchsorted(cum, q * total, side="left"))
     idx = min(idx, v_sorted.size - 1)
     return float(v_sorted[idx])
-
-
-def check_loss(residuals: np.ndarray, tau: float) -> float:
-    r = np.asarray(residuals, dtype=np.float64)
-    return float(np.sum(np.where(r >= 0, tau * r, (tau - 1.0) * r)))
 
 
 def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:

@@ -294,6 +294,119 @@ class TestShrinkSource:
         assert np.all(np.diff(lams) <= 1e-15)
 
 
+# dyadic shape values keep r2 / f and lam * f exact, so the violation can be
+# counted straight from its definition and compared with the scan exactly
+_DYADIC = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
+
+
+@st.composite
+def _shrink_case(draw):
+    """Shape values, residuals with ties and zeros, and integer weights."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = rng.choice(_DYADIC, size=n)
+    r2 = np.round(rng.uniform(0.0, 4.0, n), draw(st.integers(0, 2)))
+    return f, r2, rng.integers(0, 4, n).astype(float)
+
+
+def _violation(r2, scale, w, lam, strict):
+    """Weighted share of rows with r2 > lam * scale, or >= when not strict."""
+    hit = r2 > lam * scale if strict else r2 >= lam * scale
+    return float(np.sum(w * hit)) / r2.size
+
+
+def _neighbours(values, lam):
+    """The largest of ``values`` below lam and the smallest above it."""
+    below, above = values[values < lam], values[values > lam]
+    return (below.max() if below.size else None), (above.min() if above.size else None)
+
+
+class TestShrinkProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_shrink_case(), alpha=st.floats(0.01, 0.99), floor=st.sampled_from([0.0, 0.25]))
+    def test_property_cov_shift_minimal(self, case, alpha, floor):
+        # strict rule: the budget holds at lam_hat and fails at the next-lower
+        # multiplier where the violation can change
+        f, r2, w = case
+        scale = np.maximum(f, floor)
+        try:
+            res = shrink_cov_shift(f, r2, w, alpha, floor=floor)
+        except ShrinkUnbounded:
+            assert float(np.sum(w * ((scale == 0) & (r2 > 0)))) / r2.size > alpha
+            return
+        lam = res.lambda_hat
+        candidates = np.concatenate([[0.0], r2[scale > 0] / scale[scale > 0]])
+        assert lam in candidates
+        assert res.achieved_violation == _violation(r2, scale, w, lam, True) <= alpha
+        below, _ = _neighbours(candidates, lam)
+        if below is not None:
+            assert _violation(r2, scale, w, below, True) > alpha
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_shrink_case(), alpha=st.floats(0.01, 0.99), delta=st.sampled_from([0.25, 1.0]))
+    def test_property_source_minimal(self, case, alpha, delta):
+        # non-strict rule, whose infimum need not be attained: the budget
+        # holds just above lam_hat and fails just below it
+        denom, r2, _ = case
+        f = denom - delta  # exact, so f + delta gives denom back
+        try:
+            res = shrink_source(f, r2, alpha, delta)
+        except ShrinkUnbounded:
+            assert np.count_nonzero(denom == 0) / r2.size > alpha
+            return
+        lam, ones = res.lambda_hat, np.ones(r2.size)
+        candidates = np.concatenate([[0.0], r2[denom > 0] / denom[denom > 0]])
+        assert lam in candidates
+        below, above = _neighbours(candidates, lam)
+        just_above = (lam + above) / 2 if above is not None else 2 * lam + 1
+        assert res.achieved_violation == _violation(r2, denom, ones, just_above, False) <= alpha
+        if below is not None:
+            assert _violation(r2, denom, ones, (below + lam) / 2, False) > alpha
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_shrink_case(), a=st.floats(0.01, 0.99), b=st.floats(0.01, 0.99),
+           delta=st.sampled_from([0.25, 1.0]))
+    def test_property_lambda_monotone_in_alpha(self, case, a, b, delta):
+        f, r2, w = case
+        low, high = sorted((a, b))
+        for rule in (lambda level: shrink_cov_shift(f, r2, w, level),
+                     lambda level: shrink_source(f, r2, level, delta)):
+            try:
+                lam_high = rule(high).lambda_hat
+            except ShrinkUnbounded:
+                with pytest.raises(ShrinkUnbounded):
+                    rule(low)
+                continue
+            try:
+                assert rule(low).lambda_hat >= lam_high
+            except ShrinkUnbounded:
+                pass
+
+
+@pytest.fixture(scope="module")
+def fitted_models():
+    src = gen_hetero_sim(600, seed=23)
+    tx = src.x[:150] * 0.8 + 0.1
+    return {"alg1": fit_covariate_shift(src, tx, 0.1, seed=3),
+            "alg1_hinge": fit_covariate_shift(src, tx, 0.1, seed=3, mode="hinge"),
+            "alg2": fit_transport(src, tx, 0.1, seed=3)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(method=st.sampled_from(["alg1", "alg1_hinge", "alg2"]), seed=st.integers(0, 2 ** 16),
+       lams=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2))
+def test_property_interval_invariants(fitted_models, method, seed, lams):
+    # lower <= center <= upper everywhere, and a larger shrink level never
+    # narrows an interval
+    m = fitted_models[method]
+    x = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(60, 1))
+    narrow, wide = (predict_interval(replace(m, shrink=replace(m.shrink, lambda_hat=lam)), x)
+                    for lam in sorted(lams))
+    for b in (narrow, wide):
+        assert np.all(b.lower <= b.center) and np.all(b.center <= b.upper)
+    assert np.all(narrow.width <= wide.width)
+
+
 def _tiny_model(alpha, lam, alg2=False):
     bank = fit_candidate_set(DataTable(np.zeros((3, 1)), np.zeros(3)), np.zeros(3),
                              [CandidateSpec("constant_one")])
@@ -429,11 +542,12 @@ class TestSerialization:
         ("bank", lambda d: d["bank"]["state"][2].update(k=10_000)),
         ("bank", lambda d: d["bank"]["state"][3]["r2"].pop()),
         ("bank", lambda d: d["bank"]["state"][6]["values"].pop()),
+        ("bank", lambda d: d["bank"]["state"][1]["train_x"][0].__setitem__(0, float("nan"))),
         ("mean_model", lambda d: d["mean_model"].update(k=0)),
         ("mean_model", lambda d: d["mean_model"]["train_y"].pop()),
     ], ids=["state_one_short", "bandwidth_zero", "bandwidth_negative", "bandwidth_nan",
             "k_zero", "k_above_rows", "r2_misaligned", "binned_values_short",
-            "knn_mean_k_zero", "knn_mean_y_misaligned"])
+            "train_x_nan", "knn_mean_k_zero", "knn_mean_y_misaligned"])
     def test_malformed_candidate_state_rejected(self, section, corrupt):
         doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
         corrupt(doc)

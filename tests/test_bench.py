@@ -8,14 +8,30 @@ import pytest
 from piagg import bench
 from piagg.aggregate import IntervalBatch
 from piagg.bench import (
+    CSV_COLUMNS,
+    RepResult,
     RunSummary,
     ScenarioConfig,
     coverage_and_width,
     emit_report,
-    read_per_rep,
     run_scenario,
 )
 from piagg.errors import ConfigError, LengthMismatch
+
+
+def read_per_rep(path):
+    """Inverse of the CSV side of ``emit_report``."""
+    summary = RunSummary()
+    with open(path) as fh:
+        assert tuple(fh.readline().strip().split(",")) == CSV_COLUMNS
+        for line in fh:
+            cells = line.rstrip("\n").split(",")
+            summary.rows.append(RepResult(
+                rep=int(cells[0]), method=cells[1], coverage=float(cells[2]),
+                avg_width=float(cells[3]),
+                lambda_hat=None if cells[4] == "" else float(cells[4]),
+                runtime_s=float(cells[5]), n_infinite=int(cells[6])))
+    return summary
 
 
 def _base_config(**overrides):
@@ -110,11 +126,13 @@ class TestRunScenario:
         assert cov1 != cov2 or target.n < 5  # evaluation does see labels
 
     def test_failures_isolated(self):
-        cfg = _base_config(methods=[{"name": "alg1", "mode": "hinge",
-                                     "delta": -1.0, "epsilon": 0.0},
+        # more bins than D1 rows: a failure only the data can reveal
+        many_bins = [{"kind": "binned_quantile", "bins": 1000, "tau": 0.5}]
+        cfg = _base_config(methods=[{"name": "alg1", "candidates": many_bins},
                                     {"name": "wvac"}])
         s = run_scenario(cfg)
-        assert len(s.failures) == 2  # bad hinge delta fails on both reps
+        assert len(s.failures) == 2  # an empty bin fails on both reps
+        assert all(f["error"].startswith("EmptyBin") for f in s.failures)
         assert {r.method for r in s.rows} == {"wvac"}
 
 
@@ -163,6 +181,56 @@ class TestConfigValidation:
     def test_unknown_method_key(self, method, key):
         with pytest.raises(ConfigError, match=rf"^config\.methods\[1\]\.{key}:"):
             _base_config(methods=[{"name": "wvac"}, method])
+
+    @pytest.mark.parametrize("method, key", [
+        ({"name": "alg1", "candidates": [{"kind": "mystery"}]}, "candidates"),
+        ({"name": "alg1", "candidates": [{"kind": "knn_quantile", "k": 0, "tau": 0.5}]},
+         "candidates"),
+        ({"name": "alg1", "candidates": [{"kind": "constant_one", "bandwith": 1}]},
+         "candidates"),
+        ({"name": "alg2", "candidates": [{"kind": "knn_quantile", "k": 2.5, "tau": 0.5}]},
+         "candidates"),
+        ({"name": "alg2", "candidates": [{"kind": "binned_quantile", "bins": 2.0, "tau": 0.5}]},
+         "candidates"),
+        ({"name": "alg1", "candidates": []}, "candidates"),
+        ({"name": "alg1", "mode": "hindge"}, "mode"),
+        ({"name": "alg1", "mode": "hinge", "delta": -1.0}, "delta"),
+        ({"name": "alg1", "epsilon": -0.1}, "epsilon"),
+        ({"name": "alg1", "prob_clip": 0.5}, "prob_clip"),
+        ({"name": "alg1", "ratio_cap": 0}, "ratio_cap"),
+        ({"name": "alg2", "transport_mode": "mystery"}, "transport_mode"),
+        ({"name": "alg2", "alg2_delta": 0.0}, "alg2_delta"),
+        ({"name": "alg2", "cov_ridge": -1e-3}, "cov_ridge"),
+        ({"name": "wvac", "bandwidth": -1}, "bandwidth"),
+        ({"name": "wvac", "bandwidth": float("inf")}, "bandwidth"),
+        ({"name": "wvac", "sigma_min": "small"}, "sigma_min"),
+        ({"name": "wqc", "ratio_cap": True}, "ratio_cap"),
+    ])
+    def test_bad_method_value(self, method, key):
+        with pytest.raises(ConfigError, match=rf"^config\.methods\[1\]\.{key}:"):
+            _base_config(methods=[{"name": "wvac"}, method])
+
+    def test_default_values_load(self):
+        cfg = _base_config(methods=[
+            {"name": "alg1", "mode": "hinge", "delta": None, "epsilon": 0,
+             "candidates": [{"kind": "knn_quantile", "k": 5, "tau": 0.9}]},
+            {"name": "alg2", "transport_mode": "coral", "cov_ridge": 0, "alg2_delta": None},
+            {"name": "wvac", "bandwidth": None, "sigma_min": None, "ratio_cap": float("inf")},
+        ])
+        assert len(cfg.methods) == 3
+
+    def test_bad_value_exits_2_on_the_cli(self, tmp_path, capsys):
+        from piagg.cli import main
+        doc = {"data": {"kind": "synthetic", "generator": "hetero1d", "n": 300},
+               "methods": [{"name": "wvac", "bandwidth": -1}],
+               "alpha_level": 0.1, "replications": 2, "base_seed": 5}
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("config.methods[0].bandwidth:")
+        assert not (tmp_path / "r").exists()
 
     def test_only_given_keys_reach_the_fit(self, monkeypatch):
         seen = []

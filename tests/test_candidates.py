@@ -3,9 +3,16 @@ candidate families."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piagg.candidates import (
     CandidateSpec,
+    _by_distance_block,
+    _equal_weight_quantile_rows,
+    _KnnQuantile,
+    _knn_indices_block,
+    _window_knn_block,
     default_bank_specs,
     fit_candidate_set,
     fit_mean,
@@ -163,3 +170,78 @@ def test_spec_validation():
         CandidateSpec("linear_quantile_sq", tau=1.5)
     with pytest.raises(ValueError):
         CandidateSpec("mystery")
+
+
+def _knn_quantile_brute(cand, x):
+    """The brute-force block rule, nearest by (d², index), one row per call."""
+    def one(row):
+        return _by_distance_block(row, cand.train_x, lambda d2: _equal_weight_quantile_rows(
+            cand.r2[_knn_indices_block(d2, cand.k)], cand.tau))
+    return np.concatenate([one(x[i:i + 1]) for i in range(x.shape[0])])
+
+
+@st.composite
+def _knn_1d_case(draw):
+    n = draw(st.integers(1, 400))
+    k = draw(st.one_of(st.integers(1, n), st.sampled_from([n, (n + 1) // 2, max(1, n // 2)])))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    duplicated = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    train_x = rng.normal(size=n)
+    if duplicated:  # whole runs of repeated training x
+        train_x = np.repeat(train_x[:(n + 2) // 3], 3)[:n]
+    # evaluation rows inside, on and well outside the training range, and
+    # non-finite ones
+    x = np.concatenate([rng.normal(scale=2.0, size=draw(st.integers(1, 40))),
+                        rng.choice(train_x, size=3), [train_x.min() - 5, train_x.max() + 5],
+                        [np.nan, np.inf, -np.inf]])
+    if decimals is not None:  # rounding makes heavy distance ties
+        train_x, x = np.round(train_x, decimals), np.round(x, decimals)
+    r2 = rng.exponential(size=n)
+    return _KnnQuantile(train_x[:, None], r2, k, draw(st.floats(0.01, 0.99))), x[:, None]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_knn_1d_case())
+def test_property_knn_window_matches_brute(case):
+    # the 1-d sorted-window search against the brute block, row by row
+    cand, x = case
+    assert np.array_equal(cand.evaluate(x), _knn_quantile_brute(cand, x))
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+def test_knn_window_batch_prefix(decimals):
+    # W = 2k + 2 = 402 columns gives 81-row blocks, so the batch spans several
+    # blocks and every prefix must give the same bits as the whole batch
+    rng = np.random.default_rng(40)
+    train_x = rng.uniform(-1, 1, size=(500, 1))
+    x = rng.uniform(-1.2, 1.2, size=(300, 1))
+    if decimals is not None:
+        train_x, x = np.round(train_x, decimals), np.round(x, decimals)
+    cand = _KnnQuantile(train_x, rng.exponential(size=500), 200, 0.9)
+    whole = cand.evaluate(x)
+    for stop in (1, 80, 81, 82, 200):
+        assert np.array_equal(cand.evaluate(x[:stop]), whole[:stop])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_knn_window_edge_tie_at_rounded_distance(sign):
+    # 1 - 2⁻⁵³, 1 and 1 + 2⁻⁵² are distinct, yet all lie at d² = 4.0 from -1;
+    # with k = 1 the 4-row window ends at 1, and the row beyond that edge
+    # ties with it and, holding the lowest index, is the nearest
+    train_x = sign * np.array([1 + 2.0 ** -52, 1.0, 1 - 2.0 ** -53, -10.0, -20.0])
+    cand = _KnnQuantile(train_x[:, None], np.arange(1.0, 6.0), 1, 0.5)
+    x = np.array([[-sign]])
+    assert cand.evaluate(x)[0] == _knn_quantile_brute(cand, x)[0] == 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 20])
+def test_knn_window_proves_every_row_on_a_grid(k):
+    # evenly spaced rows, queries between, on and beyond them: the k nearest
+    # lie within k rows on either side, so the window of k + 1 rows a side
+    # proves every row, symmetric distance ties included
+    grid = np.arange(40.0)
+    queries = np.concatenate([np.arange(-3.0, 43.0, 0.25), grid])
+    _, proven = _window_knn_block(queries, np.arange(40), grid, k)
+    assert proven.all()

@@ -19,13 +19,23 @@ from piagg.errors import (
 )
 from piagg.linprog import LinearProgram, solve_lp
 from piagg.numerics import (
-    check_loss,
+    _penalized_nll,
     logistic_fit,
     ols_fit,
     quantile_reg_fit,
     sym_eig,
     weighted_quantile,
 )
+
+
+def check_loss(residuals, tau):
+    r = np.asarray(residuals, dtype=np.float64)
+    return float(np.sum(np.where(r >= 0, tau * r, (tau - 1.0) * r)))
+
+
+def reconstruct(e):
+    v = e.eigenvectors
+    return (v * e.eigenvalues) @ v.T
 
 
 def _primal_check_loss_optimum(x, y, tau):
@@ -60,7 +70,7 @@ class TestSymEig:
             m = (m + m.T) / 2
             e = sym_eig(m)
             scale = np.max(np.abs(m))
-            assert np.max(np.abs(e.reconstruct() - m)) <= 1e-8 * scale
+            assert np.max(np.abs(reconstruct(e) - m)) <= 1e-8 * scale
             assert np.max(np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(5))) <= 1e-8
             assert np.all(np.diff(e.eigenvalues) <= 1e-12)
 
@@ -77,7 +87,7 @@ class TestSymEig:
         m = (m + m.T) / 2
         e = sym_eig(m)
         scale = max(np.max(np.abs(m)), 1.0)
-        assert np.max(np.abs(e.reconstruct() - m)) <= 1e-8 * scale
+        assert np.max(np.abs(reconstruct(e) - m)) <= 1e-8 * scale
         assert np.max(np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(d))) <= 1e-8
         assert np.all(np.diff(e.eigenvalues) <= 0.0)
         assert np.max(np.abs(e.eigenvalues - np.sort(spectrum)[::-1])) <= 1e-8 * scale
@@ -170,7 +180,13 @@ class TestLogistic:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(300, 3))
         y = (x @ np.array([1.0, -0.5, 0.2]) + rng.normal(size=300) > 0).astype(float)
-        _, path = logistic_fit(x, y, ridge=1e-3, return_path=True)
+        # the fit is deterministic, so stopping it after i iterations
+        # replays its first i steps
+        xd = np.hstack([np.ones((x.shape[0], 1)), x])
+        path = [_penalized_nll(xd, y, logistic_fit(x, y, ridge=1e-3, max_iter=i).coefficients,
+                               1e-3) for i in range(30)]
+        assert logistic_fit(x, y, ridge=1e-3, max_iter=29).converged
+        assert path[-1] < path[0]
         assert np.all(np.diff(path) <= 1e-12)
 
 
