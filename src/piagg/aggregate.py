@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .candidates import (
     residuals,
     state_dict,
 )
-from .dataset import DataTable, SplitSpec, split
+from .dataset import DataTable, split, split_spec
 from .densratio import DensityRatioModel, eval_ratio, fit_density_ratio
 from .errors import (
     ConfigError,
@@ -49,9 +49,6 @@ from .transport import AffineMap, apply_map, fit_affine_transport
 MODE_COV_EXACT = "cov_shift_exact"
 MODE_COV_HINGE = "cov_shift_hinge"
 MODE_SOURCE = "source_exact"
-
-# HiGHS primal feasibility tolerance for every shape LP
-_FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,16 +125,19 @@ class PiModel:
     holdout_violation: float = float("nan")
 
 
-def _solve_covering(phi: np.ndarray, r2: np.ndarray, obj: np.ndarray) -> np.ndarray:
-    """Covering LP: min obj@alpha s.t. phi@alpha >= r2, alpha >= 0."""
-    n, k = phi.shape
-    prog = LinearProgram(obj, -phi, -r2, np.ones(k, dtype=bool))
-    sol = solve_lp(prog, feas_tol=_FEAS_TOL, max_pivots=200 * (n + k))
+def _solve_shape(obj: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, infeasible: str =
+                 "no nonnegative combination covers every constrained row") -> np.ndarray:
+    """Candidate weights alpha of the shape LP min obj@alpha over
+    nonnegative [alpha, slacks] with lhs@[alpha, slacks] <= rhs, clipped
+    at zero; ShapeInfeasible carries the ``infeasible`` message."""
+    k = obj.shape[0]
+    c = np.concatenate([obj, np.zeros(lhs.shape[1] - k)])
+    sol = solve_lp(LinearProgram(c, lhs, rhs, np.ones(c.shape[0], dtype=bool)))
     if sol.status == INFEASIBLE:
-        raise ShapeInfeasible("no nonnegative combination covers every constrained row")
+        raise ShapeInfeasible(infeasible)
     if sol.status != OPTIMAL:
-        raise PiaggError(f"covering LP ended with status {sol.status}")
-    return np.maximum(sol.x, 0.0)
+        raise PiaggError(f"shape LP ended with status {sol.status}")
+    return np.maximum(sol.x[:k], 0.0)
 
 
 def _shape_block(phi, r2, w=None):
@@ -173,7 +173,7 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
     obj = phi_target.mean(axis=0)
     if mode == "exact":
         keep = w > support_threshold
-        alpha = _solve_covering(phi[keep], r2[keep], obj)
+        alpha = _solve_shape(obj, -phi[keep], -r2[keep])
         return ShapeModel(alpha, MODE_COV_EXACT, delta, epsilon, support_threshold,
                           float(obj @ alpha))
     if mode != "hinge":
@@ -182,26 +182,12 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
         raise ValueError("hinge mode requires delta > 0")
     if epsilon is None or epsilon < 0:
         raise ValueError("hinge mode requires epsilon >= 0")
-    n_all = phi.shape[0]
     keep = w > 0
-    phi_k, r2_k, w_k = phi[keep], r2[keep], w[keep]
-    n_k = phi_k.shape[0]
-    k = phi.shape[1]
+    n_k = int(np.count_nonzero(keep))
     # variables [alpha, s]; rows: delta-scaled hinge dominations + budget
-    n_var = k + n_k
-    lhs = np.zeros((n_k + 1, n_var))
-    lhs[:n_k, :k] = -phi_k
-    lhs[:n_k, k:] = -delta * np.eye(n_k)
-    rhs = np.concatenate([-(r2_k + delta), [n_all * epsilon]])
-    lhs[n_k, k:] = w_k
-    c = np.concatenate([obj, np.zeros(n_k)])
-    prog = LinearProgram(c, lhs, rhs, np.ones(n_var, dtype=bool))
-    sol = solve_lp(prog, feas_tol=_FEAS_TOL, max_pivots=200 * (n_k + n_var))
-    if sol.status == INFEASIBLE:
-        raise ShapeInfeasible("hinge budget cannot be met by any candidate combination")
-    if sol.status != OPTIMAL:
-        raise PiaggError(f"hinge LP ended with status {sol.status}")
-    alpha = np.maximum(sol.x[:k], 0.0)
+    lhs = np.block([[-phi[keep], -delta * np.eye(n_k)], [np.zeros(phi.shape[1]), w[keep]]])
+    rhs = np.concatenate([-(r2[keep] + delta), [phi.shape[0] * epsilon]])
+    alpha = _solve_shape(obj, lhs, rhs, "hinge budget cannot be met by any candidate combination")
     return ShapeModel(alpha, MODE_COV_HINGE, delta, epsilon, support_threshold,
                       float(obj @ alpha))
 
@@ -211,7 +197,7 @@ def fit_shape_source(phi: np.ndarray, r2: np.ndarray) -> ShapeModel:
     while minimizing the average combined candidate on the same rows."""
     phi, r2, _ = _shape_block(phi, r2)
     obj = phi.mean(axis=0) if phi.shape[0] else np.zeros(phi.shape[1])
-    alpha = _solve_covering(phi, r2, obj)
+    alpha = _solve_shape(obj, -phi, -r2)
     return ShapeModel(alpha, MODE_SOURCE, None, None, 0.0, float(obj @ alpha))
 
 
@@ -237,15 +223,16 @@ def _scan_thresholds(thresholds: np.ndarray, weights: np.ndarray,
     exactly the miscoverage at lam = c and the infimum is attained; under
     the non-strict rule (r2 >= lam * denom) it is the limit from above,
     so the returned value is the infimum of the feasible ray and the
-    reported violation is measured just past it.
+    reported violation is measured just past it. A repeated threshold
+    repeats its budget, so ties need no merging before the first feasible
+    candidate is taken.
     """
-    t_sorted = np.sort(thresholds, kind="stable")
-    w_sorted = weights[np.argsort(thresholds, kind="stable")]
+    order = np.argsort(thresholds, kind="stable")
+    t_sorted, w_sorted = thresholds[order], weights[order]
     total = float(w_sorted.sum())
     # cum[i] is the weight of the i smallest thresholds
     cum = np.concatenate([[0.0], np.cumsum(w_sorted)])
-    uniq = np.unique(t_sorted)
-    candidates = np.concatenate([[0.0], uniq[uniq > 0.0]])
+    candidates = np.concatenate([[0.0], t_sorted[t_sorted > 0.0]])
     masses = total - cum[np.searchsorted(t_sorted, candidates, side="right")]
     violations = (permanent_mass + masses) / n
     feasible = violations <= alpha_level
@@ -256,47 +243,66 @@ def _scan_thresholds(thresholds: np.ndarray, weights: np.ndarray,
     return float(candidates[idx]), float(violations[idx])
 
 
+def _lift(f: np.ndarray, source: bool, floor: float = 0.0,
+          alg2_delta: float = 0.0) -> np.ndarray:
+    """The scale that the shrink level multiplies: f + alg2_delta on the
+    source (Alg. 2), max(f, floor) under covariate shift (Alg. 1)."""
+    return f + alg2_delta if source else np.maximum(f, floor)
+
+
+def _violates(r2: np.ndarray, bound, source: bool) -> np.ndarray:
+    """Alg. 2 counts r2 >= bound as a violation, Alg. 1 only r2 > bound."""
+    return r2 >= bound if source else r2 > bound
+
+
+def _shrink(scale: np.ndarray, r2: np.ndarray, w: np.ndarray, alpha_level: float,
+            source: bool) -> ShrinkResult:
+    """Smallest lam >= 0 whose weighted miscoverage
+    (1/n) sum w * violates(r2, lam * scale) is at most ``alpha_level``.
+
+    A row without a positive scale that violates at lam = 0 violates at
+    every lam; the scan raises ShrinkUnbounded when their mass alone
+    exceeds the budget. Every other row has threshold r2 / scale (zero
+    where the scale vanishes).
+    """
+    r2, w = (np.asarray(v, dtype=np.float64).ravel() for v in (r2, w))
+    if not scale.shape == r2.shape == w.shape:
+        raise DimensionMismatch("calibration vectors must share a length")
+    n = scale.size
+    if n == 0:
+        raise PiaggError("calibration set is empty")
+    permanent = (scale <= 0.0) & _violates(r2, 0.0, source)
+    ok = ~permanent
+    thresholds = np.divide(r2, scale, out=np.zeros(n), where=ok & (scale > 0.0))
+    lam, violation = _scan_thresholds(thresholds[ok], w[ok], float(w[permanent].sum()),
+                                      n, alpha_level)
+    return ShrinkResult(lam, violation, lam > 1.0)
+
+
 def shrink_cov_shift(f_hat_cal: np.ndarray, r2_cal: np.ndarray, w_cal: np.ndarray,
                      alpha_level: float, floor: float = 0.0,
                      normalize_weights: bool = False) -> ShrinkResult:
     """Smallest multiplier lam with ratio-weighted empirical miscoverage
-    (1/n) sum w * 1{r2 > lam * f} at most ``alpha_level``.
+    (1/n) sum w * 1{r2 > lam * max(f, floor)} at most ``alpha_level``.
 
     Violations use the strict inequality, so the infimum is attained at a
-    threshold r2_i / f_i and the reported ``achieved_violation`` is the
-    budget value at the returned multiplier. ``floor`` lifts tiny shape
-    values before thresholds are formed; with a zero floor, rows where
-    the shape vanishes but the residual does not violate at every
-    multiplier, and the fit is reported unbounded when their weighted
-    mass exceeds the budget. Setting ``normalize_weights`` rescales the
-    weights to mean one first (a self-normalized variant; the default
-    follows the plain weighted mean).
+    threshold and ``achieved_violation`` is the budget at the returned
+    multiplier. With a zero floor, a row whose shape vanishes while its
+    residual does not violates at every multiplier, and ShrinkUnbounded is
+    raised when such rows alone exceed the budget. ``normalize_weights``
+    rescales the weights to mean one first (a self-normalized variant;
+    the default follows the plain weighted mean).
     """
     f = np.asarray(f_hat_cal, dtype=np.float64).ravel()
-    r2 = np.asarray(r2_cal, dtype=np.float64).ravel()
     w = np.asarray(w_cal, dtype=np.float64).ravel()
-    if not (f.shape == r2.shape == w.shape):
-        raise DimensionMismatch("calibration vectors must share a length")
-    if f.size == 0:
-        raise PiaggError("calibration set is empty")
     if floor < 0:
         raise ValueError("floor must be nonnegative")
-    n = f.size
     if normalize_weights:
         mean_w = w.mean()
         if mean_w <= 0:
             raise ValueError("weights must have positive mean to normalize")
         w = w / mean_w
-    f = np.maximum(f, floor)
-    permanent = (f <= 0.0) & (r2 > 0.0)
-    permanent_mass = float(w[permanent].sum())
-    ok = ~permanent
-    thresholds = np.zeros(n)
-    pos = ok & (f > 0.0)
-    thresholds[pos] = r2[pos] / f[pos]
-    lam, violation = _scan_thresholds(thresholds[ok], w[ok], permanent_mass,
-                                      n, alpha_level)
-    return ShrinkResult(lam, violation, lam > 1.0)
+    return _shrink(_lift(f, False, floor=floor), r2_cal, w, alpha_level, False)
 
 
 def shrink_source(f_hat_cal: np.ndarray, r2_cal: np.ndarray,
@@ -305,25 +311,12 @@ def shrink_source(f_hat_cal: np.ndarray, r2_cal: np.ndarray,
     inf{lam > 0 : (1/n) sum 1{r2 >= lam (f + delta)} <= alpha_level}.
 
     Because a row counts as violating exactly at its own threshold, the
-    infimum may not be attained; the scan returns the limit value (the
-    smallest threshold whose strictly-above mass meets the budget) and
+    infimum may not be attained; the scan returns the limit value and
     reports the violation measured just above it.
     """
     f = np.asarray(f_hat_cal, dtype=np.float64).ravel()
-    r2 = np.asarray(r2_cal, dtype=np.float64).ravel()
-    if f.shape != r2.shape:
-        raise DimensionMismatch("calibration vectors must share a length")
-    if f.size == 0:
-        raise PiaggError("calibration set is empty")
-    n = f.size
-    denom = f + alg2_delta
-    permanent = denom <= 0.0
-    permanent_mass = float(np.count_nonzero(permanent))
-    ok = ~permanent
-    thresholds = r2[ok] / denom[ok]
-    lam, violation = _scan_thresholds(thresholds, np.ones(thresholds.size),
-                                      permanent_mass, n, alpha_level)
-    return ShrinkResult(lam, violation, lam > 1.0)
+    return _shrink(_lift(f, True, alg2_delta=alg2_delta), r2_cal, np.ones(f.size),
+                   alpha_level, True)
 
 
 def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
@@ -333,11 +326,8 @@ def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
     z = apply_map(m.adapter, x) if isinstance(m.adapter, AffineMap) else x
     center = np.asarray(m.mean_model.predict(z), dtype=np.float64).ravel()
     f = m.bank.evaluate(z) @ m.shape.alpha
-    if m.shape.mode == MODE_SOURCE:
-        scaled = m.shrink.lambda_hat * (f + m.alg2_delta)
-    else:
-        scaled = m.shrink.lambda_hat * np.maximum(f, m.floor)
-    half = np.sqrt(np.maximum(scaled, 0.0))
+    scale = _lift(f, m.shape.mode == MODE_SOURCE, m.floor, m.alg2_delta)
+    half = np.sqrt(np.maximum(m.shrink.lambda_hat * scale, 0.0))
     return IntervalBatch(center - half, center + half, center)
 
 
@@ -349,10 +339,7 @@ class DiagnosticReport:
     holdout_violation: float
 
     def to_dict(self) -> dict:
-        return {"lambda_hat": self.lambda_hat,
-                "lambda_exceeds_one": self.lambda_exceeds_one,
-                "achieved_violation": self.achieved_violation,
-                "holdout_violation": self.holdout_violation}
+        return asdict(self)
 
 
 def diagnose(m: PiModel) -> DiagnosticReport:
@@ -398,14 +385,14 @@ class _Blocks:
 
 
 def _fit_pipeline(source: DataTable, alpha_level: float, specs, fractions, seed: int,
-                  mean_method: str, mean_k: int) -> _Blocks:
+                  mean_method: str) -> _Blocks:
     """The three-block plan of both algorithms up to the shape LP: split
     the source, fit the mean and the candidates on D1, and evaluate them
     on D21 and D22."""
     if not 0.0 < alpha_level < 1.0:
         raise ConfigError("alpha_level: must lie in (0, 1)")
-    d1, d21, d22 = split(source, SplitSpec(tuple(fractions), seed))
-    mean_model = fit_mean(d1, mean_method, mean_k)
+    d1, d21, d22 = split(source, split_spec(fractions, seed, 3, "fractions"))
+    mean_model = fit_mean(d1, mean_method)
     bank = fit_candidate_set(d1, residuals(d1, mean_model),
                              default_bank_specs() if specs is None else specs)
     return _Blocks(mean_model, bank, d1.x,
@@ -418,29 +405,25 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
                         fractions: tuple[float, float, float] = (0.5, 0.25, 0.25),
                         seed: int = 0, mode: str = "exact",
                         delta: float | None = None, epsilon: float | None = None,
-                        support_threshold: float = 0.0,
-                        mean_method: str = "ols", mean_k: int = 10,
-                        ratio_ridge: float = 1e-6, prob_clip: float = 1e-6,
-                        ratio_cap: float = 1e3,
-                        weight_fn=None, floor: float | None = None,
-                        normalize_weights: bool = False) -> PiModel:
+                        support_threshold: float = 0.0, mean_method: str = "ols",
+                        prob_clip: float = 1e-6, ratio_cap: float = 1e3,
+                        weight_fn=None, normalize_weights: bool = False) -> PiModel:
     """Full reweighting pipeline: fit nuisances on the first block, the
     shape LP on the second (with target covariates in the objective), and
-    the shrink level on the third.
+    the shrink level on the third, flooring the shape at 1e-9 * max(1, max r2).
 
     ``weight_fn`` replaces the fitted density ratio with a known one
     (a callable on covariate matrices); the fitted classifier is skipped
     entirely in that case. Target labels, if present, are ignored.
     """
     tx = check_covariates("target_x", target_x)
-    b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method, mean_k)
+    b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method)
     if weight_fn is not None:
         adapter = None
         w21 = _known_weights(weight_fn, b.x21)
         w22 = _known_weights(weight_fn, b.x22)
     else:
-        adapter = fit_density_ratio(b.x1, tx, ridge=ratio_ridge,
-                                    prob_clip=prob_clip, ratio_cap=ratio_cap)
+        adapter = fit_density_ratio(b.x1, tx, prob_clip=prob_clip, ratio_cap=ratio_cap)
         w21 = eval_ratio(adapter, b.x21)
         w22 = eval_ratio(adapter, b.x22)
 
@@ -454,13 +437,12 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
                                 support_threshold=support_threshold)
 
     f22 = b.phi22 @ shape.alpha
-    if floor is None:
-        floor = 1e-9 * max(float(np.max(b.r2_22, initial=0.0)), 1.0)
+    floor = 1e-9 * max(float(np.max(b.r2_22, initial=0.0)), 1.0)
     shrink = shrink_cov_shift(f22, b.r2_22, w22, alpha_level, floor=floor,
                               normalize_weights=normalize_weights)
-    holdout = float(np.mean(b.r2_22 > shrink.lambda_hat * np.maximum(f22, floor)))
-    return PiModel(shape, b.bank, b.mean_model, shrink, alpha_level, adapter,
-                   alg2_delta=0.0, floor=floor, holdout_violation=holdout)
+    bound = shrink.lambda_hat * _lift(f22, False, floor=floor)
+    return PiModel(shape, b.bank, b.mean_model, shrink, alpha_level, adapter, floor=floor,
+                   holdout_violation=float(np.mean(_violates(b.r2_22, bound, False))))
 
 
 def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *,
@@ -469,7 +451,7 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
                   seed: int = 0, transport_mode: str = "gaussian_ot",
                   cov_ridge: float = 0.0, alg2_delta: float | None = None,
                   transport_map: AffineMap | None = None,
-                  mean_method: str = "ols", mean_k: int = 10) -> PiModel:
+                  mean_method: str = "ols") -> PiModel:
     """Transport pipeline: build the band on the source alone, then carry
     it to the target through an affine map fitted from target covariates
     to the first source block (or a map supplied directly).
@@ -478,7 +460,9 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
     unshifted source pipeline whose intervals are used as-is.
     """
     tx = None if target_x is None else check_covariates("target_x", target_x)
-    b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method, mean_k)
+    if alg2_delta is not None and not alg2_delta > 0:
+        raise ConfigError(f"alg2_delta: must be > 0, got {alg2_delta!r}")
+    b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method)
     if transport_map is not None:
         adapter: AffineMap | None = transport_map
     elif tx is not None:
@@ -492,9 +476,10 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
     if alg2_delta is None:
         alg2_delta = max(0.01 * float(np.quantile(b.r2_21, 0.9)), 1e-12)
     shrink = shrink_source(f22, b.r2_22, alpha_level, alg2_delta)
-    holdout = float(np.mean(b.r2_22 >= shrink.lambda_hat * (f22 + alg2_delta)))
+    bound = shrink.lambda_hat * _lift(f22, True, alg2_delta=alg2_delta)
     return PiModel(shape, b.bank, b.mean_model, shrink, alpha_level, adapter,
-                   alg2_delta=alg2_delta, floor=0.0, holdout_violation=holdout)
+                   alg2_delta=alg2_delta,
+                   holdout_violation=float(np.mean(_violates(b.r2_22, bound, True))))
 
 
 # ---------------------------------------------------------------------------

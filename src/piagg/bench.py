@@ -28,6 +28,7 @@ from .dataset import (
     gen_hetero_sim,
     load_csv,
     split,
+    split_spec,
     tilt_resample,
     weighted_resample,
 )
@@ -61,6 +62,7 @@ METHOD_VALUES = {
     "ratio_cap": ("a number > 0", lambda v: _number(v) and v > 0),
     "prob_clip": ("a number in (0, 0.5)", lambda v: _number(v) and 0 < v < 0.5),
     "cov_ridge": ("a number >= 0", lambda v: _number(v) and v >= 0),
+    "support_threshold": ("a number >= 0", lambda v: _number(v) and v >= 0),
 }
 
 
@@ -77,6 +79,8 @@ def _check_method_value(path: str, key: str, value) -> None:
                 CandidateSpec.from_dict(entry)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: entry {j}: {exc}") from None
+    elif key == "fractions":
+        split_spec(value, 0, 3, path)
     elif key in METHOD_VALUES and not METHOD_VALUES[key][1](value):
         raise ConfigError(f"{path}: must be {METHOD_VALUES[key][0]}, got {value!r}")
 
@@ -156,11 +160,16 @@ class ScenarioConfig:
         reps = int(need(doc, "replications", "config"))
         if reps < 1:
             raise ConfigError("config.replications: must be at least 1")
+        train_fraction = doc.get("train_fraction", 0.75)
+        if not _number(train_fraction):
+            raise ConfigError(f"config.train_fraction: must be a number, got {train_fraction!r}")
+        split_spec((train_fraction, 1.0 - train_fraction), 0, 2, "config.train_fraction")
         return cls(
             data=data, shift=shift, methods=methods, alpha_level=alpha,
             replications=reps, base_seed=int(need(doc, "base_seed", "config")),
-            train_fraction=float(doc.get("train_fraction", 0.75)),
-            fractions=tuple(doc.get("fractions", (0.5, 0.25, 0.25))),
+            train_fraction=float(train_fraction),
+            fractions=split_spec(doc.get("fractions", (0.5, 0.25, 0.25)), 0, 3,
+                                 "config.fractions").fractions,
             target_size=doc.get("target_size"),
             out_dir=doc.get("out_dir"),
         )

@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 
 from .dataset import DataTable
 from .errors import DimensionMismatch, EmptyBin, PiaggError
-from .numerics import LinearModel, ols_fit, quantile_reg_fit, weighted_quantile
+from .numerics import LinearModel, ols_fit, quantile_reg_fit
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,7 @@ def _fit_candidate(spec: CandidateSpec, train_x: np.ndarray, r2: np.ndarray):
         in_bin = r2[idx == b]
         if in_bin.size == 0:
             raise EmptyBin(f"bin {b} of {spec.bins} received no training rows")
-        values.append(weighted_quantile(in_bin, np.ones(in_bin.size), spec.tau))
+        values.append(_equal_weight_quantile_rows(in_bin[None, :], spec.tau)[0])
     return _BinnedQuantile(qs, values)
 
 

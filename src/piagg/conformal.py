@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import CandidateSpec, KernelVariance, fit_candidate_set
+from .candidates import CandidateSpec, KernelVariance, fit_candidate_set, residuals
 from .dataset import DataTable
 from .densratio import DensityRatioModel, eval_ratio
 from .errors import PiaggError
-from .numerics import LinearModel, ols_fit, quantile_reg_fit
+from .numerics import LinearModel, left_quantiles, ols_fit, quantile_reg_fit
 from .aggregate import IntervalBatch, check_covariates
 
 
@@ -78,7 +78,7 @@ def fit_wvac(train1: DataTable, cal: DataTable, ratio: DensityRatioModel | None,
     if train1.y is None or cal.y is None:
         raise PiaggError("both blocks must be labeled")
     mean_model = ols_fit(train1.x, train1.y)
-    resid2 = (train1.y - mean_model.predict(train1.x)) ** 2
+    resid2 = residuals(train1, mean_model)
     if sigma_min is None:
         scale = float(np.std(train1.y))
         sigma_min = 1e-6 * (scale if scale > 0 else 1.0)
@@ -90,34 +90,13 @@ def fit_wvac(train1: DataTable, cal: DataTable, ratio: DensityRatioModel | None,
                      _ratio_weights(ratio, cal.x), ratio)
 
 
-def _weighted_eta(cal_scores: np.ndarray, cal_weights: np.ndarray,
-                  test_weights: np.ndarray, level: float) -> np.ndarray:
-    """Per-test-point weighted score quantile with a +inf atom.
-
-    Each test point sees the calibration scores with their ratio weights
-    plus its own weight at +infinity; returns the left-continuous
-    quantile at ``level`` of that distribution (np.inf when the finite
-    mass cannot reach the level).
-    """
-    order = np.argsort(cal_scores, kind="stable")
-    s_sorted = cal_scores[order]
-    cum = np.cumsum(cal_weights[order])
-    total_cal = float(cum[-1]) if cum.size else 0.0
-    thresholds = level * (total_cal + test_weights)
-    idx = np.searchsorted(cum, thresholds, side="left")
-    eta = np.full(test_weights.shape[0], np.inf)
-    finite = idx < s_sorted.size
-    eta[finite] = s_sorted[idx[finite]]
-    return eta
-
-
 def predict_wvac(m: WvacModel, x: np.ndarray, alpha_level: float) -> IntervalBatch:
     """Intervals mean(x) +- scale(x) * eta(x) at coverage 1 - alpha_level;
     eta comes from the weighted calibration-score quantile with the test
     point's own mass at +infinity."""
     x = check_covariates("x", x)
-    w_test = _ratio_weights(m.ratio, x)
-    eta = _weighted_eta(m.cal_scores, m.cal_weights, w_test, 1.0 - alpha_level)
+    eta = left_quantiles(m.cal_scores, m.cal_weights, 1.0 - alpha_level,
+                         _ratio_weights(m.ratio, x))
     center = m.mean_model.predict(x)
     half = m.scale_model.predict(x) * eta
     return IntervalBatch(center - half, center + half, center)
@@ -149,8 +128,7 @@ def predict_wqc(m: WqcModel, x: np.ndarray, alpha_level: float) -> IntervalBatch
     calibration points sitting comfortably inside the quantile band never
     shrink it."""
     x = check_covariates("x", x)
-    w_test = _ratio_weights(m.ratio, x)
-    eta = _weighted_eta(m.cal_scores, m.cal_weights, w_test, 1.0 - alpha_level)
-    eta = np.maximum(eta, 0.0)
+    eta = np.maximum(left_quantiles(m.cal_scores, m.cal_weights, 1.0 - alpha_level,
+                                    _ratio_weights(m.ratio, x)), 0.0)
     lo, hi = _ordered_quantiles(m.q_lo, m.q_hi, x)
     return IntervalBatch(lo - eta, hi + eta, (lo + hi) / 2.0)

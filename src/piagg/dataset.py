@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, MissingColumn, ParseError
+from .errors import ConfigError, DimensionMismatch, EmptyInput, MissingColumn, ParseError
 from .rng import Rng
 
 
@@ -77,6 +77,18 @@ class SplitSpec:
         object.__setattr__(self, "fractions", fr)
 
 
+def split_spec(fractions, seed: int, parts: int, path: str) -> SplitSpec:
+    """``SplitSpec(fractions, seed)`` with exactly ``parts`` fractions; any
+    violation is a ConfigError naming ``path``."""
+    try:
+        spec = SplitSpec(tuple(fractions), seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if len(spec.fractions) != parts:
+        raise ConfigError(f"{path}: needs {parts} fractions, got {len(spec.fractions)}")
+    return spec
+
+
 def load_csv(path: str, label_column: str | None = None) -> DataTable:
     """Load a comma-separated numeric file with a mandatory header row.
 
@@ -138,7 +150,7 @@ def split(t: DataTable, s: SplitSpec) -> list[DataTable]:
     """Deterministically permute the rows, then cut contiguous blocks
     sized by the fractions (remainders go to the leftmost parts)."""
     if t.n < len(s.fractions):
-        raise ValueError("fewer rows than parts")
+        raise EmptyInput(f"{len(s.fractions)} split parts need as many rows, got {t.n}")
     perm = Rng(s.seed).permutation(t.n)
     sizes = _part_sizes(s.fractions, t.n)
     parts = []

@@ -26,7 +26,7 @@ class DivergentFit(PiaggError):
 
 
 class EmptyInput(PiaggError):
-    """An operation received an empty vector or table."""
+    """An operation received an empty vector or table, or too few rows for it."""
 
 
 class AllZeroWeights(PiaggError):

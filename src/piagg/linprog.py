@@ -21,6 +21,9 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+# HiGHS's primal feasibility tolerance for every solve
+FEAS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -79,30 +82,25 @@ class LPSolution:
 _STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
-def solve_lp(p: LinearProgram, feas_tol: float = 1e-9,
-             max_pivots: int | None = None) -> LPSolution:
-    """Solve a canonical-form LP with HiGHS's dual simplex.
-
-    ``feas_tol`` is HiGHS's primal feasibility tolerance and
-    ``max_pivots`` its simplex iteration limit.
+def solve_lp(p: LinearProgram, max_pivots: int | None = None) -> LPSolution:
+    """Solve a canonical-form LP with HiGHS's dual simplex at primal
+    feasibility tolerance ``FEAS_TOL``.
 
     Raises
     ------
     PivotLimitExceeded
-        when HiGHS stops at ``max_pivots`` iterations
-        (default ``50 * (m + n_var)``).
+        when HiGHS stops at ``max_pivots`` simplex iterations
+        (default ``200 * (m + n_var)``).
     PiaggError
         when HiGHS ends without an optimum, an infeasibility or an
         unboundedness proof.
     """
-    if feas_tol <= 0:
-        raise ValueError("feas_tol must be positive")
     if max_pivots is None:
-        max_pivots = 50 * (p.n_constraints + p.n_var)
+        max_pivots = 200 * (p.n_constraints + p.n_var)
     bounds = np.column_stack([np.where(p.nonneg_mask, 0.0, -np.inf), np.full(p.n_var, np.inf)])
     res = optimize.linprog(p.objective, A_ub=p.ineq_lhs, b_ub=p.ineq_rhs,
                            bounds=bounds, method="highs-ds",
-                           options={"primal_feasibility_tolerance": feas_tol,
+                           options={"primal_feasibility_tolerance": FEAS_TOL,
                                     "maxiter": max_pivots})
     if res.status == 1:
         raise PivotLimitExceeded(f"exceeded {max_pivots} simplex iterations")

@@ -39,7 +39,7 @@ class LinearModel:
 
     ``kind`` is one of ``ols_mean``, ``logistic``, ``quantile``; quantile
     models also carry their level ``tau``.  ``converged`` is reported by
-    iterative fits and left None otherwise.
+    the logistic fit and left None otherwise.
     """
 
     coefficients: np.ndarray
@@ -47,20 +47,18 @@ class LinearModel:
     tau: float | None = None
     converged: bool | None = None
 
-    def linear_score(self, x: np.ndarray) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The linear score: intercept plus covariates times the slopes."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != len(self.coefficients) - 1:
             raise DimensionMismatch(
                 f"model expects {len(self.coefficients) - 1} covariates, got {x.shape[1]}")
         return self.coefficients[0] + x @ self.coefficients[1:]
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.linear_score(x)
-
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         if self.kind != "logistic":
             raise PiaggError("predict_proba is only defined for logistic models")
-        return sigmoid(self.linear_score(x))
+        return sigmoid(self.predict(x))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -78,17 +76,17 @@ def design_with_intercept(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def sym_eig(m: np.ndarray, tol: float = 1e-10) -> SymEig:
+def sym_eig(m: np.ndarray) -> SymEig:
     """Symmetric eigendecomposition by LAPACK's ``eigh``.
 
     Raises NotSymmetric when the input's asymmetry exceeds
-    ``tol * max|m|``; the symmetrized matrix is decomposed.
+    ``1e-10 * max|m|``; the symmetrized matrix is decomposed.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("sym_eig expects a square matrix")
     scale = np.max(np.abs(a), initial=0.0)
-    if np.max(np.abs(a - a.T), initial=0.0) > tol * max(scale, np.finfo(float).tiny):
+    if np.max(np.abs(a - a.T), initial=0.0) > 1e-10 * max(scale, np.finfo(float).tiny):
         raise NotSymmetric("matrix asymmetry exceeds tolerance")
     eigenvalues, v = np.linalg.eigh((a + a.T) / 2.0)
     return SymEig(eigenvalues[::-1].copy(), v[:, ::-1].copy())
@@ -123,14 +121,14 @@ def _penalized_nll(xd: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float
 
 
 def logistic_fit(x: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
-                 max_iter: int = 100, grad_tol: float = 1e-8) -> LinearModel:
+                 max_iter: int = 100) -> LinearModel:
     """Ridge-penalized logistic regression by iteratively reweighted least
     squares with step-halving.
 
     Each iteration takes a Newton step on the penalized negative
     log-likelihood and halves the step until the objective does not
     increase. Convergence means the max-norm of the penalized gradient is
-    at most ``grad_tol``; the outcome is reported in the model's
+    at most 1e-8; the outcome is reported in the model's
     ``converged`` flag.
 
     Raises
@@ -151,12 +149,11 @@ def logistic_fit(x: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
 
     beta = np.zeros(xd.shape[1])
     nll = _penalized_nll(xd, y, beta, ridge)
-    converged = False
-    for _ in range(max_iter):
+    for it in range(max(max_iter, 0) + 1):
         p = sigmoid(xd @ beta)
         grad = xd.T @ (p - y) + ridge * beta
-        if np.max(np.abs(grad)) <= grad_tol:
-            converged = True
+        converged = bool(np.max(np.abs(grad)) <= 1e-8)
+        if converged or it == max_iter:
             break
         w = p * (1.0 - p)
         hess = xd.T @ (w[:, None] * xd) + ridge * np.eye(xd.shape[1])
@@ -176,10 +173,6 @@ def logistic_fit(x: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
         # indicate separation, where the MLE does not exist
         if ridge == 0.0 and (nll < 1e-6 or np.max(np.abs(beta)) > 1e6):
             raise DivergentFit("data appear separable; set ridge > 0")
-    else:
-        p = sigmoid(xd @ beta)
-        grad = xd.T @ (p - y) + ridge * beta
-        converged = bool(np.max(np.abs(grad)) <= grad_tol)
     return LinearModel(beta, "logistic", converged=converged)
 
 
@@ -187,8 +180,9 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> floa
     """Left-continuous weighted quantile.
 
     Returns ``inf{v in values : sum of weights at values <= v >= q * total}``
-    with tied values merged by weight accumulation. Equal weights reduce
-    to the unweighted empirical quantile under the same convention.
+    with tied values merged by weight accumulation and the total summed in
+    sorted order. Equal weights reduce to the unweighted empirical
+    quantile under the same convention.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
@@ -198,17 +192,30 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> floa
         raise DimensionMismatch("weights length does not match values")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    total = float(w.sum())
-    if total <= 0:
+    if w.sum() <= 0:
         raise AllZeroWeights("weights sum to zero")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    order = np.argsort(v, kind="stable")
-    v_sorted = v[order]
-    cum = np.cumsum(w[order])
-    idx = int(np.searchsorted(cum, q * total, side="left"))
-    idx = min(idx, v_sorted.size - 1)
-    return float(v_sorted[idx])
+    return float(left_quantiles(v, w, q, np.zeros(1))[0])
+
+
+def left_quantiles(values: np.ndarray, weights: np.ndarray, level: float,
+                   atoms: np.ndarray) -> np.ndarray:
+    """Left-continuous quantiles at ``level`` of ``values`` weighted by
+    ``weights`` plus a point mass ``atoms[i]`` at +infinity, one per atom.
+
+    Weights accumulate in stable sorted order; entry i is the first
+    sorted value whose cumulative weight reaches
+    ``level * (total + atoms[i])``, or +inf when none does.
+    """
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    total = float(cum[-1]) if cum.size else 0.0
+    idx = np.searchsorted(cum, level * (total + atoms), side="left")
+    out = np.full(idx.shape, np.inf)
+    finite = idx < values.size
+    out[finite] = values[order[idx[finite]]]
+    return out
 
 
 def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
@@ -228,10 +235,10 @@ def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
     if y.shape[0] != n:
         raise DimensionMismatch("y length does not match x rows")
     if n < p + 1:
-        raise ValueError(f"need at least {p + 1} observations for {p - 1} covariates")
+        raise EmptyInput(f"need at least {p + 1} observations for {p - 1} covariates")
     res = _sp_optimize.linprog(-y, A_eq=xd.T, b_eq=(1.0 - tau) * xd.sum(axis=0),
                                bounds=(0, 1), method="highs")
     if not res.success:
         raise PiaggError(f"quantile regression LP failed: {res.message}")
     beta = -np.asarray(res.eqlin.marginals, dtype=np.float64)
-    return LinearModel(beta, "quantile", tau=tau, converged=True)
+    return LinearModel(beta, "quantile", tau=tau)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DimensionMismatch, EmptyInput
+from .errors import ConfigError, DimensionMismatch, EmptyInput
 from .numerics import sym_eig
 
 MODES = ("gaussian_ot", "coral", "location_scale")
@@ -78,6 +78,8 @@ def fit_affine_transport(target_x: np.ndarray, source_x: np.ndarray,
         raise DimensionMismatch("source and target dimension differ")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if not cov_ridge >= 0:
+        raise ConfigError(f"cov_ridge: must be >= 0, got {cov_ridge!r}")
     mu_t, cov_t = _mean_cov(target_x, cov_ridge)
     mu_s, cov_s = _mean_cov(source_x, cov_ridge)
     if mode == "gaussian_ot":

@@ -616,6 +616,26 @@ class TestKnownWeights:
             fit_covariate_shift(src, src.x[:50], 0.1, weight_fn=weight_fn)
 
 
+class TestPipelineArguments:
+    @pytest.mark.parametrize("fit", [fit_covariate_shift, fit_transport])
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.25,) * 4, (0.9, 0.1, 0.0)])
+    def test_fractions_need_three_positive_parts(self, fit, fractions):
+        src = gen_hetero_sim(200, seed=3)
+        with pytest.raises(ConfigError, match=r"^fractions: "):
+            fit(src, src.x[:40], 0.1, fractions=fractions)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    def test_alg2_delta_must_be_positive(self, delta):
+        src = gen_hetero_sim(200, seed=3)
+        with pytest.raises(ConfigError, match=r"^alg2_delta: "):
+            fit_transport(src, src.x[:40], 0.1, alg2_delta=delta)
+
+    def test_negative_cov_ridge_rejected(self):
+        src = gen_hetero_sim(200, seed=3)
+        with pytest.raises(ConfigError, match=r"^cov_ridge: "):
+            fit_transport(src, src.x[:40], 0.1, cov_ridge=-5.0)
+
+
 def test_interval_batch_validates_order():
     with pytest.raises(ValueError):
         IntervalBatch(np.array([1.0]), np.array([0.0]), np.array([0.5]))

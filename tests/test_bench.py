@@ -205,6 +205,11 @@ class TestConfigValidation:
         ({"name": "wvac", "bandwidth": float("inf")}, "bandwidth"),
         ({"name": "wvac", "sigma_min": "small"}, "sigma_min"),
         ({"name": "wqc", "ratio_cap": True}, "ratio_cap"),
+        ({"name": "alg1", "fractions": [0.5, 0.5]}, "fractions"),
+        ({"name": "alg2", "fractions": [0.9, 0.1, 0.0]}, "fractions"),
+        ({"name": "alg1", "fractions": 0.5}, "fractions"),
+        ({"name": "alg1", "support_threshold": "x"}, "support_threshold"),
+        ({"name": "alg1", "support_threshold": -0.5}, "support_threshold"),
     ])
     def test_bad_method_value(self, method, key):
         with pytest.raises(ConfigError, match=rf"^config\.methods\[1\]\.{key}:"):
@@ -244,6 +249,14 @@ class TestConfigValidation:
         run_scenario(_base_config(methods=[{"name": "wqc", "ratio_ridge": 1e-3},
                                            {"name": "wvac"}], replications=1))
         assert seen == [{"ridge": 1e-3}, {}]
+
+    @pytest.mark.parametrize("key, value", [
+        ("fractions", [0.5, 0.5]), ("fractions", [0.9, 0.1, 0.0]),
+        ("train_fraction", 1.0), ("train_fraction", 0.0), ("train_fraction", "x"),
+    ])
+    def test_bad_split_value(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^config\.{key}: "):
+            _base_config(**{key: value})
 
     def test_bad_alpha(self):
         with pytest.raises(ConfigError, match="alpha_level"):

@@ -91,6 +91,19 @@ class TestBuildBank:
         glob = weighted_quantile(r, np.ones(60), 0.7)
         assert np.allclose(bank.evaluate(t.x), glob)
 
+    @pytest.mark.parametrize("bins", range(1, 9))
+    def test_binned_values_are_weighted_quantiles(self, bins):
+        rng = np.random.default_rng(20 + bins)
+        t = _labeled(rng, n=150, d=1)
+        r2 = np.round(residuals(t, ZeroMean()), 1)  # rounded: ties within bins
+        for tau in (0.05, 0.25, 0.5, 0.7, 0.9, 0.99):
+            cand = fit_candidate_set(t, r2, [CandidateSpec("binned_quantile", bins=bins,
+                                                           tau=tau)]).fitted[0]
+            member = np.searchsorted(cand.edges, t.x[:, 0], side="right")
+            expected = [weighted_quantile(r2[member == b], np.ones(np.sum(member == b)), tau)
+                        for b in range(bins)]
+            assert np.array_equal(cand.values, expected)
+
     def test_kernel_variance_recovers_second_moment_at_origin(self):
         # true E[Y^2 | x=0] = 1/3 for the heteroskedastic simulator
         t = gen_hetero_sim(20000, seed=3)

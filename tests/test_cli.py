@@ -140,6 +140,18 @@ def test_malformed_model_is_a_typed_error(tmp_path, capsys):
         assert obj["message"].startswith(field + ":")
 
 
+@pytest.mark.parametrize("method, rows", [("alg1", 2), ("alg2", 4)])
+def test_too_small_source_is_a_typed_error(tmp_path, capsys, method, rows):
+    src = tmp_path / "s.csv"
+    src.write_text("x1,y\n" + "".join(f"{0.1 * i},{i}\n" for i in range(rows)))
+    code = main(["fit", "--source", str(src), "--target-x", str(src), "--method", method,
+                 "--alpha", "0.1", "--model", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "EmptyInput"
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda state: state.pop(),
     lambda state: state[-1].update(bandwidth=0),

@@ -20,6 +20,7 @@ from piagg.errors import (
 from piagg.linprog import LinearProgram, solve_lp
 from piagg.numerics import (
     _penalized_nll,
+    left_quantiles,
     logistic_fit,
     ols_fit,
     quantile_reg_fit,
@@ -221,6 +222,66 @@ class TestWeightedQuantile:
             counts = np.arange(1.0, n + 1.0)
             idx = min(int(np.searchsorted(counts, q * float(n), side="left")), n - 1)
             assert got == s[idx]
+
+    def test_atom_past_the_finite_mass_gives_inf(self):
+        got = left_quantiles(np.array([2.0, 1.0]), np.ones(2), 0.9, np.array([0.0, 0.2, 100.0]))
+        assert np.array_equal(got, [2.0, 2.0, np.inf])
+        assert np.array_equal(left_quantiles(np.zeros(0), np.zeros(0), 0.5, np.ones(2)),
+                              [np.inf, np.inf])
+
+
+def _weighted_quantile_reference(values, weights, q):
+    """``weighted_quantile`` as it was before it shared ``left_quantiles``:
+    a pairwise total and an index clamped to the last value."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    w = np.asarray(weights, dtype=np.float64).ravel()
+    total = float(w.sum())
+    order = np.argsort(v, kind="stable")
+    v_sorted = v[order]
+    cum = np.cumsum(w[order])
+    idx = int(np.searchsorted(cum, q * total, side="left"))
+    idx = min(idx, v_sorted.size - 1)
+    return float(v_sorted[idx])
+
+
+def _weighted_eta_reference(cal_scores, cal_weights, test_weights, level):
+    """The weighted conformal score quantile with a +inf atom per test
+    point, as the conformal baselines computed it on their own."""
+    order = np.argsort(cal_scores, kind="stable")
+    s_sorted = cal_scores[order]
+    cum = np.cumsum(cal_weights[order])
+    total_cal = float(cum[-1]) if cum.size else 0.0
+    thresholds = level * (total_cal + test_weights)
+    idx = np.searchsorted(cum, thresholds, side="left")
+    eta = np.full(test_weights.shape[0], np.inf)
+    finite = idx < s_sorted.size
+    eta[finite] = s_sorted[idx[finite]]
+    return eta
+
+
+@st.composite
+def _quantile_case(draw):
+    """Rounded values (ties) with integer weights (zeros included), so
+    every total is exact whatever the summation order."""
+    n = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.round(rng.normal(size=n), draw(st.integers(0, 2)))
+    weights = rng.integers(0, 4, n).astype(float)
+    atoms = rng.integers(1, 3 * n + 2, draw(st.integers(1, 6))).astype(float)
+    return values, weights, atoms
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_quantile_case(), level=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                              st.floats(0.0, 1.0)))
+def test_left_quantiles_matches_both_references(case, level):
+    values, weights, atoms = case
+    if weights.sum() > 0:
+        expected = _weighted_quantile_reference(values, weights, level)
+        assert np.array_equal(left_quantiles(values, weights, level, np.zeros(1)), [expected])
+        assert weighted_quantile(values, weights, level) == expected
+    assert np.array_equal(left_quantiles(values, weights, level, atoms),
+                          _weighted_eta_reference(values, weights, atoms, level))
 
 
 class TestQuantileReg:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from piagg.errors import DimensionMismatch
+from piagg.errors import ConfigError, DimensionMismatch
 from piagg.numerics import sym_eig
 from piagg.transport import AffineMap, apply_map, energy_distance, fit_affine_transport
 
@@ -43,6 +43,13 @@ class TestFit:
         for mode in ("gaussian_ot", "coral", "location_scale"):
             m = fit_affine_transport(tgt, src, mode=mode)
             assert np.max(np.abs(m.a - np.diag([2.0, 0.5]))) <= 1e-6, mode
+
+
+    @pytest.mark.parametrize("ridge", [-5.0, -1e-12, float("nan")])
+    def test_negative_ridge_rejected(self, ridge):
+        x = np.random.default_rng(0).normal(size=(30, 2))
+        with pytest.raises(ConfigError, match=r"^cov_ridge: "):
+            fit_affine_transport(x, x + 1.0, cov_ridge=ridge)
 
 
 class TestApply:
