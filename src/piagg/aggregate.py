@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .candidates import (
+    MEAN_METHODS,
     CandidateBank,
     CandidateSpec,
     KnnMean,
@@ -44,6 +45,7 @@ from .errors import (
 )
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from .numerics import LinearModel
+from .transport import MODES as TRANSPORT_MODES
 from .transport import AffineMap, apply_map, fit_affine_transport
 
 MODE_COV_EXACT = "cov_shift_exact"
@@ -166,6 +168,7 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
     within ``epsilon`` (delta is the hinge scale). The objective is always
     the average combined candidate on the target covariates.
     """
+    _check_shape_args(mode, delta, epsilon)
     phi, r2, w = _shape_block(phi, r2, weights_on_source)
     phi_target = np.atleast_2d(np.asarray(phi_target, dtype=np.float64))
     if phi_target.shape[1] != phi.shape[1]:
@@ -176,12 +179,8 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
         alpha = _solve_shape(obj, -phi[keep], -r2[keep])
         return ShapeModel(alpha, MODE_COV_EXACT, delta, epsilon, support_threshold,
                           float(obj @ alpha))
-    if mode != "hinge":
-        raise ValueError("mode must be 'exact' or 'hinge'")
-    if delta is None or delta <= 0:
-        raise ValueError("hinge mode requires delta > 0")
-    if epsilon is None or epsilon < 0:
-        raise ValueError("hinge mode requires epsilon >= 0")
+    if delta is None or epsilon is None:
+        raise ConfigError("delta: hinge mode needs both delta and epsilon")
     keep = w > 0
     n_k = int(np.count_nonzero(keep))
     # variables [alpha, s]; rows: delta-scaled hinge dominations + budget
@@ -190,6 +189,17 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
     alpha = _solve_shape(obj, lhs, rhs, "hinge budget cannot be met by any candidate combination")
     return ShapeModel(alpha, MODE_COV_HINGE, delta, epsilon, support_threshold,
                       float(obj @ alpha))
+
+
+def _check_shape_args(mode: str, delta: float | None, epsilon: float | None) -> None:
+    """ConfigError unless ``mode`` is 'exact' or 'hinge', a given hinge
+    scale is > 0 and a given hinge budget is >= 0."""
+    if mode not in ("exact", "hinge"):
+        raise ConfigError(f"mode: must be 'exact' or 'hinge', got {mode!r}")
+    if delta is not None and not delta > 0:
+        raise ConfigError(f"delta: must be > 0, got {delta!r}")
+    if epsilon is not None and not epsilon >= 0:
+        raise ConfigError(f"epsilon: must be >= 0, got {epsilon!r}")
 
 
 def fit_shape_source(phi: np.ndarray, r2: np.ndarray) -> ShapeModel:
@@ -391,6 +401,10 @@ def _fit_pipeline(source: DataTable, alpha_level: float, specs, fractions, seed:
     on D21 and D22."""
     if not 0.0 < alpha_level < 1.0:
         raise ConfigError("alpha_level: must lie in (0, 1)")
+    if mean_method not in MEAN_METHODS:
+        raise ConfigError(f"mean_method: must be one of {MEAN_METHODS}, got {mean_method!r}")
+    if specs is not None and not specs:
+        raise ConfigError("specs: must be non-empty")
     d1, d21, d22 = split(source, split_spec(fractions, seed, 3, "fractions"))
     mean_model = fit_mean(d1, mean_method)
     bank = fit_candidate_set(d1, residuals(d1, mean_model),
@@ -417,6 +431,11 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
     entirely in that case. Target labels, if present, are ignored.
     """
     tx = check_covariates("target_x", target_x)
+    _check_shape_args(mode, delta, epsilon)
+    if not 0.0 < prob_clip < 0.5:
+        raise ConfigError(f"prob_clip: must lie in (0, 0.5), got {prob_clip!r}")
+    if not ratio_cap > 0:
+        raise ConfigError(f"ratio_cap: must be > 0, got {ratio_cap!r}")
     b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method)
     if weight_fn is not None:
         adapter = None
@@ -462,6 +481,9 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
     tx = None if target_x is None else check_covariates("target_x", target_x)
     if alg2_delta is not None and not alg2_delta > 0:
         raise ConfigError(f"alg2_delta: must be > 0, got {alg2_delta!r}")
+    if transport_mode not in TRANSPORT_MODES:
+        raise ConfigError(f"transport_mode: must be one of {TRANSPORT_MODES}, "
+                          f"got {transport_mode!r}")
     b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method)
     if transport_map is not None:
         adapter: AffineMap | None = transport_map

@@ -122,6 +122,9 @@ class KnnMean:
             x, self.train_x, lambda d2: self.train_y[_knn_indices_block(d2, self.k)].mean(axis=1))
 
 
+MEAN_METHODS = ("ols", "knn")
+
+
 def fit_mean(train: DataTable, method: str = "ols", k: int = 10):
     """Fit the conditional-mean predictor on a labeled table."""
     if train.y is None:

@@ -4,10 +4,17 @@ The generator is xoshiro256** seeded through splitmix64, implemented directly
 so that identical seeds give identical streams on any platform or Python
 build. All helpers that need randomness take an explicit integer seed and
 construct their own generator, so concurrent callers never share state.
+
+Every draw method returns the one-output-at-a-time stream bit for bit and
+leaves the same final state. Draws of at least ``_CROSSOVER`` outputs come
+from lanes of ``_LANE`` steps, each started one jump (a 256 x 256 bit
+matrix over GF(2), built on first use) past the one before and all stepped
+together in NumPy uint64 arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +24,11 @@ _MASK64 = (1 << 64) - 1
 # Weyl-sequence increment of splitmix64; also used to mix replication
 # indices into a base seed.
 MIX_CONSTANT = 0x9E3779B97F4A7C15
+
+# Outputs per lane, and the smallest draw taken from lanes (measured:
+# below it, stepping one output at a time in Python is faster).
+_LANE = 128
+_CROSSOVER = 1024
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -81,46 +93,84 @@ class Rng:
         return (self.next_uint64() >> 11) * (2.0 ** -53)
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
-        out = np.empty(size, dtype=np.float64)
-        for i in range(size):
-            out[i] = low + (high - low) * self.random()
-        return out
-
-    def integer(self, high: int) -> int:
-        """Uniform integer in [0, high); floor of a scaled 53-bit uniform."""
-        return int(self.random() * high)
+        return low + (high - low) * _units(self, size)
 
     def normal(self, size: int) -> np.ndarray:
         """Standard normal draws via Box-Muller (pairs cached)."""
         out = np.empty(size, dtype=np.float64)
-        for i in range(size):
-            if self._gauss_cache is not None:
-                out[i] = self._gauss_cache
-                self._gauss_cache = None
-                continue
-            u1 = self.random()
-            if u1 <= 0.0:
-                u1 = 2.0 ** -53
-            u2 = self.random()
-            r = math.sqrt(-2.0 * math.log(u1))
-            theta = 2.0 * math.pi * u2
-            out[i] = r * math.cos(theta)
-            self._gauss_cache = r * math.sin(theta)
+        head = int(size > 0 and self._gauss_cache is not None)
+        if head:
+            out[0], self._gauss_cache = self._gauss_cache, None
+        u = _units(self, (size - head + 1) // 2 * 2)
+        u1, u2 = u[0::2], u[1::2]
+        u1[u1 <= 0.0] = 2.0 ** -53
+        # math's log, cos and sin: NumPy's own can differ in the last bit
+        r = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+        theta = (2.0 * math.pi * u2).tolist()
+        z = (r * [list(map(math.cos, theta)), list(map(math.sin, theta))]).T.ravel()
+        out[head:] = z[:size - head]
+        if (size - head) % 2:
+            self._gauss_cache = float(z[-1])
         return out
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        idx = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(i + 1)
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        idx = list(range(n))
+        if n > 1:
+            js = (_units(self, n - 1) * np.arange(n, 1, -1)).astype(np.int64).tolist()
+            for i, j in zip(range(n - 1, 0, -1), js):
+                idx[i], idx[j] = idx[j], idx[i]
+        return np.array(idx, dtype=np.int64)
 
     def choice_with_replacement(self, cum_probs: np.ndarray, size: int) -> np.ndarray:
         """Draw indices by inverting a cumulative probability vector."""
-        out = np.empty(size, dtype=np.int64)
-        n = len(cum_probs)
-        for i in range(size):
-            k = int(np.searchsorted(cum_probs, self.random(), side="right"))
-            out[i] = min(k, n - 1)
-        return out
+        k = np.searchsorted(cum_probs, _units(self, size), side="right")
+        return np.minimum(k, len(cum_probs) - 1).astype(np.int64)
+
+
+def _lockstep(s: np.ndarray, rows: np.ndarray) -> None:
+    """Step the (4, k) lane states ``s`` in place once per row of ``rows``,
+    writing each pre-step s1 word into that row."""
+    (s0s1, s2s3, s3s2), (s1, s2, s3) = (s[0:2], s[2:4], s[3:1:-1]), s[1:]
+    t = np.empty(s.shape[1], dtype=np.uint64)
+    for row in rows:
+        row[...] = s1
+        np.left_shift(s1, 17, out=t)
+        np.bitwise_xor(s2s3, s0s1, out=s2s3)   # s2 ^= s0; s3 ^= s1
+        np.bitwise_xor(s0s1, s3s2, out=s0s1)   # s0 ^= s3; s1 ^= s2
+        np.bitwise_xor(s2, t, out=s2)
+        np.right_shift(s3, 19, out=t)
+        np.left_shift(s3, 45, out=s3)
+        np.bitwise_or(s3, t, out=s3)
+
+
+@functools.cache
+def _jump_columns() -> np.ndarray:
+    """The jump by _LANE steps as a 4 x 256 bit matrix: column b is the
+    state reached from the state holding only bit b % 64 of word b // 64."""
+    one_bit = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little").view("<u8")
+    s = np.ascontiguousarray(one_bit.T, dtype=np.uint64)
+    _lockstep(s, np.empty((_LANE, 256), dtype=np.uint64))
+    s.setflags(write=False)
+    return s
+
+
+def _units(gen: Rng, n: int) -> np.ndarray:
+    """The next ``n`` values of ``gen.random()``; from lanes if n >= _CROSSOVER."""
+    if n < _CROSSOVER:
+        return np.array([gen.random() for _ in range(n)] or np.empty(n))  # n < 0 raises
+    k = -(-n // _LANE)
+    starts = np.empty((k, 4), dtype="<u8")
+    starts[0] = gen._s0, gen._s1, gen._s2, gen._s3
+    for prev, nxt in zip(starts[:-1], starts[1:]):
+        bits = np.unpackbits(prev.view(np.uint8), bitorder="little").view(bool)
+        np.bitwise_xor.reduce(_jump_columns(), axis=1, where=bits, out=nxt)
+    s = np.ascontiguousarray(starts.T, dtype=np.uint64)
+    x = np.empty((_LANE, k), dtype=np.uint64)
+    tail = n - (k - 1) * _LANE   # steps of the last lane that are used
+    _lockstep(s, x[:tail])
+    gen._s0, gen._s1, gen._s2, gen._s3 = (int(w) for w in s[:, -1])
+    _lockstep(s, x[tail:])
+    x *= np.uint64(5)
+    x = ((x << 7) | (x >> 57)) * np.uint64(9)
+    return (x.T.ravel()[:n] >> 11) * 2.0 ** -53

@@ -635,6 +635,27 @@ class TestPipelineArguments:
         with pytest.raises(ConfigError, match=r"^cov_ridge: "):
             fit_transport(src, src.x[:40], 0.1, cov_ridge=-5.0)
 
+    @pytest.mark.parametrize("fit, kwargs, param", [
+        (fit_covariate_shift, {"mode": "bogus"}, "mode"),
+        (fit_covariate_shift, {"mode": "hinge", "delta": -1.0}, "delta"),
+        (fit_covariate_shift, {"mode": "hinge", "epsilon": -1.0}, "epsilon"),
+        (fit_covariate_shift, {"mean_method": "bogus"}, "mean_method"),
+        (fit_covariate_shift, {"prob_clip": 0.7}, "prob_clip"),
+        (fit_covariate_shift, {"ratio_cap": 0.0}, "ratio_cap"),
+        (fit_covariate_shift, {"specs": []}, "specs"),
+        (fit_transport, {"mean_method": "bogus"}, "mean_method"),
+        (fit_transport, {"specs": []}, "specs"),
+        (fit_transport, {"transport_mode": "bogus"}, "transport_mode"),
+    ])
+    def test_bad_argument_rejected_before_the_split(self, monkeypatch, fit, kwargs, param):
+        def no_split(*args):
+            raise AssertionError("the split ran before the arguments were checked")
+
+        monkeypatch.setattr("piagg.aggregate.split", no_split)
+        src = gen_hetero_sim(200, seed=3)
+        with pytest.raises(ConfigError, match=rf"^{param}: "):
+            fit(src, src.x[:40], 0.1, **kwargs)
+
 
 def test_interval_batch_validates_order():
     with pytest.raises(ValueError):
