@@ -21,12 +21,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .candidates import (
-    MEAN_METHODS,
     CandidateBank,
     CandidateSpec,
     KnnMean,
     check_squared_residuals,
-    default_bank_specs,
     fit_candidate_set,
     fit_mean,
     residuals,
@@ -42,10 +40,10 @@ from .errors import (
     ShapeInfeasible,
     ShrinkExceedsOneWarning,
     ShrinkUnbounded,
+    check_args,
 )
 from .linprog import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from .numerics import LinearModel
-from .transport import MODES as TRANSPORT_MODES
 from .transport import AffineMap, apply_map, fit_affine_transport
 
 MODE_COV_EXACT = "cov_shift_exact"
@@ -68,10 +66,12 @@ class ShapeModel:
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=np.float64).ravel()
         if np.any(alpha < 0):
-            raise ValueError("alpha must be nonnegative")
+            raise ConfigError("alpha: must be nonnegative")
         object.__setattr__(self, "alpha", alpha)
-        if self.mode == MODE_COV_HINGE and (self.delta is None or self.delta <= 0):
-            raise ValueError("hinge mode requires delta > 0")
+        check_args(delta=self.delta, epsilon=self.epsilon,
+                   support_threshold=self.support_threshold)
+        if self.mode == MODE_COV_HINGE and self.delta is None:
+            raise ConfigError("delta: hinge mode needs a hinge scale")
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class IntervalBatch:
             raise DimensionMismatch("interval vectors must share a length")
         finite = np.isfinite(lo) & np.isfinite(up)
         if np.any(lo[finite] > ce[finite]) or np.any(ce[finite] > up[finite]):
-            raise ValueError("intervals must satisfy lower <= center <= upper")
+            raise ConfigError("intervals: must satisfy lower <= center <= upper")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "center", ce)
@@ -168,7 +168,7 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
     within ``epsilon`` (delta is the hinge scale). The objective is always
     the average combined candidate on the target covariates.
     """
-    _check_shape_args(mode, delta, epsilon)
+    check_args(mode=mode, delta=delta, epsilon=epsilon, support_threshold=support_threshold)
     phi, r2, w = _shape_block(phi, r2, weights_on_source)
     phi_target = np.atleast_2d(np.asarray(phi_target, dtype=np.float64))
     if phi_target.shape[1] != phi.shape[1]:
@@ -191,17 +191,6 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
                       float(obj @ alpha))
 
 
-def _check_shape_args(mode: str, delta: float | None, epsilon: float | None) -> None:
-    """ConfigError unless ``mode`` is 'exact' or 'hinge', a given hinge
-    scale is > 0 and a given hinge budget is >= 0."""
-    if mode not in ("exact", "hinge"):
-        raise ConfigError(f"mode: must be 'exact' or 'hinge', got {mode!r}")
-    if delta is not None and not delta > 0:
-        raise ConfigError(f"delta: must be > 0, got {delta!r}")
-    if epsilon is not None and not epsilon >= 0:
-        raise ConfigError(f"epsilon: must be >= 0, got {epsilon!r}")
-
-
 def fit_shape_source(phi: np.ndarray, r2: np.ndarray) -> ShapeModel:
     """Shape weights on the source alone: cover every squared residual
     while minimizing the average combined candidate on the same rows."""
@@ -215,8 +204,8 @@ def hinge_constraint_value(shape: ShapeModel, phi: np.ndarray, r2: np.ndarray,
                            weights_on_source: np.ndarray) -> float:
     """Directly evaluated hinge budget of a fitted shape: the weighted
     mean of max(0, (r2 - f)/delta + 1) over the constraint block."""
-    if shape.delta is None or shape.delta <= 0:
-        raise ValueError("shape has no hinge scale")
+    if shape.delta is None:
+        raise ConfigError("shape: has no hinge scale")
     phi, r2, w = _shape_block(phi, r2, weights_on_source)
     hinge = np.maximum(0.0, (r2 - phi @ shape.alpha) / shape.delta + 1.0)
     return float(np.mean(w * hinge))
@@ -290,8 +279,7 @@ def _shrink(scale: np.ndarray, r2: np.ndarray, w: np.ndarray, alpha_level: float
 
 
 def shrink_cov_shift(f_hat_cal: np.ndarray, r2_cal: np.ndarray, w_cal: np.ndarray,
-                     alpha_level: float, floor: float = 0.0,
-                     normalize_weights: bool = False) -> ShrinkResult:
+                     alpha_level: float, floor: float = 0.0) -> ShrinkResult:
     """Smallest multiplier lam with ratio-weighted empirical miscoverage
     (1/n) sum w * 1{r2 > lam * max(f, floor)} at most ``alpha_level``.
 
@@ -299,20 +287,11 @@ def shrink_cov_shift(f_hat_cal: np.ndarray, r2_cal: np.ndarray, w_cal: np.ndarra
     threshold and ``achieved_violation`` is the budget at the returned
     multiplier. With a zero floor, a row whose shape vanishes while its
     residual does not violates at every multiplier, and ShrinkUnbounded is
-    raised when such rows alone exceed the budget. ``normalize_weights``
-    rescales the weights to mean one first (a self-normalized variant;
-    the default follows the plain weighted mean).
+    raised when such rows alone exceed the budget.
     """
+    check_args(floor=floor)
     f = np.asarray(f_hat_cal, dtype=np.float64).ravel()
-    w = np.asarray(w_cal, dtype=np.float64).ravel()
-    if floor < 0:
-        raise ValueError("floor must be nonnegative")
-    if normalize_weights:
-        mean_w = w.mean()
-        if mean_w <= 0:
-            raise ValueError("weights must have positive mean to normalize")
-        w = w / mean_w
-    return _shrink(_lift(f, False, floor=floor), r2_cal, w, alpha_level, False)
+    return _shrink(_lift(f, False, floor=floor), r2_cal, w_cal, alpha_level, False)
 
 
 def shrink_source(f_hat_cal: np.ndarray, r2_cal: np.ndarray,
@@ -399,16 +378,9 @@ def _fit_pipeline(source: DataTable, alpha_level: float, specs, fractions, seed:
     """The three-block plan of both algorithms up to the shape LP: split
     the source, fit the mean and the candidates on D1, and evaluate them
     on D21 and D22."""
-    if not 0.0 < alpha_level < 1.0:
-        raise ConfigError("alpha_level: must lie in (0, 1)")
-    if mean_method not in MEAN_METHODS:
-        raise ConfigError(f"mean_method: must be one of {MEAN_METHODS}, got {mean_method!r}")
-    if specs is not None and not specs:
-        raise ConfigError("specs: must be non-empty")
     d1, d21, d22 = split(source, split_spec(fractions, seed, 3, "fractions"))
     mean_model = fit_mean(d1, mean_method)
-    bank = fit_candidate_set(d1, residuals(d1, mean_model),
-                             default_bank_specs() if specs is None else specs)
+    bank = fit_candidate_set(d1, residuals(d1, mean_model), specs)
     return _Blocks(mean_model, bank, d1.x,
                    d21.x, bank.evaluate(d21.x), residuals(d21, mean_model),
                    d22.x, bank.evaluate(d22.x), residuals(d22, mean_model))
@@ -421,7 +393,7 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
                         delta: float | None = None, epsilon: float | None = None,
                         support_threshold: float = 0.0, mean_method: str = "ols",
                         prob_clip: float = 1e-6, ratio_cap: float = 1e3,
-                        weight_fn=None, normalize_weights: bool = False) -> PiModel:
+                        weight_fn=None) -> PiModel:
     """Full reweighting pipeline: fit nuisances on the first block, the
     shape LP on the second (with target covariates in the objective), and
     the shrink level on the third, flooring the shape at 1e-9 * max(1, max r2).
@@ -431,11 +403,9 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
     entirely in that case. Target labels, if present, are ignored.
     """
     tx = check_covariates("target_x", target_x)
-    _check_shape_args(mode, delta, epsilon)
-    if not 0.0 < prob_clip < 0.5:
-        raise ConfigError(f"prob_clip: must lie in (0, 0.5), got {prob_clip!r}")
-    if not ratio_cap > 0:
-        raise ConfigError(f"ratio_cap: must be > 0, got {ratio_cap!r}")
+    check_args(alpha_level=alpha_level, specs=specs, mode=mode, delta=delta, epsilon=epsilon,
+               support_threshold=support_threshold, mean_method=mean_method,
+               prob_clip=prob_clip, ratio_cap=ratio_cap)
     b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method)
     if weight_fn is not None:
         adapter = None
@@ -457,8 +427,7 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
 
     f22 = b.phi22 @ shape.alpha
     floor = 1e-9 * max(float(np.max(b.r2_22, initial=0.0)), 1.0)
-    shrink = shrink_cov_shift(f22, b.r2_22, w22, alpha_level, floor=floor,
-                              normalize_weights=normalize_weights)
+    shrink = shrink_cov_shift(f22, b.r2_22, w22, alpha_level, floor=floor)
     bound = shrink.lambda_hat * _lift(f22, False, floor=floor)
     return PiModel(shape, b.bank, b.mean_model, shrink, alpha_level, adapter, floor=floor,
                    holdout_violation=float(np.mean(_violates(b.r2_22, bound, False))))
@@ -479,11 +448,8 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
     unshifted source pipeline whose intervals are used as-is.
     """
     tx = None if target_x is None else check_covariates("target_x", target_x)
-    if alg2_delta is not None and not alg2_delta > 0:
-        raise ConfigError(f"alg2_delta: must be > 0, got {alg2_delta!r}")
-    if transport_mode not in TRANSPORT_MODES:
-        raise ConfigError(f"transport_mode: must be one of {TRANSPORT_MODES}, "
-                          f"got {transport_mode!r}")
+    check_args(alpha_level=alpha_level, specs=specs, transport_mode=transport_mode,
+               cov_ridge=cov_ridge, alg2_delta=alg2_delta, mean_method=mean_method)
     b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method)
     if transport_map is not None:
         adapter: AffineMap | None = transport_map

@@ -10,7 +10,6 @@ exclusively by the evaluation step, never by any fit.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -33,56 +32,38 @@ from .dataset import (
     weighted_resample,
 )
 from .densratio import fit_density_ratio
-from .errors import ConfigError, LengthMismatch
+from .errors import ConfigError, LengthMismatch, check_args
 from .numerics import sigmoid
 from .rng import derive_seed
-from .transport import MODES as TRANSPORT_MODES
 
 # the keys each method entry may set besides "name"; a key is handed to the
-# fit only when the entry sets it, so the defaults live in the fit functions
+# fit only when the entry sets it, so the defaults live in the fit functions,
+# and its value is checked at load by the fit's own rule in ARG_RULES
 METHOD_KEYS = {
     "alg1": ("candidates", "fractions", "mode", "delta", "epsilon", "support_threshold",
-             "ratio_cap", "prob_clip", "normalize_weights"),
+             "ratio_cap", "prob_clip"),
     "alg2": ("candidates", "fractions", "transport_mode", "cov_ridge", "alg2_delta"),
     "wvac": ("ratio_ridge", "prob_clip", "ratio_cap", "sigma_min", "bandwidth"),
     "wqc": ("ratio_ridge", "prob_clip", "ratio_cap"),
 }
 
 
-# allowed values of method keys, checked at load so that a bad value is one
-# ConfigError, not a failure in every replication; null keeps a default rule
-_POSITIVE_OR_NULL = ("null or a number > 0", lambda v: v is None or _number(v) and v > 0)
-METHOD_VALUES = {
-    "mode": ("'exact' or 'hinge'", lambda v: v in ("exact", "hinge")),
-    "transport_mode": (f"one of {TRANSPORT_MODES}", lambda v: v in TRANSPORT_MODES),
-    "bandwidth": ("null or a finite number > 0",
-                  lambda v: v is None or _number(v) and 0 < v < math.inf),
-    "sigma_min": _POSITIVE_OR_NULL, "delta": _POSITIVE_OR_NULL, "alg2_delta": _POSITIVE_OR_NULL,
-    "epsilon": ("null or a number >= 0", lambda v: v is None or _number(v) and v >= 0),
-    "ratio_cap": ("a number > 0", lambda v: _number(v) and v > 0),
-    "prob_clip": ("a number in (0, 0.5)", lambda v: _number(v) and 0 < v < 0.5),
-    "cov_ridge": ("a number >= 0", lambda v: _number(v) and v >= 0),
-    "support_threshold": ("a number >= 0", lambda v: _number(v) and v >= 0),
-}
-
-
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_method_value(path: str, key: str, value) -> None:
+def _check_method_value(prefix: str, key: str, value) -> None:
+    """ConfigError("<prefix><key>: ...") unless ``value`` is valid for ``key``."""
     if key == "candidates":
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path}: must be a non-empty list")
+            raise ConfigError(f"{prefix}{key}: must be a non-empty list")
         for j, entry in enumerate(value):
             try:
                 CandidateSpec.from_dict(entry)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: entry {j}: {exc}") from None
+                raise ConfigError(f"{prefix}{key}: entry {j}: {exc}") from None
     elif key == "fractions":
-        split_spec(value, 0, 3, path)
-    elif key in METHOD_VALUES and not METHOD_VALUES[key][1](value):
-        raise ConfigError(f"{path}: must be {METHOD_VALUES[key][0]}, got {value!r}")
+        split_spec(value, 0, 3, prefix + key)
+    elif key == "ratio_ridge":  # the ridge of the density-ratio fit
+        check_args(prefix + "ratio_", ridge=value)
+    else:
+        check_args(prefix, **{key: value})
 
 
 DEFAULT_AFFINE_A = np.diag([1.5, 1.2, 1.6, 2.0, 1.8])
@@ -152,18 +133,15 @@ class ScenarioConfig:
                     continue
                 if key not in METHOD_KEYS[name]:
                     raise ConfigError(f"config.methods[{i}].{key}: not a parameter of {name}")
-                _check_method_value(f"config.methods[{i}].{key}", key, value)
+                _check_method_value(f"config.methods[{i}].", key, value)
 
         alpha = float(need(doc, "alpha_level", "config"))
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError("config.alpha_level: must lie in (0, 1)")
+        check_args("config.", alpha_level=alpha)
         reps = int(need(doc, "replications", "config"))
         if reps < 1:
             raise ConfigError("config.replications: must be at least 1")
         train_fraction = doc.get("train_fraction", 0.75)
-        if not _number(train_fraction):
-            raise ConfigError(f"config.train_fraction: must be a number, got {train_fraction!r}")
-        split_spec((train_fraction, 1.0 - train_fraction), 0, 2, "config.train_fraction")
+        check_args("config.", train_fraction=train_fraction)
         return cls(
             data=data, shift=shift, methods=methods, alpha_level=alpha,
             replications=reps, base_seed=int(need(doc, "base_seed", "config")),

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dataset import DataTable
-from .errors import DimensionMismatch, EmptyBin, PiaggError
+from .errors import ConfigError, DimensionMismatch, EmptyBin, PiaggError, check_args
 from .numerics import LinearModel, ols_fit, quantile_reg_fit
 
 
@@ -36,19 +36,13 @@ class CandidateSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown candidate kind '{self.kind}'")
-        for name in ("k", "bins"):  # counts: a float such as 2.5 is a TypeError
+            raise ConfigError(f"kind: must be one of {KINDS}, got {self.kind!r}")
+        used = {"knn_quantile": ("k", "tau"), "linear_quantile_sq": ("tau",),
+                "binned_quantile": ("bins", "tau")}.get(self.kind, ())
+        check_args(bandwidth=self.bandwidth, **{name: getattr(self, name) for name in used})
+        for name in ("k", "bins"):  # stored as ints; an unused float count is a TypeError
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.kind in ("knn_quantile",) and (self.k is None or self.k < 1):
-            raise ValueError("knn_quantile needs k >= 1")
-        if self.kind in ("knn_quantile", "linear_quantile_sq", "binned_quantile"):
-            if self.tau is None or not 0.0 < self.tau < 1.0:
-                raise ValueError(f"{self.kind} needs tau in (0, 1)")
-        if self.kind == "kernel_variance" and self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.kind == "binned_quantile" and (self.bins is None or self.bins < 1):
-            raise ValueError("binned_quantile needs bins >= 1")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -93,7 +87,7 @@ def _set_training_rows(obj, values: str) -> None:
     v = np.asarray(getattr(obj, values), dtype=np.float64)
     if (train_x.ndim != 2 or train_x.shape[0] == 0 or v.shape != (train_x.shape[0],)
             or not np.all(np.isfinite(train_x))):
-        raise ValueError(f"{values}: needs one entry per row of a non-empty, finite train_x")
+        raise ConfigError(f"{values}: needs one entry per row of a non-empty, finite train_x")
     object.__setattr__(obj, "train_x", train_x)
     object.__setattr__(obj, values, v)
 
@@ -101,7 +95,7 @@ def _set_training_rows(obj, values: str) -> None:
 def _set_neighbour_count(obj) -> None:
     k = operator.index(obj.k)
     if not 1 <= k <= obj.train_x.shape[0]:
-        raise ValueError(f"k: must lie in [1, {obj.train_x.shape[0]}], got {k}")
+        raise ConfigError(f"k: must lie in [1, {obj.train_x.shape[0]}], got {k}")
     object.__setattr__(obj, "k", k)
 
 
@@ -122,18 +116,15 @@ class KnnMean:
             x, self.train_x, lambda d2: self.train_y[_knn_indices_block(d2, self.k)].mean(axis=1))
 
 
-MEAN_METHODS = ("ols", "knn")
-
-
 def fit_mean(train: DataTable, method: str = "ols", k: int = 10):
-    """Fit the conditional-mean predictor on a labeled table."""
+    """Fit the conditional-mean predictor (``method`` 'ols' or 'knn') on a
+    labeled table."""
+    check_args(mean_method=method, k=k)
     if train.y is None:
         raise PiaggError("fit_mean needs a labeled table")
     if method == "ols":
         return ols_fit(train.x, train.y)
-    if method == "knn":
-        return KnnMean(train.x.copy(), train.y.copy(), min(k, train.n))
-    raise ValueError(f"unknown mean method '{method}'")
+    return KnnMean(train.x.copy(), train.y.copy(), min(k, train.n))
 
 
 def residuals(train: DataTable, mean_model) -> np.ndarray:
@@ -292,10 +283,8 @@ class KernelVariance:
 
     def __post_init__(self):
         _set_training_rows(self, "r2")
-        h = float(self.bandwidth)
-        if not (np.isfinite(h) and h > 0):
-            raise ValueError(f"bandwidth: must be finite and positive, got {h}")
-        object.__setattr__(self, "bandwidth", h)
+        check_args(bandwidth=self.bandwidth)
+        object.__setattr__(self, "bandwidth", float(self.bandwidth))
 
     def evaluate(self, x):
         return _by_distance_block(x, self.train_x, self._smooth)
@@ -335,7 +324,7 @@ class _BinnedQuantile:
         edges = np.asarray(self.edges, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
         if edges.ndim != 1 or values.shape != (edges.shape[0] + 1,):
-            raise ValueError("values: needs one entry more than edges")
+            raise ConfigError("values: needs one entry more than edges")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", values)
 
@@ -402,12 +391,12 @@ class CandidateBank:
 
 
 def fit_candidate_set(train: DataTable, r2: np.ndarray,
-                      specs: list[CandidateSpec]) -> CandidateBank:
-    """Fit every candidate on the table's covariates and the squared
-    residuals ``r2`` of its rows."""
-    if not specs:
-        raise ValueError("specs must be non-empty")
+                      specs: list[CandidateSpec] | None) -> CandidateBank:
+    """Fit every candidate of ``specs`` (None: ``default_bank_specs()``) on
+    the table's covariates and the squared residuals ``r2`` of its rows."""
+    check_args(specs=specs)
     if train.y is None:
         raise PiaggError("fit_candidate_set needs a labeled table")
     r2 = check_squared_residuals(r2, train.n)
-    return CandidateBank(list(specs), [_fit_candidate(spec, train.x, r2) for spec in specs])
+    specs = default_bank_specs() if specs is None else list(specs)
+    return CandidateBank(specs, [_fit_candidate(spec, train.x, r2) for spec in specs])

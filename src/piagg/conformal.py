@@ -22,7 +22,7 @@ import numpy as np
 from .candidates import CandidateSpec, KernelVariance, fit_candidate_set, residuals
 from .dataset import DataTable
 from .densratio import DensityRatioModel, eval_ratio
-from .errors import PiaggError
+from .errors import PiaggError, check_args
 from .numerics import LinearModel, left_quantiles, ols_fit, quantile_reg_fit
 from .aggregate import IntervalBatch, check_covariates
 
@@ -75,6 +75,7 @@ def fit_wvac(train1: DataTable, cal: DataTable, ratio: DensityRatioModel | None,
     division stays safe when residuals vanish; ``bandwidth`` defaults to
     the normal-reference rule.
     """
+    check_args(sigma_min=sigma_min, bandwidth=bandwidth)
     if train1.y is None or cal.y is None:
         raise PiaggError("both blocks must be labeled")
     mean_model = ols_fit(train1.x, train1.y)
@@ -94,6 +95,7 @@ def predict_wvac(m: WvacModel, x: np.ndarray, alpha_level: float) -> IntervalBat
     """Intervals mean(x) +- scale(x) * eta(x) at coverage 1 - alpha_level;
     eta comes from the weighted calibration-score quantile with the test
     point's own mass at +infinity."""
+    check_args(alpha_level=alpha_level)
     x = check_covariates("x", x)
     eta = left_quantiles(m.cal_scores, m.cal_weights, 1.0 - alpha_level,
                          _ratio_weights(m.ratio, x))
@@ -107,6 +109,7 @@ def fit_wqc(train1: DataTable, cal: DataTable, ratio: DensityRatioModel | None,
     """Fit the quantile-adjusted conformal pieces: linear quantile models
     at alpha/2 and 1 - alpha/2, then signed-distance scores on the
     calibration block (crossing fits are swapped pointwise)."""
+    check_args(alpha_level=alpha_level)
     if train1.y is None or cal.y is None:
         raise PiaggError("both blocks must be labeled")
     q_lo = quantile_reg_fit(train1.x, train1.y, alpha_level / 2.0)
@@ -127,6 +130,7 @@ def predict_wqc(m: WqcModel, x: np.ndarray, alpha_level: float) -> IntervalBatch
     """Intervals [q_lo(x) - eta, q_hi(x) + eta]; eta is floored at zero so
     calibration points sitting comfortably inside the quantile band never
     shrink it."""
+    check_args(alpha_level=alpha_level)
     x = check_covariates("x", x)
     eta = np.maximum(left_quantiles(m.cal_scores, m.cal_weights, 1.0 - alpha_level,
                                     _ratio_weights(m.ratio, x)), 0.0)

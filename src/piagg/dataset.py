@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, EmptyInput, MissingColumn, ParseError
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptyInput,
+    MissingColumn,
+    NonFiniteInput,
+    ParseError,
+    check_args,
+)
 from .rng import Rng
 
 
@@ -32,13 +40,13 @@ class DataTable:
         x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
         object.__setattr__(self, "x", x)
         if not np.all(np.isfinite(x)):
-            raise ValueError("covariates contain non-finite entries")
+            raise NonFiniteInput("x: covariates contain non-finite entries")
         if self.y is not None:
             y = np.asarray(self.y, dtype=np.float64).ravel()
             if y.shape[0] != x.shape[0]:
                 raise DimensionMismatch("y length does not match number of rows")
             if not np.all(np.isfinite(y)):
-                raise ValueError("response contains non-finite entries")
+                raise NonFiniteInput("y: response contains non-finite entries")
             object.__setattr__(self, "y", y)
         if not self.column_names:
             object.__setattr__(
@@ -71,9 +79,9 @@ class SplitSpec:
     def __post_init__(self):
         fr = tuple(float(f) for f in self.fractions)
         if any(f <= 0 for f in fr):
-            raise ValueError("all fractions must be positive")
+            raise ConfigError("all fractions must be positive")
         if abs(sum(fr) - 1.0) > 1e-9:
-            raise ValueError("fractions must sum to 1")
+            raise ConfigError("fractions must sum to 1")
         object.__setattr__(self, "fractions", fr)
 
 
@@ -168,7 +176,7 @@ def weighted_resample(t: DataTable, weights: np.ndarray, m: int, seed: int) -> D
     if w.shape[0] != t.n:
         raise DimensionMismatch("weights length does not match table rows")
     if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive sum")
+        raise ConfigError("weights: must be nonnegative with a positive sum")
     probs = w / w.sum()
     idx = Rng(seed).choice_with_replacement(np.cumsum(probs), m)
     return t.take(idx)
@@ -203,8 +211,7 @@ def gen_hetero_sim(n: int, seed: int) -> DataTable:
     toward the edges of the covariate range. All X draws precede all
     noise draws in the generator stream.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_args(n=n)
     gen = Rng(seed)
     x = gen.uniform(-1.0, 1.0, n)
     xi = gen.uniform(-1.0, 1.0, n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput
+from .errors import DimensionMismatch, EmptyInput, check_args
 from .numerics import LinearModel, logistic_fit
 
 
@@ -26,10 +26,7 @@ class DensityRatioModel:
     ratio_cap: float
 
     def __post_init__(self):
-        if not 0.0 < self.prob_clip < 0.5:
-            raise ValueError("prob_clip must lie in (0, 0.5)")
-        if self.ratio_cap <= 0:
-            raise ValueError("ratio_cap must be positive")
+        check_args(prob_clip=self.prob_clip, ratio_cap=self.ratio_cap)
 
 
 def fit_density_ratio(source_x: np.ndarray, target_x: np.ndarray,
@@ -40,6 +37,7 @@ def fit_density_ratio(source_x: np.ndarray, target_x: np.ndarray,
     Source rows get label 0 and target rows label 1; a small ridge keeps
     the fit finite when the two samples are nearly separable.
     """
+    check_args(ridge=ridge, prob_clip=prob_clip, ratio_cap=ratio_cap)
     source_x = np.atleast_2d(np.asarray(source_x, dtype=np.float64))
     target_x = np.atleast_2d(np.asarray(target_x, dtype=np.float64))
     if source_x.shape[0] == 0 or target_x.shape[0] == 0:

@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+table of value rules for named arguments."""
+
+import math
+import numbers
 
 
 class PiaggError(Exception):
@@ -61,9 +65,58 @@ class NonFiniteInput(PiaggError):
     """An input array holds NaN or infinite entries; the message names the argument."""
 
 
-class ConfigError(PiaggError):
-    """A configuration or model document is invalid; the message carries the field path."""
+class ConfigError(PiaggError, ValueError):
+    """An argument, a configuration or a model document holds an invalid
+    value; the message starts with the argument name or field path."""
 
 
 class ShrinkExceedsOneWarning(UserWarning):
     """The calibrated shrink level exceeds one, so the band is being widened."""
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+_UNIT = ("lie in (0, 1)", lambda v: _real(v) and 0 < v < 1)
+_FINITE_NONNEGATIVE = ("be finite and >= 0", lambda v: _real(v) and 0 <= v < math.inf)
+_FINITE_POSITIVE_OR_NULL = ("be null or finite and > 0",
+                            lambda v: v is None or _real(v) and 0 < v < math.inf)
+_COUNT = ("be an integer >= 1", lambda v: _integer(v) and v >= 1)
+
+# The value rule of every checked named argument: what a valid value must
+# be, and its test. Fits, fitted-state constructors and the scenario loader
+# all read these entries, so a value is accepted everywhere or nowhere. A
+# rule that says "null or" lets None stand for the fit's default.
+ARG_RULES = {
+    "alpha_level": _UNIT, "tau": _UNIT, "train_fraction": _UNIT,
+    "q": ("lie in [0, 1]", lambda v: _real(v) and 0 <= v <= 1),
+    "prob_clip": ("lie in (0, 0.5)", lambda v: _real(v) and 0 < v < 0.5),
+    "ratio_cap": ("be > 0", lambda v: _real(v) and v > 0),  # inf: no cap
+    "delta": _FINITE_POSITIVE_OR_NULL, "alg2_delta": _FINITE_POSITIVE_OR_NULL,
+    "sigma_min": _FINITE_POSITIVE_OR_NULL, "bandwidth": _FINITE_POSITIVE_OR_NULL,
+    "epsilon": ("be null or finite and >= 0",
+                lambda v: v is None or _FINITE_NONNEGATIVE[1](v)),
+    "support_threshold": _FINITE_NONNEGATIVE, "ridge": _FINITE_NONNEGATIVE,
+    "cov_ridge": _FINITE_NONNEGATIVE, "floor": _FINITE_NONNEGATIVE,
+    "k": _COUNT, "bins": _COUNT, "n": _COUNT,
+    "size": ("be an integer >= 0", lambda v: _integer(v) and v >= 0),
+    "specs": ("be null or non-empty", lambda v: v is None or len(v) > 0),
+    "mode": ("be 'exact' or 'hinge'", lambda v: v in ("exact", "hinge")),
+    "transport_mode": ("be one of ('gaussian_ot', 'coral', 'location_scale')",
+                       lambda v: v in ("gaussian_ot", "coral", "location_scale")),
+    "mean_method": ("be 'ols' or 'knn'", lambda v: v in ("ols", "knn")),
+}
+
+
+def check_args(prefix: str = "", **values) -> None:
+    """ConfigError("<prefix><name>: must ...") for the first named value
+    that breaks its rule in ``ARG_RULES``."""
+    for name, value in values.items():
+        what, ok = ARG_RULES[name]
+        if not ok(value):
+            raise ConfigError(f"{prefix}{name}: must {what}")

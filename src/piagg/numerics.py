@@ -15,12 +15,14 @@ from scipy import optimize as _sp_optimize
 
 from .errors import (
     AllZeroWeights,
+    ConfigError,
     DimensionMismatch,
     DivergentFit,
     EmptyInput,
     NotSymmetric,
     PiaggError,
     SingularDesign,
+    check_args,
 )
 
 
@@ -99,8 +101,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> LinearModel:
     Raises SingularDesign when ridge is zero and the normal equations are
     numerically singular.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    check_args(ridge=ridge)
     xd = design_with_intercept(x)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (xd.shape[0],):
@@ -141,11 +142,9 @@ def logistic_fit(x: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
     y = np.asarray(labels, dtype=np.float64).ravel()
     if y.shape[0] != xd.shape[0]:
         raise DimensionMismatch("labels length does not match x rows")
-    classes = np.unique(y)
-    if not np.all(np.isin(classes, (0.0, 1.0))):
-        raise ValueError("labels must be 0/1")
-    if classes.size < 2:
-        raise ValueError("labels must contain both classes")
+    check_args(ridge=ridge)
+    if not np.array_equal(np.unique(y), (0.0, 1.0)):
+        raise ConfigError("labels: must be 0/1 and hold both classes")
 
     beta = np.zeros(xd.shape[1])
     nll = _penalized_nll(xd, y, beta, ridge)
@@ -191,11 +190,10 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> floa
     if w.shape != v.shape:
         raise DimensionMismatch("weights length does not match values")
     if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+        raise ConfigError("weights: must be nonnegative")
     if w.sum() <= 0:
         raise AllZeroWeights("weights sum to zero")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
+    check_args(q=q)
     return float(left_quantiles(v, w, q, np.zeros(1))[0])
 
 
@@ -227,8 +225,7 @@ def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
     The test suite checks the check loss against the primal LP with split
     residual parts, solved through ``solve_lp``.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
+    check_args(tau=tau)
     y = np.asarray(y, dtype=np.float64).ravel()
     xd = design_with_intercept(x)
     n, p = xd.shape

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .errors import check_args
+
 _MASK64 = (1 << 64) - 1
 
 # Weyl-sequence increment of splitmix64; also used to mix replication
@@ -93,10 +95,12 @@ class Rng:
         return (self.next_uint64() >> 11) * (2.0 ** -53)
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        check_args(size=size)
         return low + (high - low) * _units(self, size)
 
     def normal(self, size: int) -> np.ndarray:
         """Standard normal draws via Box-Muller (pairs cached)."""
+        check_args(size=size)
         out = np.empty(size, dtype=np.float64)
         head = int(size > 0 and self._gauss_cache is not None)
         if head:
@@ -115,6 +119,7 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
+        check_args(size=n)
         idx = list(range(n))
         if n > 1:
             js = (_units(self, n - 1) * np.arange(n, 1, -1)).astype(np.int64).tolist()
@@ -124,6 +129,7 @@ class Rng:
 
     def choice_with_replacement(self, cum_probs: np.ndarray, size: int) -> np.ndarray:
         """Draw indices by inverting a cumulative probability vector."""
+        check_args(size=size)
         k = np.searchsorted(cum_probs, _units(self, size), side="right")
         return np.minimum(k, len(cum_probs) - 1).astype(np.int64)
 
@@ -158,7 +164,7 @@ def _jump_columns() -> np.ndarray:
 def _units(gen: Rng, n: int) -> np.ndarray:
     """The next ``n`` values of ``gen.random()``; from lanes if n >= _CROSSOVER."""
     if n < _CROSSOVER:
-        return np.array([gen.random() for _ in range(n)] or np.empty(n))  # n < 0 raises
+        return np.array([gen.random() for _ in range(n)], dtype=np.float64)
     k = -(-n // _LANE)
     starts = np.empty((k, 4), dtype="<u8")
     starts[0] = gen._s0, gen._s1, gen._s2, gen._s3

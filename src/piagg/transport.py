@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, DimensionMismatch, EmptyInput
+from .errors import ConfigError, DimensionMismatch, EmptyInput, check_args
 from .numerics import sym_eig
-
-MODES = ("gaussian_ot", "coral", "location_scale")
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,7 @@ class AffineMap:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[0] != a.shape[0]:
             raise DimensionMismatch("a must be square and b of matching length")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("map entries must be finite")
+            raise ConfigError("map: entries of a and b must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -69,17 +67,15 @@ def fit_affine_transport(target_x: np.ndarray, source_x: np.ndarray,
                          mode: str = "gaussian_ot",
                          cov_ridge: float = 0.0) -> AffineMap:
     """Fit the map so the transported target matches the source mean
-    exactly and, for the covariance-aware modes, the source covariance."""
+    exactly and, for the covariance-aware modes, the source covariance;
+    ``mode`` is one of the ``transport_mode`` values."""
+    check_args(transport_mode=mode, cov_ridge=cov_ridge)
     target_x = np.atleast_2d(np.asarray(target_x, dtype=np.float64))
     source_x = np.atleast_2d(np.asarray(source_x, dtype=np.float64))
     if target_x.shape[0] == 0 or source_x.shape[0] == 0:
         raise EmptyInput("both covariate samples must be non-empty")
     if target_x.shape[1] != source_x.shape[1]:
         raise DimensionMismatch("source and target dimension differ")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if not cov_ridge >= 0:
-        raise ConfigError(f"cov_ridge: must be >= 0, got {cov_ridge!r}")
     mu_t, cov_t = _mean_cov(target_x, cov_ridge)
     mu_s, cov_s = _mean_cov(source_x, cov_ridge)
     if mode == "gaussian_ot":

@@ -29,7 +29,7 @@ from piagg.aggregate import (
     shrink_source,
 )
 from piagg.candidates import CandidateSpec, fit_candidate_set
-from piagg.dataset import DataTable, gen_hetero_sim
+from piagg.dataset import DataTable, SplitSpec, gen_hetero_sim, weighted_resample
 from piagg.errors import (
     ConfigError,
     DimensionMismatch,
@@ -40,7 +40,7 @@ from piagg.errors import (
     ShrinkUnbounded,
 )
 from piagg.linprog import OPTIMAL, LinearProgram, solve_lp
-from piagg.numerics import LinearModel
+from piagg.numerics import LinearModel, logistic_fit
 from piagg.transport import AffineMap
 
 DATA = Path(__file__).parent / "data"
@@ -221,14 +221,6 @@ class TestShrinkCovShift:
         r2 = np.array([2.0, 0.1, 0.2])
         res = shrink_cov_shift(f, r2, np.ones(3), alpha_level=0.2, floor=1e-6)
         assert np.isfinite(res.lambda_hat)
-
-    def test_normalized_variant(self):
-        f = np.ones(4)
-        r2 = np.array([1.0, 2.0, 3.0, 4.0])
-        w = np.full(4, 0.5)  # mean 1/2: plain budget sees half the mass
-        plain = shrink_cov_shift(f, r2, w, 0.3)
-        normed = shrink_cov_shift(f, r2, w, 0.3, normalize_weights=True)
-        assert plain.lambda_hat <= normed.lambda_hat
 
 
 def _scan_thresholds_loop(thresholds, weights, permanent_mass, n, alpha_level):
@@ -642,10 +634,12 @@ class TestPipelineArguments:
         (fit_covariate_shift, {"mean_method": "bogus"}, "mean_method"),
         (fit_covariate_shift, {"prob_clip": 0.7}, "prob_clip"),
         (fit_covariate_shift, {"ratio_cap": 0.0}, "ratio_cap"),
+        (fit_covariate_shift, {"support_threshold": "x"}, "support_threshold"),
         (fit_covariate_shift, {"specs": []}, "specs"),
         (fit_transport, {"mean_method": "bogus"}, "mean_method"),
         (fit_transport, {"specs": []}, "specs"),
         (fit_transport, {"transport_mode": "bogus"}, "transport_mode"),
+        (fit_transport, {"cov_ridge": -1.0}, "cov_ridge"),
     ])
     def test_bad_argument_rejected_before_the_split(self, monkeypatch, fit, kwargs, param):
         def no_split(*args):
@@ -655,6 +649,23 @@ class TestPipelineArguments:
         src = gen_hetero_sim(200, seed=3)
         with pytest.raises(ConfigError, match=rf"^{param}: "):
             fit(src, src.x[:40], 0.1, **kwargs)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: DataTable(np.array([[0.0], [np.nan]])), NonFiniteInput),
+    (lambda: gen_hetero_sim(0, 1), ConfigError),
+    (lambda: SplitSpec((0.5, 0.6), 1), ConfigError),
+    (lambda: weighted_resample(gen_hetero_sim(4, 1), [1.0, -1.0, 1.0, 1.0], 3, 0),
+     ConfigError),
+    (lambda: fit_candidate_set(gen_hetero_sim(10, 1), np.ones(10), []), ConfigError),
+    (lambda: logistic_fit(np.arange(4.0)[:, None], [0.0, 1.0, 2.0, 1.0]), ConfigError),
+    (lambda: hinge_constraint_value(ShapeModel(np.ones(1), "cov_shift_exact"),
+                                    np.ones((2, 1)), np.ones(2), np.ones(2)), ConfigError),
+], ids=["datatable_nan", "hetero_n0", "split_sum", "resample_negative", "no_specs",
+        "logistic_labels", "hinge_no_scale"])
+def test_public_entry_points_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_interval_batch_validates_order():

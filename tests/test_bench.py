@@ -1,14 +1,16 @@
 """Scenario runner: metrics, determinism, label hygiene, and reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from piagg import bench
-from piagg.aggregate import IntervalBatch
+from piagg.aggregate import IntervalBatch, fit_covariate_shift, fit_transport
 from piagg.bench import (
     CSV_COLUMNS,
+    METHOD_KEYS,
     RepResult,
     RunSummary,
     ScenarioConfig,
@@ -16,7 +18,10 @@ from piagg.bench import (
     emit_report,
     run_scenario,
 )
-from piagg.errors import ConfigError, LengthMismatch
+from piagg.conformal import fit_wvac
+from piagg.dataset import SplitSpec, gen_hetero_sim, split
+from piagg.densratio import fit_density_ratio
+from piagg.errors import ARG_RULES, ConfigError, LengthMismatch
 
 
 def read_per_rep(path):
@@ -270,3 +275,45 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="paired"):
             _base_config(data={"kind": "synthetic", "generator": "affine_gauss",
                                "n": 100})
+
+
+# The scenario loader and the library must accept the same values: a value
+# the loader passes must not fail in every replication, and a value it
+# refuses must not be one the library would have taken.
+PROBES = [True, "x", -1, 0, 0.25, 0.7, math.inf, math.nan, None]
+RULE_KEYS = [(name, key) for name, keys in METHOD_KEYS.items() for key in keys
+             if key not in ("candidates", "fractions")]
+_SRC = gen_hetero_sim(300, seed=3)
+
+
+def _library_call(name, key):
+    """The library argument that a method key sets, and a call of the
+    function that takes it, with that argument alone given."""
+    if name == "alg1":
+        return key, lambda v: fit_covariate_shift(_SRC, _SRC.x[:60], 0.1, **{key: v})
+    if name == "alg2":
+        return key, lambda v: fit_transport(_SRC, _SRC.x[:60], 0.1, **{key: v})
+    if key in ("sigma_min", "bandwidth"):
+        train1, cal = split(_SRC, SplitSpec((0.5, 0.5), 0))
+        return key, lambda v: fit_wvac(train1, cal, None, **{key: v})
+    arg = "ridge" if key == "ratio_ridge" else key
+    return arg, lambda v: fit_density_ratio(_SRC.x, _SRC.x[:60], **{arg: v})
+
+
+@pytest.mark.parametrize("value", PROBES, ids=repr)
+@pytest.mark.parametrize("name, key", RULE_KEYS)
+def test_loader_and_library_agree(name, key, value):
+    arg, call = _library_call(name, key)
+    try:
+        _base_config(methods=[{"name": name, key: value}])
+    except ConfigError as exc:
+        assert str(exc).startswith(f"config.methods[0].{key}: ")
+        with pytest.raises(ConfigError, match=rf"^{arg}: "):
+            call(value)
+    else:
+        call(value)
+
+
+def test_every_checked_method_key_has_a_rule():
+    for _, key in RULE_KEYS:
+        assert ("ridge" if key == "ratio_ridge" else key) in ARG_RULES

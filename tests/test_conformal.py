@@ -17,7 +17,7 @@ from piagg.conformal import (
 )
 from piagg.dataset import DataTable, SplitSpec, split
 from piagg.densratio import DensityRatioModel
-from piagg.errors import NonFiniteInput
+from piagg.errors import ConfigError, NonFiniteInput
 from piagg.numerics import LinearModel
 
 
@@ -167,3 +167,15 @@ def test_predict_rejects_non_finite_covariates(method, bad):
     x[1, 0] = bad
     with pytest.raises(NonFiniteInput, match="^x:"):
         predict(m, x, alpha_level=0.1)
+
+
+@pytest.mark.parametrize("alpha_level", [0.0, 1.5, float("nan")])
+@pytest.mark.parametrize("method", ["wvac", "wqc"])
+def test_predict_rejects_bad_alpha_level(method, alpha_level):
+    tr, cal = split(_linear_data(np.random.default_rng(11), 200), SplitSpec((0.5, 0.5), seed=3))
+    if method == "wvac":
+        m, predict = fit_wvac(tr, cal, None), predict_wvac
+    else:
+        m, predict = fit_wqc(tr, cal, None, alpha_level=0.1), predict_wqc
+    with pytest.raises(ConfigError, match="^alpha_level: "):
+        predict(m, np.zeros((3, 1)), alpha_level=alpha_level)

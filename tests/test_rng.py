@@ -26,6 +26,7 @@ from piagg.dataset import (
     tilt_resample,
     weighted_resample,
 )
+from piagg.errors import ConfigError
 from piagg.rng import Rng
 
 # around the lane length 128 and the crossover 1024, plus two sizes
@@ -187,7 +188,14 @@ def test_jump_matrix_is_built_on_first_use_only():
     assert rng._jump_columns.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("name", ["uniform", "normal", "choice_with_replacement"])
+@pytest.mark.parametrize("name", sorted(DRAWS) + ["weighted_resample"])
 def test_negative_size_raises(name):
-    with pytest.raises(ValueError):
-        DRAWS[name](Rng(1), -1)
+    """A negative size is a ConfigError raised before any draw, so the
+    generator's stream is left where it was."""
+    gen = Rng(1)
+    with pytest.raises(ConfigError, match="^size: "):
+        if name == "weighted_resample":
+            weighted_resample(gen_hetero_sim(5, 1), np.ones(5), -1, 0)
+        else:
+            DRAWS[name](gen, -1)
+    assert gen.next_uint64() == Rng(1).next_uint64()
