@@ -102,7 +102,7 @@ class ScenarioConfig:
             gen = need(data, "generator", "config.data")
             if gen not in ("hetero1d", "affine_gauss"):
                 raise ConfigError(f"config.data.generator: unknown generator '{gen}'")
-            need(data, "n", "config.data")
+            check_args("config.data.", n=need(data, "n", "config.data"))
         elif kind == "csv":
             need(data, "path", "config.data")
         else:
@@ -114,7 +114,7 @@ class ScenarioConfig:
             raise ConfigError("config.shift.kind: affine_gauss generates paired "
                               "source/target tables; shift must be 'none'")
         if skind in ("tilt", "sigmoid"):
-            need(shift, "beta", "config.shift")
+            check_args("config.shift.", beta=need(shift, "beta", "config.shift"))
         elif skind == "affine":
             need(shift, "a", "config.shift")
             need(shift, "b", "config.shift")
@@ -135,16 +135,13 @@ class ScenarioConfig:
                     raise ConfigError(f"config.methods[{i}].{key}: not a parameter of {name}")
                 _check_method_value(f"config.methods[{i}].", key, value)
 
-        alpha = float(need(doc, "alpha_level", "config"))
-        check_args("config.", alpha_level=alpha)
-        reps = int(need(doc, "replications", "config"))
-        if reps < 1:
-            raise ConfigError("config.replications: must be at least 1")
+        top = {key: need(doc, key, "config")
+               for key in ("alpha_level", "replications", "base_seed")}
         train_fraction = doc.get("train_fraction", 0.75)
-        check_args("config.", train_fraction=train_fraction)
+        check_args("config.", **top, train_fraction=train_fraction)
         return cls(
-            data=data, shift=shift, methods=methods, alpha_level=alpha,
-            replications=reps, base_seed=int(need(doc, "base_seed", "config")),
+            data=data, shift=shift, methods=methods, alpha_level=float(top["alpha_level"]),
+            replications=int(top["replications"]), base_seed=int(top["base_seed"]),
             train_fraction=float(train_fraction),
             fractions=split_spec(doc.get("fractions", (0.5, 0.25, 0.25)), 0, 3,
                                  "config.fractions").fractions,

@@ -112,8 +112,10 @@ class KnnMean:
         _set_neighbour_count(self)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return _by_distance_block(
-            x, self.train_x, lambda d2: self.train_y[_knn_indices_block(d2, self.k)].mean(axis=1))
+        return _by_distance_block(x, self.train_x, [self._from_d2])[:, 0]
+
+    def _from_d2(self, d2):
+        return self.train_y[_knn_indices_block(d2, self.k)].mean(axis=1)
 
 
 def fit_mean(train: DataTable, method: str = "ols", k: int = 10):
@@ -151,17 +153,17 @@ def check_squared_residuals(r2, n_rows: int) -> np.ndarray:
 _ENTRIES = 2 ** 15
 
 
-def _by_distance_block(x, train_x: np.ndarray, row_fn) -> np.ndarray:
-    """``row_fn(d2)`` over blocks of evaluation rows, stacked into one
-    vector; ``d2`` holds a block's squared Euclidean distances to every
-    training row. Each row's distances are computed on their own (a
-    broadcast difference in 1-d, where it is faster, SciPy's ``cdist``
-    otherwise), so a row's value does not depend on the rows evaluated
-    with it."""
+def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
+    """One column per function of ``row_fns``: ``row_fn(d2)`` over blocks of
+    evaluation rows, where ``d2`` holds a block's squared Euclidean
+    distances to every training row, computed once for all the functions.
+    Each row's distances are computed on their own (a broadcast difference
+    in 1-d, where it is faster, SciPy's ``cdist`` otherwise), so a row's
+    value does not depend on the rows evaluated with it."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != train_x.shape[1]:
         raise DimensionMismatch("covariate dimension does not match training data")
-    out = np.empty(x.shape[0])
+    out = np.empty((x.shape[0], len(row_fns)))
     step = max(1, _ENTRIES // train_x.shape[0])
     for start in range(0, x.shape[0], step):
         rows = x[start:start + step]
@@ -169,7 +171,8 @@ def _by_distance_block(x, train_x: np.ndarray, row_fn) -> np.ndarray:
             d2 = (rows[:, 0][:, None] - train_x[:, 0][None, :]) ** 2
         else:
             d2 = cdist(rows, train_x, "sqeuclidean")
-        out[start:start + step] = row_fn(d2)
+        for j, row_fn in enumerate(row_fns):
+            out[start:start + step, j] = row_fn(d2)
     return out
 
 
@@ -268,9 +271,29 @@ class _KnnQuantile:
                 rows = slice(start, start + step)
                 nearest, proven[rows] = _window_knn_block(x[rows, 0], order, sorted_x, self.k)
                 out[rows] = _equal_weight_quantile_rows(self.r2[nearest], self.tau)
-        out[~proven] = _by_distance_block(x[~proven], self.train_x, lambda d2: (
-            _equal_weight_quantile_rows(self.r2[_knn_indices_block(d2, self.k)], self.tau)))
+        out[~proven] = _by_distance_block(x[~proven], self.train_x, [self._from_d2])[:, 0]
         return out
+
+    def _from_d2(self, d2):
+        return _equal_weight_quantile_rows(self.r2[_knn_indices_block(d2, self.k)], self.tau)
+
+
+# np.exp is exactly 0.0 at and below this argument (its result underflows
+# below the smallest subnormal from about -745.1332)
+_EXP_CUT = -745.14
+# entries per BLAS dot: OpenBLAS runs a longer ddot on several threads, whose
+# partial sums, and so the last bit, depend on the thread count
+_DOT_CHUNK = 10_000
+
+
+def _row_dots(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``w @ v`` as one dot product per row (a matrix-vector product sums a
+    row in an order that depends on the row's place in the block), summed
+    over fixed chunks of ``_DOT_CHUNK`` entries."""
+    out = np.vecdot(w[:, :_DOT_CHUNK], v[:_DOT_CHUNK])
+    for start in range(_DOT_CHUNK, v.shape[0], _DOT_CHUNK):
+        out += np.vecdot(w[:, start:start + _DOT_CHUNK], v[start:start + _DOT_CHUNK])
+    return out
 
 
 @dataclass(frozen=True)
@@ -283,19 +306,28 @@ class KernelVariance:
 
     def __post_init__(self):
         _set_training_rows(self, "r2")
+        if self.bandwidth is None:  # the rule's null means "choose at fit time"
+            raise ConfigError("bandwidth: must be finite and > 0")
         check_args(bandwidth=self.bandwidth)
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
 
     def evaluate(self, x):
-        return _by_distance_block(x, self.train_x, self._smooth)
+        return _by_distance_block(x, self.train_x, [self._from_d2])[:, 0]
 
-    def _smooth(self, d2):
-        logk = -0.5 * d2 / self.bandwidth ** 2
+    def _from_d2(self, d2):
+        logk = d2 / (-2.0 * self.bandwidth ** 2)  # -0.5 * d2 / h**2: scaling by 2 is exact
         logk -= logk.max(axis=1, keepdims=True)
-        w = np.exp(logk)
-        # one dot product per row, not w @ r2: a matrix-vector product sums
-        # a row in an order that depends on the row's place in the block
-        return np.vecdot(w, self.r2) / w.sum(axis=1)
+        if logk.min() > _EXP_CUT:
+            w = np.exp(logk, out=logk)
+        else:
+            # np.exp takes a slow path to each 0.0 it returns, so those
+            # entries become exp(0) * 0 instead; -inf * 0 would be NaN
+            np.maximum(logk, -np.finfo(np.float64).max, out=logk)
+            keep = logk > _EXP_CUT
+            logk *= keep
+            w = np.exp(logk, out=logk)
+            w *= keep
+        return _row_dots(w, self.r2) / w.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -338,6 +370,9 @@ _FITTED = {"constant_one": _ConstantOne, "knn_quantile": _KnnQuantile,
            "kernel_variance": KernelVariance, "linear_quantile_sq": _LinearQuantileSq,
            "binned_quantile": _BinnedQuantile}
 KINDS = tuple(_FITTED)
+# candidates whose ``_from_d2`` CandidateBank.evaluate runs in a shared
+# distance pass
+_BY_DISTANCE = (_KnnQuantile, KernelVariance)
 
 
 def _fit_candidate(spec: CandidateSpec, train_x: np.ndarray, r2: np.ndarray):
@@ -376,8 +411,20 @@ class CandidateBank:
         return len(self.specs)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        cols = [cand.evaluate(x) for cand in self.fitted]
-        return np.column_stack(cols)
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        out = np.empty((x.shape[0], len(self.fitted)))
+        shared = {}  # in d > 1: first candidate of each distinct train_x -> its group
+        for j, cand in enumerate(self.fitted):
+            if x.shape[1] == 1 or not isinstance(cand, _BY_DISTANCE):
+                out[:, j] = cand.evaluate(x)
+                continue
+            first = next((i for i in shared
+                          if np.array_equal(self.fitted[i].train_x, cand.train_x)), j)
+            shared.setdefault(first, []).append(j)
+        for first, cols in shared.items():
+            out[:, cols] = _by_distance_block(x, self.fitted[first].train_x,
+                                              [self.fitted[j]._from_d2 for j in cols])
+        return out
 
     def to_state(self) -> dict:
         return {"specs": [s.to_dict() for s in self.specs],

@@ -103,7 +103,11 @@ ARG_RULES = {
                 lambda v: v is None or _FINITE_NONNEGATIVE[1](v)),
     "support_threshold": _FINITE_NONNEGATIVE, "ridge": _FINITE_NONNEGATIVE,
     "cov_ridge": _FINITE_NONNEGATIVE, "floor": _FINITE_NONNEGATIVE,
-    "k": _COUNT, "bins": _COUNT, "n": _COUNT,
+    "k": _COUNT, "bins": _COUNT, "n": _COUNT, "replications": _COUNT,
+    "base_seed": ("be an integer", _integer),
+    "beta": ("be a finite number or a non-empty list of them",
+             lambda v: all(_real(b) and math.isfinite(b) for b in v) and len(v) > 0
+             if isinstance(v, list) else _real(v) and math.isfinite(v)),
     "size": ("be an integer >= 0", lambda v: _integer(v) and v >= 0),
     "specs": ("be null or non-empty", lambda v: v is None or len(v) > 0),
     "mode": ("be 'exact' or 'hinge'", lambda v: v in ("exact", "hinge")),

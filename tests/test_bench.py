@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,22 @@ class TestConfigValidation:
     def test_bad_split_value(self, key, value):
         with pytest.raises(ConfigError, match=rf"^config\.{key}: "):
             _base_config(**{key: value})
+
+    @pytest.mark.parametrize("path, overrides", [
+        ("alpha_level", {"alpha_level": "abc"}),
+        ("replications", {"replications": "x"}),
+        ("replications", {"replications": 2.7}),
+        ("base_seed", {"base_seed": "s"}),
+        ("data.n", {"data": {"kind": "synthetic", "generator": "hetero1d", "n": 0}}),
+        ("data.n", {"data": {"kind": "synthetic", "generator": "hetero1d", "n": "x"}}),
+        ("shift.beta", {"shift": {"kind": "sigmoid", "beta": "x"}}),
+    ])
+    def test_bad_scenario_value(self, path, overrides):
+        with pytest.raises(ConfigError, match=f"^{re.escape('config.' + path)}: must "):
+            _base_config(**overrides)
+
+    def test_scalar_beta_loads(self):
+        assert _base_config(shift={"kind": "tilt", "beta": 1.5}).shift["beta"] == 1.5
 
     def test_bad_alpha(self):
         with pytest.raises(ConfigError, match="alpha_level"):

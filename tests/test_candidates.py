@@ -1,13 +1,23 @@
 """Candidate bank construction: mean models, residuals, and the five
 candidate families."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import piagg
+from piagg import candidates
 from piagg.candidates import (
+    _EXP_CUT,
+    CandidateBank,
     CandidateSpec,
+    KernelVariance,
     _by_distance_block,
     _equal_weight_quantile_rows,
     _KnnQuantile,
@@ -19,7 +29,7 @@ from piagg.candidates import (
     residuals,
 )
 from piagg.dataset import DataTable, gen_hetero_sim
-from piagg.errors import EmptyBin
+from piagg.errors import ConfigError, EmptyBin
 from piagg.numerics import weighted_quantile
 
 
@@ -176,6 +186,13 @@ def test_blocked_evaluation_matches_row_by_row(d):
         assert np.array_equal(f(x), np.concatenate([f(x[r]) for r in rows]))
 
 
+def test_fitted_kernel_needs_a_bandwidth():
+    # None stands for the normal-reference rule in a spec, but a fitted
+    # smoother has no rule to fall back on
+    with pytest.raises(ConfigError, match=r"^bandwidth: "):
+        KernelVariance(np.zeros((3, 1)), np.ones(3), None)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         CandidateSpec("knn_quantile", k=0, tau=0.5)
@@ -188,8 +205,8 @@ def test_spec_validation():
 def _knn_quantile_brute(cand, x):
     """The brute-force block rule, nearest by (d², index), one row per call."""
     def one(row):
-        return _by_distance_block(row, cand.train_x, lambda d2: _equal_weight_quantile_rows(
-            cand.r2[_knn_indices_block(d2, cand.k)], cand.tau))
+        return _by_distance_block(row, cand.train_x, [lambda d2: _equal_weight_quantile_rows(
+            cand.r2[_knn_indices_block(d2, cand.k)], cand.tau)])[:, 0]
     return np.concatenate([one(x[i:i + 1]) for i in range(x.shape[0])])
 
 
@@ -258,3 +275,124 @@ def test_knn_window_proves_every_row_on_a_grid(k):
     queries = np.concatenate([np.arange(-3.0, 43.0, 0.25), grid])
     _, proven = _window_knn_block(queries, np.arange(40), grid, k)
     assert proven.all()
+
+
+def _smooth_as_before(cand, d2):
+    """The kernel's row function before the exp cut and the chunked dots."""
+    logk = -0.5 * d2 / cand.bandwidth ** 2
+    logk -= logk.max(axis=1, keepdims=True)
+    w = np.exp(logk)
+    return np.vecdot(w, cand.r2) / w.sum(axis=1)
+
+
+@st.composite
+def _kernel_case(draw):
+    d = draw(st.sampled_from([1, 3]))
+    n = draw(st.one_of(st.integers(1, 10_000), st.sampled_from([1, 2, 9_999, 10_000])))
+    bandwidth = draw(st.floats(0.005, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    train_x = rng.normal(size=(n, d))
+    # rows inside the training cloud, on training rows, and far outside it,
+    # where nearly every weight of the row underflows
+    x = np.concatenate([rng.normal(size=(draw(st.integers(1, 20)), d)),
+                        train_x[rng.integers(0, n, size=2)],
+                        rng.normal(size=(3, d)) * draw(st.sampled_from([10.0, 1e3, 1e6]))])
+    return KernelVariance(train_x, rng.exponential(size=n), bandwidth), x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_kernel_case())
+def test_property_kernel_matches_plain_exp(case):
+    cand, x = case
+    expected = _by_distance_block(x, cand.train_x, [lambda d2: _smooth_as_before(cand, d2)])
+    assert np.array_equal(cand.evaluate(x), expected[:, 0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_row_at_infinite_distance_gets_zero_weight(d):
+    # d2 overflows to inf for the far training row, so its log-weight is
+    # -inf while the row's largest is finite: exp(-inf) = 0 as before
+    train_x = np.zeros((3, d))
+    train_x[1] = 1e200
+    cand = KernelVariance(train_x, np.array([2.0, 5.0, 4.0]), 0.5)
+    value = cand.evaluate(np.zeros((1, d)))
+    assert value[0] == 3.0
+    assert np.array_equal(value, _smooth_as_before(cand, np.array([[0.0, np.inf, 0.0]])))
+
+
+def test_exp_is_zero_at_and_below_the_cut():
+    # both the vector loop and the scalar call of np.exp
+    for size in (1, 3, 64):
+        below = np.full(size, _EXP_CUT)
+        assert np.all(np.exp(below) == 0.0)
+        assert np.all(np.exp(np.nextafter(below, -np.inf)) == 0.0)
+        assert np.all(np.exp(np.full(size, -1e4)) == 0.0)
+        assert np.all(np.exp(np.full(size, -745.1332)) > 0.0)
+    assert np.exp(np.float64(_EXP_CUT)) == 0.0 < np.exp(np.float64(-745.1332))
+
+
+def test_kernel_bits_do_not_depend_on_blas_threads(tmp_path):
+    # 12 000 training rows: a single BLAS dot of that length runs on several
+    # threads, whose partial sums depend on the thread count
+    script = """
+import sys
+import numpy as np
+from piagg.candidates import KernelVariance
+rng = np.random.default_rng(5)
+train_x = rng.normal(size=(12_000, 2))
+cand = KernelVariance(train_x, rng.exponential(size=12_000), 0.3)
+np.save(sys.argv[1], cand.evaluate(rng.normal(size=(60, 2))))
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(piagg.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "one.npy")], env=env,
+                   check=True)
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "default.npy")], check=True,
+                   env=dict(os.environ, PYTHONPATH=env["PYTHONPATH"]))
+    rng = np.random.default_rng(5)
+    train_x = rng.normal(size=(12_000, 2))
+    cand = KernelVariance(train_x, rng.exponential(size=12_000), 0.3)
+    here = cand.evaluate(rng.normal(size=(60, 2)))
+    assert here.tobytes() == np.load(tmp_path / "one.npy").tobytes()
+    assert here.tobytes() == np.load(tmp_path / "default.npy").tobytes()
+
+
+def _distance_bank(rng, d=3, n=300):
+    train = _labeled(rng, n=n, d=d)
+    specs = [CandidateSpec("kernel_variance"), CandidateSpec("constant_one"),
+             CandidateSpec("knn_quantile", k=12, tau=0.9),
+             CandidateSpec("kernel_variance", bandwidth=0.05),
+             CandidateSpec("knn_quantile", k=300, tau=0.5),
+             CandidateSpec("linear_quantile_sq", tau=0.9)]
+    return fit_candidate_set(train, residuals(train, fit_mean(train)), specs)
+
+
+def _other_rows(bank, rng):
+    """A bank whose distance candidates hold two different training blocks."""
+    fitted = list(bank.fitted)
+    kv, knn = fitted[0], fitted[2]
+    shifted = kv.train_x + rng.normal(scale=0.1, size=kv.train_x.shape)
+    fitted[0] = KernelVariance(shifted, kv.r2, kv.bandwidth)
+    fitted[2] = _KnnQuantile(shifted[:200], knn.r2[:200], knn.k, knn.tau)
+    return CandidateBank(bank.specs, fitted)
+
+
+@pytest.mark.parametrize("which", ["fitted", "loaded", "different_train_x"])
+def test_bank_shared_pass_matches_each_candidate(which, monkeypatch):
+    rng = np.random.default_rng(50)
+    bank = _distance_bank(rng)
+    passes = {"fitted": 1, "loaded": 1, "different_train_x": 3}[which]
+    if which == "loaded":
+        bank = CandidateBank.from_state(bank.to_state())
+        assert bank.fitted[0].train_x is not bank.fitted[2].train_x
+    elif which == "different_train_x":
+        bank = _other_rows(bank, rng)
+    x = rng.normal(size=(40, 3))  # one distance block per training block
+    calls = []
+    real_cdist = candidates.cdist
+    monkeypatch.setattr(candidates, "cdist",
+                        lambda *a, **k: calls.append(1) or real_cdist(*a, **k))
+    together = bank.evaluate(x)
+    assert len(calls) == passes
+    assert np.array_equal(together, np.column_stack([c.evaluate(x) for c in bank.fitted]))
