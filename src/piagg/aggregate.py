@@ -19,6 +19,7 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .candidates import (
     CandidateBank,
@@ -30,12 +31,11 @@ from .candidates import (
     residuals,
     state_dict,
 )
-from .dataset import DataTable, split, split_spec
+from .dataset import DataTable, check_covariates, split, split_spec
 from .densratio import DensityRatioModel, eval_ratio, fit_density_ratio
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    NonFiniteInput,
     PiaggError,
     ShapeInfeasible,
     ShrinkExceedsOneWarning,
@@ -95,8 +95,7 @@ class IntervalBatch:
         ce = np.asarray(self.center, dtype=np.float64).ravel()
         if not (lo.shape == up.shape == ce.shape):
             raise DimensionMismatch("interval vectors must share a length")
-        finite = np.isfinite(lo) & np.isfinite(up)
-        if np.any(lo[finite] > ce[finite]) or np.any(ce[finite] > up[finite]):
+        if not (np.all(lo <= ce) and np.all(ce <= up)):  # False on a NaN
             raise ConfigError("intervals: must satisfy lower <= center <= upper")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
@@ -182,9 +181,10 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
     if delta is None or epsilon is None:
         raise ConfigError("delta: hinge mode needs both delta and epsilon")
     keep = w > 0
-    n_k = int(np.count_nonzero(keep))
-    # variables [alpha, s]; rows: delta-scaled hinge dominations + budget
-    lhs = np.block([[-phi[keep], -delta * np.eye(n_k)], [np.zeros(phi.shape[1]), w[keep]]])
+    # variables [alpha, s]; rows: delta-scaled hinge dominations + budget, as
+    # one sparse block (a dense slack identity needs n_k² entries)
+    lhs = sparse.bmat([[-phi[keep], sparse.identity(int(np.count_nonzero(keep))) * -delta],
+                       [None, w[keep][None, :]]])
     rhs = np.concatenate([-(r2[keep] + delta), [phi.shape[0] * epsilon]])
     alpha = _solve_shape(obj, lhs, rhs, "hinge budget cannot be met by any candidate combination")
     return ShapeModel(alpha, MODE_COV_HINGE, delta, epsilon, support_threshold,
@@ -242,11 +242,11 @@ def _scan_thresholds(thresholds: np.ndarray, weights: np.ndarray,
     return float(candidates[idx]), float(violations[idx])
 
 
-def _lift(f: np.ndarray, source: bool, floor: float = 0.0,
-          alg2_delta: float = 0.0) -> np.ndarray:
-    """The scale that the shrink level multiplies: f + alg2_delta on the
-    source (Alg. 2), max(f, floor) under covariate shift (Alg. 1)."""
-    return f + alg2_delta if source else np.maximum(f, floor)
+def _lift(f: np.ndarray, floor: float, alg2_delta: float) -> np.ndarray:
+    """The scale that the shrink level multiplies, max(f + alg2_delta, floor):
+    as f >= 0, max(f, floor) under covariate shift (Alg. 1, alg2_delta = 0)
+    and f + alg2_delta on the source (Alg. 2, floor = 0)."""
+    return np.maximum(f + alg2_delta, floor)
 
 
 def _violates(r2: np.ndarray, bound, source: bool) -> np.ndarray:
@@ -291,7 +291,7 @@ def shrink_cov_shift(f_hat_cal: np.ndarray, r2_cal: np.ndarray, w_cal: np.ndarra
     """
     check_args(floor=floor)
     f = np.asarray(f_hat_cal, dtype=np.float64).ravel()
-    return _shrink(_lift(f, False, floor=floor), r2_cal, w_cal, alpha_level, False)
+    return _shrink(_lift(f, floor, 0.0), r2_cal, w_cal, alpha_level, False)
 
 
 def shrink_source(f_hat_cal: np.ndarray, r2_cal: np.ndarray,
@@ -304,7 +304,7 @@ def shrink_source(f_hat_cal: np.ndarray, r2_cal: np.ndarray,
     reports the violation measured just above it.
     """
     f = np.asarray(f_hat_cal, dtype=np.float64).ravel()
-    return _shrink(_lift(f, True, alg2_delta=alg2_delta), r2_cal, np.ones(f.size),
+    return _shrink(_lift(f, 0.0, alg2_delta), r2_cal, np.ones(f.size),
                    alpha_level, True)
 
 
@@ -315,8 +315,7 @@ def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
     z = apply_map(m.adapter, x) if isinstance(m.adapter, AffineMap) else x
     center = np.asarray(m.mean_model.predict(z), dtype=np.float64).ravel()
     f = m.bank.evaluate(z) @ m.shape.alpha
-    scale = _lift(f, m.shape.mode == MODE_SOURCE, m.floor, m.alg2_delta)
-    half = np.sqrt(np.maximum(m.shrink.lambda_hat * scale, 0.0))
+    half = np.sqrt(np.maximum(m.shrink.lambda_hat * _lift(f, m.floor, m.alg2_delta), 0.0))
     return IntervalBatch(center - half, center + half, center)
 
 
@@ -340,15 +339,6 @@ def diagnose(m: PiModel) -> DiagnosticReport:
             ShrinkExceedsOneWarning, stacklevel=2)
     return DiagnosticReport(m.shrink.lambda_hat, m.shrink.lambda_exceeds_one,
                             m.shrink.achieved_violation, m.holdout_violation)
-
-
-def check_covariates(name: str, x) -> np.ndarray:
-    """A covariate matrix (or the covariates of a DataTable), rejected with
-    the argument's name when any entry is NaN or infinite."""
-    x = x.x if isinstance(x, DataTable) else np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput(f"{name}: covariates must be finite")
-    return x
 
 
 def _known_weights(weight_fn, x: np.ndarray) -> np.ndarray:
@@ -428,7 +418,7 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
     f22 = b.phi22 @ shape.alpha
     floor = 1e-9 * max(float(np.max(b.r2_22, initial=0.0)), 1.0)
     shrink = shrink_cov_shift(f22, b.r2_22, w22, alpha_level, floor=floor)
-    bound = shrink.lambda_hat * _lift(f22, False, floor=floor)
+    bound = shrink.lambda_hat * _lift(f22, floor, 0.0)
     return PiModel(shape, b.bank, b.mean_model, shrink, alpha_level, adapter, floor=floor,
                    holdout_violation=float(np.mean(_violates(b.r2_22, bound, False))))
 
@@ -464,7 +454,7 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
     if alg2_delta is None:
         alg2_delta = max(0.01 * float(np.quantile(b.r2_21, 0.9)), 1e-12)
     shrink = shrink_source(f22, b.r2_22, alpha_level, alg2_delta)
-    bound = shrink.lambda_hat * _lift(f22, True, alg2_delta=alg2_delta)
+    bound = shrink.lambda_hat * _lift(f22, 0.0, alg2_delta)
     return PiModel(shape, b.bank, b.mean_model, shrink, alpha_level, adapter,
                    alg2_delta=alg2_delta,
                    holdout_violation=float(np.mean(_violates(b.r2_22, bound, True))))

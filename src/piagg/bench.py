@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,6 +72,20 @@ DEFAULT_AFFINE_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
 CSV_COLUMNS = ("rep", "method", "coverage", "avg_width", "lambda_hat",
                "runtime_s", "n_infinite")
 
+# the keys besides "kind" that the data section may set, by generator (or
+# "csv"), and the shift section, by kind; the top level may set the fields
+# of ScenarioConfig. Any other key is a ConfigError, so a misspelt or retired
+# key fails at load instead of being ignored
+DATA_KEYS = {"hetero1d": ("generator", "n"), "affine_gauss": ("generator", "n", "n_target"),
+             "csv": ("path", "label_column")}
+SHIFT_KEYS = {"none": (), "tilt": ("beta",), "sigmoid": ("beta",), "affine": ("a", "b")}
+
+
+def _check_keys(d: dict, allowed: tuple, path: str, owner: str) -> None:
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: not a field of {owner}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -85,7 +99,6 @@ class ScenarioConfig:
     base_seed: int
     train_fraction: float = 0.75
     fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
-    target_size: int | None = None
     out_dir: str | None = None
 
     @classmethod
@@ -95,31 +108,34 @@ class ScenarioConfig:
                 raise ConfigError(f"{path}.{key}: missing required field")
             return d[key]
 
+        _check_keys(doc, [f.name for f in fields(cls)], "config", "a scenario")
         data = need(doc, "data", "config")
         kind = need(data, "kind", "config.data")
-        gen = None
         if kind == "synthetic":
-            gen = need(data, "generator", "config.data")
-            if gen not in ("hetero1d", "affine_gauss"):
-                raise ConfigError(f"config.data.generator: unknown generator '{gen}'")
-            check_args("config.data.", n=need(data, "n", "config.data"))
+            form = need(data, "generator", "config.data")
+            if form not in ("hetero1d", "affine_gauss"):
+                raise ConfigError(f"config.data.generator: unknown generator '{form}'")
+            need(data, "n", "config.data")
         elif kind == "csv":
+            form = kind
             need(data, "path", "config.data")
         else:
             raise ConfigError(f"config.data.kind: unknown kind '{kind}'")
+        _check_keys(data, ("kind",) + DATA_KEYS[form], "config.data", f"{form} data")
+        check_args("config.data.", **{key: data[key] for key in ("n", "n_target") if key in data})
 
         shift = doc.get("shift", {"kind": "none"})
         skind = need(shift, "kind", "config.shift")
-        if gen == "affine_gauss" and skind != "none":
+        if skind not in SHIFT_KEYS:
+            raise ConfigError(f"config.shift.kind: unknown kind '{skind}'")
+        if form == "affine_gauss" and skind != "none":
             raise ConfigError("config.shift.kind: affine_gauss generates paired "
                               "source/target tables; shift must be 'none'")
-        if skind in ("tilt", "sigmoid"):
-            check_args("config.shift.", beta=need(shift, "beta", "config.shift"))
-        elif skind == "affine":
-            need(shift, "a", "config.shift")
-            need(shift, "b", "config.shift")
-        elif skind != "none":
-            raise ConfigError(f"config.shift.kind: unknown kind '{skind}'")
+        for key in SHIFT_KEYS[skind]:
+            need(shift, key, "config.shift")
+        _check_keys(shift, ("kind",) + SHIFT_KEYS[skind], "config.shift", f"a {skind} shift")
+        if "beta" in shift:
+            check_args("config.shift.", beta=shift["beta"])
 
         methods = need(doc, "methods", "config")
         if not isinstance(methods, list) or not methods:
@@ -128,12 +144,10 @@ class ScenarioConfig:
             name = need(m, "name", f"config.methods[{i}]")
             if name not in METHOD_KEYS:
                 raise ConfigError(f"config.methods[{i}].name: unknown method '{name}'")
-            for key, value in m.items():
-                if key == "name":
-                    continue
-                if key not in METHOD_KEYS[name]:
-                    raise ConfigError(f"config.methods[{i}].{key}: not a parameter of {name}")
-                _check_method_value(f"config.methods[{i}].", key, value)
+            _check_keys(m, ("name",) + METHOD_KEYS[name], f"config.methods[{i}]", name)
+            for key in METHOD_KEYS[name]:
+                if key in m:
+                    _check_method_value(f"config.methods[{i}].", key, m[key])
 
         top = {key: need(doc, key, "config")
                for key in ("alpha_level", "replications", "base_seed")}
@@ -145,7 +159,6 @@ class ScenarioConfig:
             train_fraction=float(train_fraction),
             fractions=split_spec(doc.get("fractions", (0.5, 0.25, 0.25)), 0, 3,
                                  "config.fractions").fractions,
-            target_size=doc.get("target_size"),
             out_dir=doc.get("out_dir"),
         )
 
@@ -246,12 +259,9 @@ def _make_rep_data(cfg: ScenarioConfig, seed: int,
     target labels exist for evaluation only."""
     data = cfg.data
     if data["kind"] == "synthetic" and data["generator"] == "affine_gauss":
-        a = np.asarray(data.get("a", DEFAULT_AFFINE_A), dtype=np.float64)
-        b = np.asarray(data.get("b", DEFAULT_AFFINE_B), dtype=np.float64)
         n = int(data["n"])
-        n_target = int(data.get("n_target", max(n // 4, 1)))
-        return gen_affine_gauss(n, n_target, a, b, derive_seed(seed, 1),
-                                noise_scale=float(data.get("noise_scale", 1.0)))
+        return gen_affine_gauss(n, int(data.get("n_target", max(n // 4, 1))), DEFAULT_AFFINE_A,
+                                DEFAULT_AFFINE_B, derive_seed(seed, 1))
 
     if data["kind"] == "synthetic":
         table = gen_hetero_sim(int(data["n"]), derive_seed(seed, 1))
@@ -264,20 +274,15 @@ def _make_rep_data(cfg: ScenarioConfig, seed: int,
     train, held = split(table, SplitSpec((cfg.train_fraction, 1.0 - cfg.train_fraction),
                                          derive_seed(seed, 2)))
     shift = cfg.shift
-    m = cfg.target_size if cfg.target_size is not None else held.n
     if shift["kind"] == "none":
         target = held
     elif shift["kind"] == "tilt":
-        target = tilt_resample(held, np.asarray(shift["beta"], float), m,
-                               derive_seed(seed, 3))
+        target = tilt_resample(held, shift["beta"], held.n, derive_seed(seed, 3))
     elif shift["kind"] == "sigmoid":
         w = sigmoid(held.x @ np.asarray(shift["beta"], float))
-        target = weighted_resample(held, w, m, derive_seed(seed, 3))
-    elif shift["kind"] == "affine":
-        target = affine_shift(held, np.asarray(shift["a"], float),
-                              np.asarray(shift["b"], float))
+        target = weighted_resample(held, w, held.n, derive_seed(seed, 3))
     else:
-        raise ConfigError(f"config.shift.kind: unknown kind '{shift['kind']}'")
+        target = affine_shift(held, shift["a"], shift["b"])
     return train, target
 
 

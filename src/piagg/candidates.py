@@ -176,19 +176,21 @@ def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
     return out
 
 
-def _knn_indices_block(d2: np.ndarray, k: int) -> np.ndarray:
-    n_train = d2.shape[1]
-    if k >= n_train:
-        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+def _k_nearest(d2: np.ndarray, index: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in each row of ``d2`` of its k nearest entries by (d², index),
+    and each row's k-th d². Only a row whose k-th place splits a distance tie,
+    or every row when k spans it, is sorted; any other keeps the order of
+    ``argpartition``, on which the kNN mean's summation order rests."""
     part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    rows = np.arange(d2.shape[0])[:, None]
-    kth = d2[rows, part].max(axis=1)
-    # distance ties straddling the selection boundary get the exact rule:
-    # lowest original index wins
-    tie_rows = np.nonzero((d2 <= kth[:, None]).sum(axis=1) > k)[0]
-    for i in tie_rows:
-        part[i] = np.argsort(d2[i], kind="stable")[:k]
-    return part
+    kth = np.take_along_axis(d2, part, axis=1).max(axis=1)
+    tie = ((d2 <= kth[:, None]).sum(axis=1) > k) | (k == d2.shape[1])
+    if tie.any():
+        part[tie] = np.lexsort((np.broadcast_to(index, d2.shape)[tie], d2[tie]), axis=-1)[:, :k]
+    return part, kth
+
+
+def _knn_indices_block(d2: np.ndarray, k: int) -> np.ndarray:
+    return _k_nearest(d2, np.arange(d2.shape[1]), k)[0]
 
 
 def _window_knn_block(x0: np.ndarray, order: np.ndarray, sorted_x: np.ndarray,
@@ -206,14 +208,10 @@ def _window_knn_block(x0: np.ndarray, order: np.ndarray, sorted_x: np.ndarray,
     start = np.clip(np.searchsorted(sorted_x, x0) - k - 1, 0, n - w)
     pos = start[:, None] + np.arange(w)
     d2 = (x0[:, None] - sorted_x[pos]) ** 2
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    kth = np.take_along_axis(d2, part, axis=1).max(axis=1)
+    index = order[pos]
+    part, kth = _k_nearest(d2, index, k)
     proven = (np.isfinite(x0) & ((start == 0) | (kth < d2[:, 0]))
               & ((start + w == n) | (kth < d2[:, -1])))
-    index = order[pos]
-    # distance ties straddling the selection boundary: lowest index wins
-    tie = (d2 <= kth[:, None]).sum(axis=1) > k
-    part[tie] = np.lexsort((index[tie], d2[tie]), axis=-1)[:, :k]
     return np.take_along_axis(index, part, axis=1), proven
 
 

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import CandidateSpec, KernelVariance, fit_candidate_set, residuals
-from .dataset import DataTable
+from .dataset import DataTable, check_covariates
 from .densratio import DensityRatioModel, eval_ratio
 from .errors import PiaggError, check_args
 from .numerics import LinearModel, left_quantiles, ols_fit, quantile_reg_fit
-from .aggregate import IntervalBatch, check_covariates
+from .aggregate import IntervalBatch
 
 
 @dataclass(frozen=True)

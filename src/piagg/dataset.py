@@ -24,12 +24,22 @@ from .errors import (
 from .rng import Rng
 
 
+def check_covariates(name: str, x) -> np.ndarray:
+    """A covariate matrix (or a DataTable's covariates), rejected with the
+    argument's name unless every entry is finite with |x| <= 1e100: squared
+    distances between rows then cannot overflow in any realistic dimension."""
+    x = x.x if isinstance(x, DataTable) else np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if not np.all(np.abs(x) <= 1e100):  # False on a NaN
+        raise NonFiniteInput(f"{name}: covariates must be finite with |x| <= 1e100")
+    return x
+
+
 @dataclass(frozen=True)
 class DataTable:
     """Covariate matrix with an optional response vector.
 
     ``y`` is None for unlabeled (target-domain) tables. Entries must be
-    finite.
+    finite, and covariates must pass ``check_covariates``.
     """
 
     x: np.ndarray
@@ -37,10 +47,8 @@ class DataTable:
     column_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
+        x = check_covariates("x", self.x)
         object.__setattr__(self, "x", x)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteInput("x: covariates contain non-finite entries")
         if self.y is not None:
             y = np.asarray(self.y, dtype=np.float64).ravel()
             if y.shape[0] != x.shape[0]:
@@ -220,7 +228,7 @@ def gen_hetero_sim(n: int, seed: int) -> DataTable:
 
 
 def gen_affine_gauss(n_source: int, n_target: int, a: np.ndarray, b: np.ndarray,
-                     seed: int, noise_scale: float = 1.0) -> tuple[DataTable, DataTable]:
+                     seed: int) -> tuple[DataTable, DataTable]:
     """Paired source/target generator for transport-map scenarios.
 
     Source covariates are standard Gaussians with a linear mean and
@@ -239,8 +247,7 @@ def gen_affine_gauss(n_source: int, n_target: int, a: np.ndarray, b: np.ndarray,
 
     def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
         z = gen.normal(n * d).reshape(n, d)
-        scale = noise_scale * np.sqrt(1.0 + 0.5 * z[:, 0] ** 2)
-        noise = gen.uniform(-1.0, 1.0, n) * scale
+        noise = gen.uniform(-1.0, 1.0, n) * np.sqrt(1.0 + 0.5 * z[:, 0] ** 2)
         return z, z @ theta + noise
 
     xs, ys = draw(n_source)

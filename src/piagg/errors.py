@@ -62,7 +62,7 @@ class LengthMismatch(PiaggError):
 
 
 class NonFiniteInput(PiaggError):
-    """An input array holds NaN or infinite entries; the message names the argument."""
+    """An input holds NaN or infinite entries, or covariates beyond 1e100; the message names it."""
 
 
 class ConfigError(PiaggError, ValueError):
@@ -103,7 +103,7 @@ ARG_RULES = {
                 lambda v: v is None or _FINITE_NONNEGATIVE[1](v)),
     "support_threshold": _FINITE_NONNEGATIVE, "ridge": _FINITE_NONNEGATIVE,
     "cov_ridge": _FINITE_NONNEGATIVE, "floor": _FINITE_NONNEGATIVE,
-    "k": _COUNT, "bins": _COUNT, "n": _COUNT, "replications": _COUNT,
+    "k": _COUNT, "bins": _COUNT, "n": _COUNT, "n_target": _COUNT, "replications": _COUNT,
     "base_seed": ("be an integer", _integer),
     "beta": ("be a finite number or a non-empty list of them",
              lambda v: all(_real(b) and math.isfinite(b) for b in v) and len(v) > 0

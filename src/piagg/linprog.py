@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from .errors import DimensionMismatch, PiaggError, PivotLimitExceeded
 
@@ -30,7 +30,7 @@ class LinearProgram:
     """Minimization LP in the canonical form ``min c@x s.t. A@x <= b``.
 
     ``nonneg_mask[j]`` marks variable j as constrained to ``x_j >= 0``;
-    unmarked variables are free.
+    unmarked variables are free. ``ineq_lhs`` may be SciPy sparse.
     """
 
     objective: np.ndarray
@@ -40,19 +40,19 @@ class LinearProgram:
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=np.float64)
-        a = np.asarray(self.ineq_lhs, dtype=np.float64)
+        a = self.ineq_lhs
+        a = sparse.csr_array(a, dtype=np.float64) if sparse.issparse(a) else np.asarray(a, float)
         b = np.asarray(self.ineq_rhs, dtype=np.float64)
         mask = np.asarray(self.nonneg_mask, dtype=bool)
         if a.ndim != 2:
             raise DimensionMismatch("ineq_lhs must be a 2-d matrix")
         m, n = a.shape
-        if c.shape != (n,):
-            raise DimensionMismatch(f"objective has length {c.shape}, expected ({n},)")
-        if b.shape != (m,):
-            raise DimensionMismatch(f"ineq_rhs has length {b.shape}, expected ({m},)")
-        if mask.shape != (n,):
-            raise DimensionMismatch(f"nonneg_mask has length {mask.shape}, expected ({n},)")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        for name, v, shape in (("objective", c, (n,)), ("ineq_rhs", b, (m,)),
+                               ("nonneg_mask", mask, (n,))):
+            if v.shape != shape:
+                raise DimensionMismatch(f"{name} has length {v.shape}, expected {shape}")
+        entries = a.data if sparse.issparse(a) else a
+        if not all(np.all(np.isfinite(v)) for v in (c, entries, b)):
             raise DimensionMismatch("LP data must be finite")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "ineq_lhs", a)

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from piagg import aggregate
 from piagg.aggregate import (
+    MODE_SOURCE,
     IntervalBatch,
     PiModel,
     ShapeModel,
     ShrinkResult,
+    _lift,
     _scan_thresholds,
     diagnose,
     fit_covariate_shift,
@@ -29,7 +33,16 @@ from piagg.aggregate import (
     shrink_source,
 )
 from piagg.candidates import CandidateSpec, fit_candidate_set
-from piagg.dataset import DataTable, SplitSpec, gen_hetero_sim, weighted_resample
+from piagg.conformal import fit_wqc, fit_wvac, predict_wqc, predict_wvac
+from piagg.dataset import (
+    DataTable,
+    SplitSpec,
+    gen_affine_gauss,
+    gen_hetero_sim,
+    split,
+    weighted_resample,
+)
+from piagg.densratio import fit_density_ratio
 from piagg.errors import (
     ConfigError,
     DimensionMismatch,
@@ -399,6 +412,30 @@ def test_property_interval_invariants(fitted_models, method, seed, lams):
     assert np.all(narrow.width <= wide.width)
 
 
+def _lift_two_branch(f, source, floor, alg2_delta):
+    """The scale as two formulas, picked by the shape's mode."""
+    return f + alg2_delta if source else np.maximum(f, floor)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(method=st.sampled_from(["alg1", "alg1_hinge", "alg2"]), seed=st.integers(0, 2 ** 16))
+def test_property_one_lift_matches_two_branches(fitted_models, method, seed):
+    m = fitted_models[method]
+    x = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(60, 1))
+    # the fitted shape at x, plus a vanishing and a sub-floor value
+    f = np.concatenate([m.bank.evaluate(x) @ m.shape.alpha, [0.0, m.floor / 2]])
+    assert np.array_equal(_lift(f, m.floor, m.alg2_delta),
+                          _lift_two_branch(f, m.shape.mode == MODE_SOURCE, m.floor, m.alg2_delta))
+
+
+def test_predict_does_not_read_the_shape_mode(fitted_models):
+    x = np.linspace(-2.0, 2.0, 41)[:, None]
+    for m in fitted_models.values():
+        other = "cov_shift_exact" if m.shape.mode == MODE_SOURCE else MODE_SOURCE
+        relabeled = replace(m, shape=replace(m.shape, mode=other))
+        assert np.array_equal(predict_interval(relabeled, x).upper, predict_interval(m, x).upper)
+
+
 def _tiny_model(alpha, lam, alg2=False):
     bank = fit_candidate_set(DataTable(np.zeros((3, 1)), np.zeros(3)), np.zeros(3),
                              [CandidateSpec("constant_one")])
@@ -449,6 +486,44 @@ class TestNonFiniteCovariates:
         target_x[7, 0] = bad
         with pytest.raises(NonFiniteInput, match="^target_x:"):
             fit(src, target_x, 0.1)
+
+
+@pytest.fixture(scope="module")
+def predictors():
+    """The four predict paths, each with its covariate dimension."""
+    src = gen_hetero_sim(600, seed=29)
+    tx = src.x[:150] * 0.8 + 0.1
+    alg1 = fit_covariate_shift(src, tx, 0.1, seed=3)
+    src5, target5 = gen_affine_gauss(600, 200, np.diag([1.5, 1.2, 1.6, 2.0, 1.8]),
+                                     np.array([1.0, 0.0, 0.0, 1.0, 0.0]), 5)
+    alg2 = fit_transport(src5, target5.x, 0.1, seed=3)
+    train1, cal = split(src, SplitSpec((0.5, 0.5), 4))
+    ratio = fit_density_ratio(train1.x, tx)
+    wvac, wqc = fit_wvac(train1, cal, ratio), fit_wqc(train1, cal, ratio, 0.1)
+    return {"alg1": (1, lambda x: predict_interval(alg1, x)),
+            "alg2": (5, lambda x: predict_interval(alg2, x)),
+            "wvac": (1, lambda x: predict_wvac(wvac, x, 0.1)),
+            "wqc": (1, lambda x: predict_wqc(wqc, x, 0.1))}
+
+
+_COVARIATE = st.one_of(st.floats(-1e308, 1e308), st.floats(-1e3, 1e3),
+                       st.sampled_from([1e100, -1e100, 1e101, 1e155, 1e200, -1e300]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(method=st.sampled_from(["alg1", "alg2", "wvac", "wqc"]),
+       values=st.lists(_COVARIATE, min_size=10, max_size=10))
+def test_property_no_nan_interval_at_any_finite_input(predictors, method, values):
+    # a finite input is rejected beyond |x| = 1e100 and otherwise gives an
+    # interval without NaN
+    d, predict = predictors[method]
+    x = np.asarray(values).reshape(-1, d)
+    if np.max(np.abs(x)) > 1e100:
+        with pytest.raises(NonFiniteInput, match="^x:"):
+            predict(x)
+        return
+    b = predict(x)
+    assert not any(np.isnan(v).any() for v in (b.lower, b.center, b.upper))
 
 
 class TestDiagnose:
@@ -653,6 +728,7 @@ class TestPipelineArguments:
 
 @pytest.mark.parametrize("call, error", [
     (lambda: DataTable(np.array([[0.0], [np.nan]])), NonFiniteInput),
+    (lambda: DataTable(np.array([[0.0], [-1.5e100]])), NonFiniteInput),
     (lambda: gen_hetero_sim(0, 1), ConfigError),
     (lambda: SplitSpec((0.5, 0.6), 1), ConfigError),
     (lambda: weighted_resample(gen_hetero_sim(4, 1), [1.0, -1.0, 1.0, 1.0], 3, 0),
@@ -661,7 +737,7 @@ class TestPipelineArguments:
     (lambda: logistic_fit(np.arange(4.0)[:, None], [0.0, 1.0, 2.0, 1.0]), ConfigError),
     (lambda: hinge_constraint_value(ShapeModel(np.ones(1), "cov_shift_exact"),
                                     np.ones((2, 1)), np.ones(2), np.ones(2)), ConfigError),
-], ids=["datatable_nan", "hetero_n0", "split_sum", "resample_negative", "no_specs",
+], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative", "no_specs",
         "logistic_labels", "hinge_no_scale"])
 def test_public_entry_points_raise_typed_errors(call, error):
     with pytest.raises(error):
@@ -671,3 +747,67 @@ def test_public_entry_points_raise_typed_errors(call, error):
 def test_interval_batch_validates_order():
     with pytest.raises(ValueError):
         IntervalBatch(np.array([1.0]), np.array([0.0]), np.array([0.5]))
+
+
+@pytest.mark.parametrize("lower, upper, center", [
+    (np.nan, 1.0, 0.0), (-1.0, np.nan, 0.0), (-1.0, 1.0, np.nan),
+    (-np.inf, np.inf, np.nan), (np.inf, np.inf, 0.0)])
+def test_interval_batch_checks_every_row(lower, upper, center):
+    # infinite rows are checked too, and a NaN anywhere fails the order
+    with pytest.raises(ValueError):
+        IntervalBatch(np.array([-1.0, lower]), np.array([1.0, upper]), np.array([0.0, center]))
+
+
+def test_interval_batch_takes_infinite_bounds():
+    b = IntervalBatch(np.array([-np.inf, 0.0]), np.array([np.inf, 1.0]), np.array([5.0, 1.0]))
+    assert np.array_equal(b.width, [np.inf, 1.0])
+
+
+def _criterion_6_lp(rng):
+    """Six random rows feasible at a positive point, plus a bounding row."""
+    a = rng.normal(size=(6, 4))
+    x0 = rng.uniform(0.2, 1.0, size=4)
+    b = a @ x0 + rng.uniform(0.1, 1.0, size=6)
+    return (rng.normal(size=4), np.vstack([a, np.ones(4)]),
+            np.concatenate([b, [float(x0.sum() + 5.0)]]))
+
+
+def _hinge_lp(rng):
+    """A hinge-mode shape LP: dominations relaxed by delta-scaled slacks, plus
+    the weighted budget row; a constant candidate first, some values zero."""
+    n, k, delta = int(rng.integers(1, 40)), int(rng.integers(1, 5)), 0.3
+    phi = rng.uniform(0.0, 1.0, size=(n, k)) * (rng.random((n, k)) > 0.2)
+    phi[:, 0] = 1.0
+    lhs = np.block([[-phi, -delta * np.eye(n)], [np.zeros(k), rng.uniform(0.1, 3.0, size=n)]])
+    rhs = np.concatenate([-(rng.exponential(size=n) + delta), [n * 0.05]])
+    return np.concatenate([rng.uniform(0.1, 1.0, size=k), np.zeros(n)]), lhs, rhs
+
+
+@pytest.mark.parametrize("make", [_criterion_6_lp, _hinge_lp], ids=["criterion_6", "hinge"])
+def test_sparse_and_dense_lps_agree_bit_for_bit(make):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        c, a, b = make(rng)
+        mask = np.ones(c.shape[0], dtype=bool)
+        dense = solve_lp(LinearProgram(c, a, b, mask))
+        coo = solve_lp(LinearProgram(c, sparse.coo_array(a), b, mask))
+        assert dense.status == coo.status == OPTIMAL
+        assert np.array_equal(dense.x, coo.x)
+
+
+def test_hinge_mode_hands_a_sparse_lp(monkeypatch):
+    seen = []
+
+    def record(p, *args):
+        seen.append(p)
+        return solve_lp(p, *args)
+
+    monkeypatch.setattr(aggregate, "solve_lp", record)
+    rng = np.random.default_rng(5)
+    phi, r2, w = rng.uniform(0.1, 1.0, size=(300, 3)), rng.exponential(size=300), np.ones(300)
+    shape = fit_shape_cov_shift(phi, r2, w, phi[:50], mode="hinge", delta=0.3, epsilon=0.05)
+    (lp,) = seen
+    assert sparse.issparse(lp.ineq_lhs) and lp.ineq_lhs.shape == (301, 303)
+    dense = solve_lp(LinearProgram(lp.objective, lp.ineq_lhs.toarray(), lp.ineq_rhs,
+                                   lp.nonneg_mask))
+    assert np.array_equal(shape.alpha, np.maximum(dense.x[:3], 0.0))

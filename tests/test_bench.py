@@ -142,6 +142,28 @@ class TestRunScenario:
         assert {r.method for r in s.rows} == {"wvac"}
 
 
+class TestShiftAndDataPaths:
+    @pytest.mark.parametrize("shift", [
+        {"kind": "tilt", "beta": [1.5]},
+        {"kind": "affine", "a": [[1.3]], "b": [0.2]},
+    ], ids=["tilt", "affine"])
+    def test_shift_runs(self, shift):
+        s = run_scenario(_base_config(data={"kind": "synthetic", "generator": "hetero1d",
+                                            "n": 300}, shift=shift))
+        assert not s.failures and len(s.rows) == 2
+        assert all(np.isfinite(r.coverage) for r in s.rows)
+
+    def test_csv_with_label_column_runs(self, tmp_path):
+        table = gen_hetero_sim(300, seed=12)
+        path = tmp_path / "source.csv"
+        path.write_text("y,x1\n" + "".join(f"{y!r},{x!r}\n" for x, y in
+                                           zip(table.x[:, 0].tolist(), table.y.tolist())))
+        s = run_scenario(_base_config(data={"kind": "csv", "path": str(path),
+                                            "label_column": "y"}))
+        assert not s.failures and len(s.rows) == 2
+        assert all(np.isfinite(r.coverage) for r in s.rows)
+
+
 class TestEmitReport:
     def test_header_only_for_empty_summary(self, tmp_path):
         csv_path, json_path = emit_report(RunSummary(), str(tmp_path))
@@ -272,9 +294,45 @@ class TestConfigValidation:
         ("data.n", {"data": {"kind": "synthetic", "generator": "hetero1d", "n": 0}}),
         ("data.n", {"data": {"kind": "synthetic", "generator": "hetero1d", "n": "x"}}),
         ("shift.beta", {"shift": {"kind": "sigmoid", "beta": "x"}}),
+        ("data.n_target", {"data": {"kind": "synthetic", "generator": "affine_gauss", "n": 100,
+                                    "n_target": "x"}, "shift": {"kind": "none"}}),
+        ("data.n_target", {"data": {"kind": "synthetic", "generator": "affine_gauss", "n": 100,
+                                    "n_target": 0}, "shift": {"kind": "none"}}),
     ])
     def test_bad_scenario_value(self, path, overrides):
         with pytest.raises(ConfigError, match=f"^{re.escape('config.' + path)}: must "):
+            _base_config(**overrides)
+
+    @pytest.mark.parametrize("path, overrides", [
+        ("target_size", {"target_size": 100}),
+        ("data.a", {"data": {"kind": "synthetic", "generator": "affine_gauss", "n": 100,
+                             "a": [[1.0]]}, "shift": {"kind": "none"}}),
+        ("data.b", {"data": {"kind": "synthetic", "generator": "affine_gauss", "n": 100,
+                             "b": [0.0]}, "shift": {"kind": "none"}}),
+        ("data.noise_scale", {"data": {"kind": "synthetic", "generator": "affine_gauss",
+                                       "n": 100, "noise_scale": 2.0},
+                              "shift": {"kind": "none"}}),
+        ("data.n_target", {"data": {"kind": "synthetic", "generator": "hetero1d", "n": 100,
+                                    "n_target": 50}}),
+        ("data.label_column", {"data": {"kind": "synthetic", "generator": "hetero1d",
+                                        "n": 100, "label_column": "y"}}),
+        ("shift.beta", {"shift": {"kind": "affine", "a": [[1.0]], "b": [0.0], "beta": [1.0]}}),
+        ("shift.gamma", {"shift": {"kind": "sigmoid", "beta": [1.0], "gamma": 2}}),
+        ("shift.beta", {"shift": {"kind": "none", "beta": [1.0]}}),
+    ])
+    def test_unknown_key_names_its_path(self, path, overrides):
+        # retired keys (target_size, and data.a, data.b and data.noise_scale
+        # of affine_gauss) and misplaced ones fail at load
+        with pytest.raises(ConfigError, match=f"^{re.escape('config.' + path)}: not a field"):
+            _base_config(**overrides)
+
+    @pytest.mark.parametrize("path, overrides", [
+        ("shift.a", {"shift": {"kind": "affine", "b": [0.0]}}),
+        ("shift.beta", {"shift": {"kind": "tilt"}}),
+        ("data.path", {"data": {"kind": "csv", "label_column": "y"}}),
+    ])
+    def test_missing_key_names_its_path(self, path, overrides):
+        with pytest.raises(ConfigError, match=f"^{re.escape('config.' + path)}: missing"):
             _base_config(**overrides)
 
     def test_scalar_beta_loads(self):

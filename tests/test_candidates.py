@@ -396,3 +396,42 @@ def test_bank_shared_pass_matches_each_candidate(which, monkeypatch):
     together = bank.evaluate(x)
     assert len(calls) == passes
     assert np.array_equal(together, np.column_stack([c.evaluate(x) for c in bank.fitted]))
+
+
+@st.composite
+def _knn_selection_case(draw):
+    n = draw(st.integers(1, 60))
+    k = draw(st.one_of(st.integers(1, n), st.sampled_from([1, n])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):  # an integer grid: many rows at equal distances
+        train_x = rng.integers(-4, 5, size=n).astype(float)
+    else:
+        train_x = rng.normal(size=n)
+    if draw(st.booleans()):  # whole runs of repeated training values
+        train_x = np.repeat(train_x[:(n + 2) // 3], 3)[:n]
+    # half-integer queries sit midway between grid rows, a tie on each side
+    x0 = np.concatenate([rng.integers(-12, 13, size=draw(st.integers(1, 15))) / 2.0,
+                         rng.choice(train_x, size=3), rng.normal(scale=3.0, size=5)])
+    return train_x, x0, k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_knn_selection_case())
+def test_property_k_nearest_matches_stable_argsort(case):
+    # both kNN selections against the (d², index) order of a stable sort: the
+    # same k nearest rows, in that order where the k-th place splits a tie or
+    # k takes every row
+    train_x, x0, k = case
+    n = train_x.shape[0]
+    d2 = (x0[:, None] - train_x[None, :]) ** 2
+    order = np.argsort(train_x, kind="stable")
+    brute = _knn_indices_block(d2, k)
+    window, proven = _window_knn_block(x0, order, train_x[order], k)
+    for i in range(x0.shape[0]):
+        ref = np.argsort(d2[i], kind="stable")[:k]
+        assert np.array_equal(np.sort(brute[i]), np.sort(ref))
+        if proven[i]:
+            assert np.array_equal(np.sort(window[i]), np.sort(ref))
+        if k == n or np.count_nonzero(d2[i] <= d2[i, ref[-1]]) > k:
+            assert np.array_equal(brute[i], ref)
+    assert proven.all() or k < n
