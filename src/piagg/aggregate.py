@@ -480,7 +480,7 @@ def _mean_model_from_state(d: dict):
         return LinearModel(np.asarray(state["coefficients"], float), "ols_mean")
     if kind == "knn":
         return KnnMean(**state)
-    raise PiaggError(f"unknown mean model kind '{kind}'")
+    raise ConfigError(f"unknown mean model kind '{kind}'")
 
 
 def _adapter_state(adapter) -> tuple[str, dict | None]:
@@ -505,7 +505,7 @@ def _adapter_from_state(kind: str, d: dict | None):
                                  d["prob_clip"], d["ratio_cap"])
     if kind == "map":
         return AffineMap(**d)
-    raise PiaggError(f"unknown adapter kind '{kind}'")
+    raise ConfigError(f"unknown adapter kind '{kind}'")
 
 
 def model_to_dict(m: PiModel) -> dict:
@@ -532,40 +532,35 @@ def model_to_dict(m: PiModel) -> dict:
     }
 
 
-_MODEL_FIELDS = ("alpha_level", "mode", "alpha", "shape_objective", "delta", "epsilon",
-                 "support_threshold", "lambda_hat", "achieved_violation",
-                 "lambda_exceeds_one", "holdout_violation", "floor", "alg2_delta",
-                 "mean_model", "bank", "adapter_kind", "adapter")
-
-
 def model_from_dict(d: dict) -> PiModel:
     """Rebuild a fitted model from its document; a missing or malformed
     field raises ConfigError naming the field or section."""
     if not isinstance(d, dict) or d.get("format") != "piagg-model-v1":
         raise ConfigError("model.format: not a recognized model document")
-    for key in _MODEL_FIELDS:
-        if key not in d:
-            raise ConfigError(f"model.{key}: missing required field")
     section = "model"
     try:
         shape = ShapeModel(np.asarray(d["alpha"], float), d["mode"], d["delta"],
                            d["epsilon"], d["support_threshold"], d["shape_objective"])
         shrink = ShrinkResult(d["lambda_hat"], d["achieved_violation"],
                               d["lambda_exceeds_one"])
+        scalars = dict(alpha_level=d["alpha_level"], alg2_delta=d["alg2_delta"],
+                       floor=d["floor"], holdout_violation=d["holdout_violation"])
+        bank_state, mean_state = d["bank"], d["mean_model"]
+        adapter_state = d["adapter_kind"], d["adapter"]
         section = "model.bank"
-        bank = CandidateBank.from_state(d["bank"])
+        bank = CandidateBank.from_state(bank_state)
         section = "model.mean_model"
-        mean_model = _mean_model_from_state(d["mean_model"])
+        mean_model = _mean_model_from_state(mean_state)
         section = "model.adapter"
-        adapter = _adapter_from_state(d["adapter_kind"], d["adapter"])
+        adapter = _adapter_from_state(*adapter_state)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
+        if section == "model" and isinstance(exc, KeyError):
+            raise ConfigError(f"model.{exc.args[0]}: missing required field") from None
         raise ConfigError(f"{section}: malformed ({type(exc).__name__}: {exc})") from exc
     if shape.alpha.shape[0] != bank.n_candidates:
         raise ConfigError(f"model.alpha: {shape.alpha.shape[0]} weights for "
                           f"{bank.n_candidates} candidates")
-    return PiModel(shape, bank, mean_model, shrink, d["alpha_level"], adapter,
-                   alg2_delta=d["alg2_delta"], floor=d["floor"],
-                   holdout_violation=d["holdout_violation"])
+    return PiModel(shape, bank, mean_model, shrink, adapter=adapter, **scalars)
 
 
 def save_model(m: PiModel, path: str) -> None:

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dataset import DataTable
-from .errors import ConfigError, DimensionMismatch, EmptyBin, PiaggError, check_args
+from .errors import (ConfigError, DimensionMismatch, EmptyBin, NonFiniteInput, PiaggError,
+                     check_args)
 from .numerics import LinearModel, ols_fit, quantile_reg_fit
 
 
@@ -45,12 +46,7 @@ class CandidateSpec:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("k", "tau", "bandwidth", "bins"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        return {name: v for name, v in state_dict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CandidateSpec":
@@ -178,12 +174,12 @@ def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
 
 def _k_nearest(d2: np.ndarray, index: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions in each row of ``d2`` of its k nearest entries by (d², index),
-    and each row's k-th d². Only a row whose k-th place splits a distance tie,
-    or every row when k spans it, is sorted; any other keeps the order of
-    ``argpartition``, on which the kNN mean's summation order rests."""
+    and each row's k-th d². Only a row whose k-th place splits a distance tie
+    is sorted; any other keeps the order of ``argpartition``, on which the
+    kNN mean's summation order rests."""
     part = np.argpartition(d2, k - 1, axis=1)[:, :k]
     kth = np.take_along_axis(d2, part, axis=1).max(axis=1)
-    tie = ((d2 <= kth[:, None]).sum(axis=1) > k) | (k == d2.shape[1])
+    tie = (d2 <= kth[:, None]).sum(axis=1) > k
     if tie.any():
         part[tie] = np.lexsort((np.broadcast_to(index, d2.shape)[tie], d2[tie]), axis=-1)[:, :k]
     return part, kth
@@ -410,6 +406,8 @@ class CandidateBank:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteInput("x: covariates must be finite")
         out = np.empty((x.shape[0], len(self.fitted)))
         shared = {}  # in d > 1: first candidate of each distinct train_x -> its group
         for j, cand in enumerate(self.fitted):

@@ -32,7 +32,7 @@ from piagg.aggregate import (
     shrink_cov_shift,
     shrink_source,
 )
-from piagg.candidates import CandidateSpec, fit_candidate_set
+from piagg.candidates import CandidateSpec, fit_candidate_set, fit_mean, residuals
 from piagg.conformal import fit_wqc, fit_wvac, predict_wqc, predict_wvac
 from piagg.dataset import (
     DataTable,
@@ -585,6 +585,13 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=r"model\.alpha"):
             model_from_dict(doc)
 
+    def test_every_missing_field_names_itself(self):
+        for key in set(self._tiny_doc()) - {"format"}:
+            doc = self._tiny_doc()
+            del doc[key]
+            with pytest.raises(ConfigError, match=rf"^model\.{key}: missing required field$"):
+                model_from_dict(doc)
+
     def test_malformed_section_names_its_path(self):
         doc = self._tiny_doc()
         del doc["bank"]["specs"][0]["kind"]
@@ -612,9 +619,12 @@ class TestSerialization:
         ("bank", lambda d: d["bank"]["state"][1]["train_x"][0].__setitem__(0, float("nan"))),
         ("mean_model", lambda d: d["mean_model"].update(k=0)),
         ("mean_model", lambda d: d["mean_model"]["train_y"].pop()),
+        ("mean_model", lambda d: d["mean_model"].update(kind="bogus")),
+        ("adapter", lambda d: d.update(adapter_kind="bogus")),
     ], ids=["state_one_short", "bandwidth_zero", "bandwidth_negative", "bandwidth_nan",
             "k_zero", "k_above_rows", "r2_misaligned", "binned_values_short",
-            "train_x_nan", "knn_mean_k_zero", "knn_mean_y_misaligned"])
+            "train_x_nan", "knn_mean_k_zero", "knn_mean_y_misaligned", "mean_model_kind",
+            "adapter_kind"])
     def test_malformed_candidate_state_rejected(self, section, corrupt):
         doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
         corrupt(doc)
@@ -726,6 +736,23 @@ class TestPipelineArguments:
             fit(src, src.x[:40], 0.1, **kwargs)
 
 
+_LABELED = gen_hetero_sim(20, 1)
+_UNLABELED = DataTable(_LABELED.x)
+# each hands an unlabeled table to a fit that needs labels
+_UNLABELED_CALLS = {
+    "fit_mean": lambda: fit_mean(_UNLABELED),
+    "residuals": lambda: residuals(_UNLABELED, fit_mean(_LABELED)),
+    "candidate_set": lambda: fit_candidate_set(_UNLABELED, np.ones(20), None),
+    "wvac": lambda: fit_wvac(_UNLABELED, _LABELED, None),
+    "wqc": lambda: fit_wqc(_LABELED, _UNLABELED, None, 0.1),
+    "covariate_shift": lambda: fit_covariate_shift(_UNLABELED, _LABELED.x, 0.1),
+}
+
+
+def _bank():
+    return fit_candidate_set(_LABELED, np.ones(20), None)
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: DataTable(np.array([[0.0], [np.nan]])), NonFiniteInput),
     (lambda: DataTable(np.array([[0.0], [-1.5e100]])), NonFiniteInput),
@@ -737,10 +764,25 @@ class TestPipelineArguments:
     (lambda: logistic_fit(np.arange(4.0)[:, None], [0.0, 1.0, 2.0, 1.0]), ConfigError),
     (lambda: hinge_constraint_value(ShapeModel(np.ones(1), "cov_shift_exact"),
                                     np.ones((2, 1)), np.ones(2), np.ones(2)), ConfigError),
+    (lambda: _bank().evaluate([[np.nan]]), NonFiniteInput),
+    (lambda: _bank().evaluate([[0.5], [-np.inf]]), NonFiniteInput),
+    (lambda: fit_shape_cov_shift(np.ones((3, 1)), np.ones(3), np.ones(3), np.ones((2, 1)),
+                                 mode="hinge", epsilon=0.1), ConfigError),
+    (lambda: fit_shape_cov_shift(np.ones((3, 1)), np.ones(3), np.ones(3), np.ones((2, 1)),
+                                 mode="hinge", delta=0.1), ConfigError),
+    *[(call, PiaggError) for call in _UNLABELED_CALLS.values()],
 ], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative", "no_specs",
-        "logistic_labels", "hinge_no_scale"])
+        "logistic_labels", "hinge_no_scale", "bank_nan", "bank_inf", "hinge_no_delta",
+        "hinge_no_epsilon", *[f"unlabeled_{name}" for name in _UNLABELED_CALLS]])
 def test_public_entry_points_raise_typed_errors(call, error):
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call", list(_UNLABELED_CALLS.values()), ids=list(_UNLABELED_CALLS))
+def test_unlabeled_table_fails_the_label_check(call):
+    # other checks raise PiaggError subclasses too, so the message is pinned
+    with pytest.raises(PiaggError, match="labeled"):
         call()
 
 

@@ -266,6 +266,20 @@ def test_knn_window_edge_tie_at_rounded_distance(sign):
     assert cand.evaluate(x)[0] == _knn_quantile_brute(cand, x)[0] == 1.0
 
 
+@pytest.mark.parametrize("d", [1, 5])
+def test_knn_quantile_with_k_spanning_the_rows_is_the_global_quantile(d):
+    # at k >= n every row's neighbours are all of D1, in whatever order, so
+    # each row gets the tau-quantile of all squared residuals
+    rng = np.random.default_rng(41 + d)
+    t = _labeled(rng, n=73, d=d)
+    r2 = residuals(t, ZeroMean())
+    x = np.vstack([rng.normal(scale=2.0, size=(40, d)), t.x[:5], np.full((1, d), -1e100)])
+    expected = np.quantile(r2, 0.9, method="inverted_cdf")
+    for k in (73, 10 ** 6):
+        bank = fit_candidate_set(t, r2, [CandidateSpec("knn_quantile", k=k, tau=0.9)])
+        assert np.array_equal(bank.evaluate(x)[:, 0], np.full(x.shape[0], expected))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 20])
 def test_knn_window_proves_every_row_on_a_grid(k):
     # evenly spaced rows, queries between, on and beyond them: the k nearest
@@ -419,8 +433,7 @@ def _knn_selection_case(draw):
 @given(case=_knn_selection_case())
 def test_property_k_nearest_matches_stable_argsort(case):
     # both kNN selections against the (d², index) order of a stable sort: the
-    # same k nearest rows, in that order where the k-th place splits a tie or
-    # k takes every row
+    # same k nearest rows, in that order where the k-th place splits a tie
     train_x, x0, k = case
     n = train_x.shape[0]
     d2 = (x0[:, None] - train_x[None, :]) ** 2
@@ -432,6 +445,6 @@ def test_property_k_nearest_matches_stable_argsort(case):
         assert np.array_equal(np.sort(brute[i]), np.sort(ref))
         if proven[i]:
             assert np.array_equal(np.sort(window[i]), np.sort(ref))
-        if k == n or np.count_nonzero(d2[i] <= d2[i, ref[-1]]) > k:
+        if np.count_nonzero(d2[i] <= d2[i, ref[-1]]) > k:
             assert np.array_equal(brute[i], ref)
     assert proven.all() or k < n

@@ -3,12 +3,13 @@
 Each hash covers a fitted model's document (``model_to_dict``; for a
 conformal baseline, its fitted arrays) and its intervals on 333 rows, the
 last three as far out as |x| = 1e100. The set holds 6 replications each of
-13 fits: alg1 exact, hinge, with known weights, with a kNN mean and
+16 fits: alg1 exact, hinge, with known weights, with a kNN mean and
 ``support_threshold``, and with a kNN candidate of k >= n; wvac at both
 bandwidth rules; wqc; alg2 with and without a target; and in 5-d, alg1
 and alg2 with a kNN and two kernel candidates, and alg2 with the default
-bank. Equal output from two runs means bit-identical fits and intervals,
-so diff it across commits or BLAS thread counts:
+bank through each transport mode and through a supplied map. Equal output
+from two runs means bit-identical fits and intervals, so diff it across
+commits or BLAS thread counts:
 
     PYTHONPATH=src python tools/hash_set.py > a.txt
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_set.py > b.txt
@@ -21,6 +22,7 @@ import json
 import numpy as np
 
 from piagg import (
+    AffineMap,
     CandidateSpec,
     SplitSpec,
     fit_covariate_shift,
@@ -105,6 +107,11 @@ FITS = {
     "alg1_5d_knn_kernels": _piagg(fit_covariate_shift, _data_5d, specs=KNN_KERNELS),
     "alg2_5d_knn_kernels": _piagg(fit_transport, _data_5d, specs=KNN_KERNELS),
     "alg2_5d": _piagg(fit_transport, _data_5d),
+    "alg2_5d_coral": _piagg(fit_transport, _data_5d, transport_mode="coral", cov_ridge=0.1),
+    "alg2_5d_location_scale": _piagg(fit_transport, _data_5d, transport_mode="location_scale",
+                                     cov_ridge=0.1),
+    "alg2_5d_supplied_map": _piagg(fit_transport, _data_5d, transport_map=AffineMap(
+        np.diag([0.7, 0.8, 0.6, 0.5, 0.55]), [-0.7, 0.0, 0.0, -0.5, 0.0])),
 }
 
 
