@@ -368,6 +368,8 @@ def _fit_pipeline(source: DataTable, alpha_level: float, specs, fractions, seed:
     """The three-block plan of both algorithms up to the shape LP: split
     the source, fit the mean and the candidates on D1, and evaluate them
     on D21 and D22."""
+    if source.y is None:
+        raise PiaggError("source: needs a labeled table")
     d1, d21, d22 = split(source, split_spec(fractions, seed, 3, "fractions"))
     mean_model = fit_mean(d1, mean_method)
     bank = fit_candidate_set(d1, residuals(d1, mean_model), specs)

@@ -55,7 +55,7 @@ def _check_method_value(prefix: str, key: str, value) -> None:
             raise ConfigError(f"{prefix}{key}: must be a non-empty list")
         for j, entry in enumerate(value):
             try:
-                CandidateSpec.from_dict(entry)
+                CandidateSpec(**entry)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{prefix}{key}: entry {j}: {exc}") from None
     elif key == "fractions":
@@ -236,7 +236,7 @@ def _run_method(method_cfg: dict, train: DataTable, target_x: np.ndarray,
     kw = {key: method_cfg[key] for key in METHOD_KEYS[name] if key in method_cfg}
     if name in ("alg1", "alg2"):
         if "candidates" in kw:
-            kw["specs"] = [CandidateSpec.from_dict(d) for d in kw.pop("candidates")]
+            kw["specs"] = [CandidateSpec(**d) for d in kw.pop("candidates")]
         kw["fractions"] = tuple(kw.get("fractions", fractions))
         fit = fit_covariate_shift if name == "alg1" else fit_transport
         model = fit(train, target_x, alpha_level, seed=seed, **kw)

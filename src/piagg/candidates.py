@@ -48,10 +48,6 @@ class CandidateSpec:
     def to_dict(self) -> dict:
         return {name: v for name, v in state_dict(self).items() if v is not None}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CandidateSpec":
-        return cls(**d)
-
 
 def default_bank_specs() -> list[CandidateSpec]:
     """Six-candidate bank mixing quantile-flavored, smoothing-flavored,
@@ -149,6 +145,22 @@ def check_squared_residuals(r2, n_rows: int) -> np.ndarray:
 _ENTRIES = 2 ** 15
 
 
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct rows of ``x``, told apart by their bytes (0.0 and -0.0
+    differ), and the index of each row of ``x`` among them; ``(x, None)`` if
+    no row repeats. A resampled target repeats rows. Only for values computed
+    from each row alone, as distances are: a BLAS matrix product (a linear
+    candidate in d > 1, ``phi @ alpha``) may round a row by its batch."""
+    first = np.sort(x[:, :1].view(np.int64), axis=0)  # cheaper than np.unique
+    if not np.any(first[1:] == first[:-1]):
+        return x, None
+    keys = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
+    _, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if index.shape[0] == x.shape[0]:
+        return x, None
+    return x[index], inverse.reshape(-1)  # NumPy 2.0 gives inverse the shape of keys
+
+
 def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
     """One column per function of ``row_fns``: ``row_fn(d2)`` over blocks of
     evaluation rows, where ``d2`` holds a block's squared Euclidean
@@ -159,6 +171,7 @@ def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != train_x.shape[1]:
         raise DimensionMismatch("covariate dimension does not match training data")
+    x, inverse = _distinct_rows(x)
     out = np.empty((x.shape[0], len(row_fns)))
     step = max(1, _ENTRIES // train_x.shape[0])
     for start in range(0, x.shape[0], step):
@@ -169,7 +182,7 @@ def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
             d2 = cdist(rows, train_x, "sqeuclidean")
         for j, row_fn in enumerate(row_fns):
             out[start:start + step, j] = row_fn(d2)
-    return out
+    return out if inverse is None else out[inverse]
 
 
 def _k_nearest(d2: np.ndarray, index: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +266,7 @@ class _KnnQuantile:
         object.__setattr__(self, "tau", float(self.tau))
 
     def evaluate(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x, inverse = _distinct_rows(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         out = np.empty(x.shape[0])
         proven = np.zeros(x.shape[0], dtype=bool)
         if x.shape[1] == self.train_x.shape[1] == 1:
@@ -266,7 +279,7 @@ class _KnnQuantile:
                 nearest, proven[rows] = _window_knn_block(x[rows, 0], order, sorted_x, self.k)
                 out[rows] = _equal_weight_quantile_rows(self.r2[nearest], self.tau)
         out[~proven] = _by_distance_block(x[~proven], self.train_x, [self._from_d2])[:, 0]
-        return out
+        return out if inverse is None else out[inverse]
 
     def _from_d2(self, d2):
         return _equal_weight_quantile_rows(self.r2[_knn_indices_block(d2, self.k)], self.tau)
@@ -357,7 +370,7 @@ class _BinnedQuantile:
     def evaluate(self, x):
         x0 = np.atleast_2d(np.asarray(x, float))[:, 0]
         idx = np.searchsorted(self.edges, x0, side="right")
-        return self.values[np.clip(idx, 0, len(self.values) - 1)]
+        return self.values[idx]  # idx <= len(edges) = len(values) - 1
 
 
 _FITTED = {"constant_one": _ConstantOne, "knn_quantile": _KnnQuantile,
@@ -428,7 +441,7 @@ class CandidateBank:
 
     @classmethod
     def from_state(cls, d: dict) -> "CandidateBank":
-        specs = [CandidateSpec.from_dict(s) for s in d["specs"]]
+        specs = [CandidateSpec(**s) for s in d["specs"]]
         fitted = [_FITTED[s.kind](**st) for s, st in zip(specs, d["state"], strict=True)]
         return cls(specs, fitted)
 

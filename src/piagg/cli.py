@@ -113,7 +113,7 @@ def _cmd_gen(args) -> int:
         base = gen_hetero_sim(args.n, args.seed)
         beta = np.asarray(args.beta if args.beta else [1.0], dtype=np.float64)
         table = tilt_resample(base, beta, args.m or args.n, args.seed + 1)
-    elif args.scenario == "affine":
+    else:  # "affine": argparse admits only the three choices
         source, target = gen_affine_gauss(args.n, args.m or max(args.n // 4, 1),
                                           DEFAULT_AFFINE_A, DEFAULT_AFFINE_B, args.seed)
         if args.out_target:
@@ -121,8 +121,6 @@ def _cmd_gen(args) -> int:
                        target.column_names + ["y"],
                        [target.x[:, j] for j in range(target.d)] + [target.y])
         table = source
-    else:
-        raise ConfigError(f"unknown scenario '{args.scenario}'")
     _write_csv(args.out, table.column_names + ["y"],
                [table.x[:, j] for j in range(table.d)] + [table.y])
     print(args.out)

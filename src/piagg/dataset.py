@@ -168,13 +168,7 @@ def split(t: DataTable, s: SplitSpec) -> list[DataTable]:
     if t.n < len(s.fractions):
         raise EmptyInput(f"{len(s.fractions)} split parts need as many rows, got {t.n}")
     perm = Rng(s.seed).permutation(t.n)
-    sizes = _part_sizes(s.fractions, t.n)
-    parts = []
-    start = 0
-    for size in sizes:
-        parts.append(t.take(perm[start:start + size]))
-        start += size
-    return parts
+    return [t.take(part) for part in np.split(perm, np.cumsum(_part_sizes(s.fractions, t.n))[:-1])]
 
 
 def weighted_resample(t: DataTable, weights: np.ndarray, m: int, seed: int) -> DataTable:

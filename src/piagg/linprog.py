@@ -59,14 +59,6 @@ class LinearProgram:
         object.__setattr__(self, "ineq_rhs", b)
         object.__setattr__(self, "nonneg_mask", mask)
 
-    @property
-    def n_var(self) -> int:
-        return self.ineq_lhs.shape[1]
-
-    @property
-    def n_constraints(self) -> int:
-        return self.ineq_lhs.shape[0]
-
 
 @dataclass(frozen=True)
 class LPSolution:
@@ -90,14 +82,15 @@ def solve_lp(p: LinearProgram, max_pivots: int | None = None) -> LPSolution:
     ------
     PivotLimitExceeded
         when HiGHS stops at ``max_pivots`` simplex iterations
-        (default ``200 * (m + n_var)``).
+        (default ``200 * (m + n)`` for m constraints and n variables).
     PiaggError
         when HiGHS ends without an optimum, an infeasibility or an
         unboundedness proof.
     """
+    m, n = p.ineq_lhs.shape
     if max_pivots is None:
-        max_pivots = 200 * (p.n_constraints + p.n_var)
-    bounds = np.column_stack([np.where(p.nonneg_mask, 0.0, -np.inf), np.full(p.n_var, np.inf)])
+        max_pivots = 200 * (m + n)
+    bounds = np.column_stack([np.where(p.nonneg_mask, 0.0, -np.inf), np.full(n, np.inf)])
     res = optimize.linprog(p.objective, A_ub=p.ineq_lhs, b_ub=p.ineq_rhs,
                            bounds=bounds, method="highs-ds",
                            options={"primal_feasibility_tolerance": FEAS_TOL,

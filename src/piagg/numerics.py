@@ -234,7 +234,7 @@ def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
     if n < p + 1:
         raise EmptyInput(f"need at least {p + 1} observations for {p - 1} covariates")
     res = _sp_optimize.linprog(-y, A_eq=xd.T, b_eq=(1.0 - tau) * xd.sum(axis=0),
-                               bounds=(0, 1), method="highs")
+                               bounds=(0, 1), method="highs", options={"presolve": False})
     if not res.success:
         raise PiaggError(f"quantile regression LP failed: {res.message}")
     beta = -np.asarray(res.eqlin.marginals, dtype=np.float64)

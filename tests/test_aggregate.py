@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from piagg import aggregate
+from piagg import aggregate, candidates
 from piagg.aggregate import (
     MODE_SOURCE,
     IntervalBatch,
@@ -526,6 +527,29 @@ def test_property_no_nan_interval_at_any_finite_input(predictors, method, values
     assert not any(np.isnan(v).any() for v in (b.lower, b.center, b.upper))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(method=st.sampled_from(["alg1", "alg2", "wvac"]), seed=st.integers(0, 2 ** 32 - 1),
+       m=st.integers(1, 12), draws=st.integers(1, 40))
+def test_property_repeated_rows_give_the_same_intervals(predictors, method, seed, m, draws):
+    # a resampled target repeats rows, whose distances each predict path
+    # computes once; bytes are compared, as array_equal takes -0.0 for 0.0
+    d, predict = predictors[method]
+    rng = np.random.default_rng(seed)
+    x = np.vstack([rng.normal(size=(m, d)), np.zeros((1, d)), np.full((1, d), -0.0)])
+    idx = rng.integers(0, x.shape[0], draws)
+
+    def intervals(rows):
+        b = predict(rows)
+        return np.column_stack([b.lower, b.center, b.upper])
+
+    got = intervals(x[idx])
+    # against every repeat evaluated again, not against a gather or one row
+    # per call: BLAS products (phi @ alpha, the map, the linear models) may
+    # round a row differently in another batch
+    with mock.patch.object(candidates, "_distinct_rows", lambda rows: (rows, None)):
+        assert got.tobytes() == intervals(x[idx]).tobytes()
+
+
 class TestDiagnose:
     def test_no_warning_below_one(self):
         import warnings as w
@@ -734,6 +758,16 @@ class TestPipelineArguments:
         src = gen_hetero_sim(200, seed=3)
         with pytest.raises(ConfigError, match=rf"^{param}: "):
             fit(src, src.x[:40], 0.1, **kwargs)
+
+    @pytest.mark.parametrize("fit", [fit_covariate_shift, fit_transport], ids=["alg1", "alg2"])
+    def test_unlabeled_source_rejected_before_the_split(self, monkeypatch, fit):
+        def no_split(*args):
+            raise AssertionError("the split ran before the source was checked")
+
+        monkeypatch.setattr("piagg.aggregate.split", no_split)
+        src = gen_hetero_sim(400, seed=3)
+        with pytest.raises(PiaggError, match=r"^source: .*labeled"):
+            fit(DataTable(src.x), src.x[:40], 0.1)
 
 
 _LABELED = gen_hetero_sim(20, 1)

@@ -5,6 +5,8 @@ import os
 import pathlib
 import subprocess
 import sys
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +20,12 @@ from piagg.candidates import (
     CandidateBank,
     CandidateSpec,
     KernelVariance,
+    KnnMean,
     _by_distance_block,
+    _distinct_rows,
     _equal_weight_quantile_rows,
     _KnnQuantile,
+    _LinearQuantileSq,
     _knn_indices_block,
     _window_knn_block,
     default_bank_specs,
@@ -448,3 +453,102 @@ def test_property_k_nearest_matches_stable_argsort(case):
         if np.count_nonzero(d2[i] <= d2[i, ref[-1]]) > k:
             assert np.array_equal(brute[i], ref)
     assert proven.all() or k < n
+
+
+def _assert_repeats_exact(f, x, idx, batch_invariant=True):
+    """``f(x[idx])``, ``idx`` with repeats, has the bytes of ``f`` with each
+    repeat evaluated again and, where ``f`` is batch-invariant, of the gather
+    ``f(x)[idx]`` and of one row per call. Bytes tell -0.0 from 0.0;
+    ``array_equal`` does not."""
+    got = f(x[idx])
+    with mock.patch.object(candidates, "_distinct_rows", lambda rows: (rows, None)):
+        assert got.tobytes() == f(x[idx]).tobytes()
+    if batch_invariant:
+        assert got.tobytes() == f(x)[idx].tobytes()
+        assert got.tobytes() == np.concatenate([f(x[i:i + 1]) for i in idx]).tobytes()
+
+
+@lru_cache(maxsize=None)
+def _default_bank(d, loaded):
+    """A fitted default bank on 300 rows (or that bank saved and loaded),
+    a kNN mean on the same rows, and the training table."""
+    train = _labeled(np.random.default_rng(60 + d), n=300, d=d)
+    bank = fit_candidate_set(train, residuals(train, fit_mean(train)), None)
+    if loaded:
+        bank = CandidateBank.from_state(bank.to_state())
+    return bank, fit_mean(train, "knn", k=9), train
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.sampled_from([1, 5]), loaded=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       m=st.integers(1, 12), draws=st.integers(1, 40))
+def test_property_repeated_rows_are_evaluated_exactly(d, loaded, seed, m, draws):
+    # a resampled target repeats rows, and the distance candidates and the kNN
+    # mean evaluate each distinct row once
+    bank, knn_mean, train = _default_bank(d, loaded)
+    rng = np.random.default_rng(seed)
+    # fresh rows, training rows (a distance tie at zero) and both signed zeros
+    x = np.vstack([rng.normal(size=(m, d)), train.x[rng.integers(0, train.n, 3)],
+                   np.zeros((1, d)), np.full((1, d), -0.0)])
+    idx = rng.integers(0, x.shape[0], draws)
+    by_distance = [c.evaluate for c in bank.fitted if isinstance(c, candidates._BY_DISTANCE)]
+    for f in [bank.evaluate, knn_mean.predict] + by_distance:
+        # in d > 1 a linear candidate's BLAS product rounds a row by its batch
+        _assert_repeats_exact(f, x, idx, batch_invariant=d == 1 or f != bank.evaluate)
+
+
+def test_signed_zero_rows_stay_apart():
+    # rows are keyed by their bytes, so 0.0 and -0.0 are two rows; np.unique
+    # of the float column would merge them
+    x = np.array([[0.0], [-0.0], [0.5]])
+    rows, inverse = _distinct_rows(x[[0, 1, 0, 1, 2]])
+    assert rows.shape == (3, 1) and rows[inverse].tobytes() == x[[0, 1, 0, 1, 2]].tobytes()
+    # a -0.0 in a later column alone makes a row distinct
+    assert _distinct_rows(np.array([[0.0, 0.0], [0.0, -0.0]]))[1] is None
+    train = _labeled(np.random.default_rng(61), n=50, d=1)
+    specs = [CandidateSpec("kernel_variance"), CandidateSpec("knn_quantile", k=5, tau=0.9)]
+    bank = fit_candidate_set(train, residuals(train, fit_mean(train)), specs)
+    bank = CandidateBank(specs + [CandidateSpec("linear_quantile_sq", tau=0.9)],
+                         bank.fitted + [_LinearQuantileSq([0.0, 1.0], 0.9)])
+    _assert_repeats_exact(bank.evaluate, x, [0, 1, 2, 1, 0, 1])
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_each_distinct_row_reaches_the_distance_pass_once(d, monkeypatch):
+    rng = np.random.default_rng(62)
+    train = _labeled(rng, n=200, d=d)
+    bank = fit_candidate_set(train, residuals(train, fit_mean(train)), [
+        CandidateSpec("kernel_variance"), CandidateSpec("knn_quantile", k=7, tau=0.9)])
+    knn_mean = fit_mean(train, "knn", k=9)
+    x = rng.normal(size=(30, d))[rng.permutation(np.repeat(np.arange(30), 4))]
+    seen = {}
+    for cls in (KernelVariance, _KnnQuantile, KnnMean):
+        def spy(self, d2, real=cls._from_d2):
+            seen[type(self)] = seen.get(type(self), 0) + d2.shape[0]
+            return real(self, d2)
+        monkeypatch.setattr(cls, "_from_d2", spy)
+
+    def window_spy(x0, *args, real=candidates._window_knn_block):
+        seen["window"] = seen.get("window", 0) + x0.shape[0]
+        return real(x0, *args)
+
+    monkeypatch.setattr(candidates, "_window_knn_block", window_spy)
+    bank.evaluate(x)
+    # in 1-d the kNN quantile's sorted window proves every row here
+    assert seen == ({KernelVariance: 30, "window": 30} if d == 1
+                    else {KernelVariance: 30, _KnnQuantile: 30})
+    seen.clear()
+    bank.fitted[0].evaluate(x)
+    knn_mean.predict(x)
+    assert seen == {KernelVariance: 30, KnnMean: 30}
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_empty_input_passes_through(d):
+    bank, knn_mean, _ = _default_bank(d, False)
+    x = np.empty((0, d))
+    assert bank.evaluate(x).shape == (0, bank.n_candidates)
+    assert knn_mean.predict(x).shape == (0,)
+    kernel = bank.fitted[5]
+    assert _by_distance_block(x, kernel.train_x, [kernel._from_d2]).shape == (0, 1)
+    assert _distinct_rows(x)[1] is None

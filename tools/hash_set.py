@@ -7,9 +7,11 @@ last three as far out as |x| = 1e100. The set holds 6 replications each of
 ``support_threshold``, and with a kNN candidate of k >= n; wvac at both
 bandwidth rules; wqc; alg2 with and without a target; and in 5-d, alg1
 and alg2 with a kNN and two kernel candidates, and alg2 with the default
-bank through each transport mode and through a supplied map. Equal output
-from two runs means bit-identical fits and intervals, so diff it across
-commits or BLAS thread counts:
+bank through each transport mode and through a supplied map. A second
+hash per fit covers its intervals on 999 rows drawn with replacement from
+those 333, as a resampled target repeats rows. Equal output from two runs
+means bit-identical fits and intervals, so diff it across commits or BLAS
+thread counts:
 
     PYTHONPATH=src python tools/hash_set.py > a.txt
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_set.py > b.txt
@@ -43,6 +45,8 @@ from piagg import (
 REPS = 6
 ALPHA = 0.1
 FAR = [1e10, -1e50, 1e100]
+# RandomState's stream is frozen across NumPy versions
+RESAMPLE = np.random.RandomState(333).randint(0, 333, 999)
 KNN_KERNELS = [CandidateSpec("constant_one"), CandidateSpec("knn_quantile", k=20, tau=0.9),
                CandidateSpec("kernel_variance"), CandidateSpec("kernel_variance", bandwidth=0.8)]
 
@@ -65,7 +69,7 @@ def _piagg(fit, data, **kw):
     def run(seed):
         source, target_x, rows = data(seed)
         model = fit(source, target_x, ALPHA, seed=seed, **kw)
-        return model_to_dict(model), predict_interval(model, rows)
+        return model_to_dict(model), [predict_interval(model, r) for r in (rows, rows[RESAMPLE])]
     return run
 
 
@@ -76,17 +80,17 @@ def _conformal(name, **kw):
         ratio = fit_density_ratio(train1.x, target_x)
         if name == "wvac":
             model = fit_wvac(train1, cal, ratio, **kw)
-            batch = predict_wvac(model, rows, ALPHA)
+            batches = [predict_wvac(model, r, ALPHA) for r in (rows, rows[RESAMPLE])]
             scale = model.scale_model
             doc = {"mean": model.mean_model.coefficients.tolist(),
                    "bandwidth": scale.smoother.bandwidth, "sigma_min": scale.sigma_min}
         else:
             model = fit_wqc(train1, cal, ratio, ALPHA)
-            batch = predict_wqc(model, rows, ALPHA)
+            batches = [predict_wqc(model, r, ALPHA) for r in (rows, rows[RESAMPLE])]
             doc = {"q_lo": model.q_lo.coefficients.tolist(),
                    "q_hi": model.q_hi.coefficients.tolist()}
         doc.update(cal_scores=model.cal_scores.tolist(), cal_weights=model.cal_weights.tolist())
-        return doc, batch
+        return doc, batches
     return run
 
 
@@ -115,16 +119,22 @@ FITS = {
 }
 
 
+def _digest(h, batch):
+    for v in (batch.lower, batch.center, batch.upper):
+        h.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
+    return h
+
+
 def main():
     total = hashlib.sha256()
     for name, run in FITS.items():
         for rep in range(REPS):
-            doc, batch = run(1000 * rep + 7)
-            h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
-            for v in (batch.lower, batch.center, batch.upper):
-                h.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
-            print(f"{name} {rep} {h.hexdigest()}")
-            total.update(h.digest())
+            doc, (batch, resampled) = run(1000 * rep + 7)
+            fit_hash = _digest(hashlib.sha256(json.dumps(doc, sort_keys=True).encode()), batch)
+            for label, h in ((rep, fit_hash),
+                             (f"{rep} resampled", _digest(hashlib.sha256(), resampled))):
+                print(f"{name} {label} {h.hexdigest()}")
+                total.update(h.digest())
     print(f"total {total.hexdigest()}")
 
 
