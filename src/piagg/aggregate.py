@@ -31,7 +31,7 @@ from .candidates import (
     residuals,
     state_dict,
 )
-from .dataset import DataTable, check_covariates, split, split_spec
+from .dataset import DataTable, SplitSpec, check_covariates, split
 from .densratio import DensityRatioModel, eval_ratio, fit_density_ratio
 from .errors import (
     ConfigError,
@@ -363,14 +363,13 @@ class _Blocks:
     r2_22: np.ndarray
 
 
-def _fit_pipeline(source: DataTable, alpha_level: float, specs, fractions, seed: int,
-                  mean_method: str) -> _Blocks:
+def _fit_pipeline(source: DataTable, specs, fractions, seed: int, mean_method: str) -> _Blocks:
     """The three-block plan of both algorithms up to the shape LP: split
     the source, fit the mean and the candidates on D1, and evaluate them
     on D21 and D22."""
     if source.y is None:
         raise PiaggError("source: needs a labeled table")
-    d1, d21, d22 = split(source, split_spec(fractions, seed, 3, "fractions"))
+    d1, d21, d22 = split(source, SplitSpec(fractions, seed))
     mean_model = fit_mean(d1, mean_method)
     bank = fit_candidate_set(d1, residuals(d1, mean_model), specs)
     return _Blocks(mean_model, bank, d1.x,
@@ -395,10 +394,10 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
     entirely in that case. Target labels, if present, are ignored.
     """
     tx = check_covariates("target_x", target_x)
-    check_args(alpha_level=alpha_level, specs=specs, mode=mode, delta=delta, epsilon=epsilon,
-               support_threshold=support_threshold, mean_method=mean_method,
-               prob_clip=prob_clip, ratio_cap=ratio_cap)
-    b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method)
+    check_args(alpha_level=alpha_level, specs=specs, fractions=fractions, mode=mode,
+               delta=delta, epsilon=epsilon, support_threshold=support_threshold,
+               mean_method=mean_method, prob_clip=prob_clip, ratio_cap=ratio_cap)
+    b = _fit_pipeline(source, specs, fractions, seed, mean_method)
     if weight_fn is not None:
         adapter = None
         w21 = _known_weights(weight_fn, b.x21)
@@ -440,9 +439,14 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
     unshifted source pipeline whose intervals are used as-is.
     """
     tx = None if target_x is None else check_covariates("target_x", target_x)
-    check_args(alpha_level=alpha_level, specs=specs, transport_mode=transport_mode,
-               cov_ridge=cov_ridge, alg2_delta=alg2_delta, mean_method=mean_method)
-    b = _fit_pipeline(source, alpha_level, specs, fractions, seed, mean_method)
+    check_args(alpha_level=alpha_level, specs=specs, fractions=fractions,
+               transport_mode=transport_mode, cov_ridge=cov_ridge, alg2_delta=alg2_delta,
+               mean_method=mean_method)
+    if not isinstance(transport_map, (AffineMap, type(None))):
+        raise ConfigError("transport_map: must be null or an AffineMap")
+    if transport_map is not None and transport_map.b.shape[0] != source.d:
+        raise DimensionMismatch(f"transport_map: needs dimension {source.d}, the source's")
+    b = _fit_pipeline(source, specs, fractions, seed, mean_method)
     if transport_map is not None:
         adapter: AffineMap | None = transport_map
     elif tx is not None:

@@ -27,7 +27,6 @@ from .dataset import (
     gen_hetero_sim,
     load_csv,
     split,
-    split_spec,
     tilt_resample,
     weighted_resample,
 )
@@ -58,8 +57,6 @@ def _check_method_value(prefix: str, key: str, value) -> None:
                 CandidateSpec(**entry)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{prefix}{key}: entry {j}: {exc}") from None
-    elif key == "fractions":
-        split_spec(value, 0, 3, prefix + key)
     elif key == "ratio_ridge":  # the ridge of the density-ratio fit
         check_args(prefix + "ratio_", ridge=value)
     else:
@@ -98,7 +95,6 @@ class ScenarioConfig:
     replications: int
     base_seed: int
     train_fraction: float = 0.75
-    fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
     out_dir: str | None = None
 
     @classmethod
@@ -157,8 +153,6 @@ class ScenarioConfig:
             data=data, shift=shift, methods=methods, alpha_level=float(top["alpha_level"]),
             replications=int(top["replications"]), base_seed=int(top["base_seed"]),
             train_fraction=float(train_fraction),
-            fractions=split_spec(doc.get("fractions", (0.5, 0.25, 0.25)), 0, 3,
-                                 "config.fractions").fractions,
             out_dir=doc.get("out_dir"),
         )
 
@@ -225,8 +219,7 @@ def coverage_and_width(intervals, y: np.ndarray) -> tuple[float, float]:
 
 
 def _run_method(method_cfg: dict, train: DataTable, target_x: np.ndarray,
-                alpha_level: float, fractions: tuple[float, float, float],
-                seed: int) -> tuple[object, float | None]:
+                alpha_level: float, seed: int) -> tuple[object, float | None]:
     """Fit one method and predict on the target covariates.
 
     Returns (intervals, lambda_hat). Target labels never reach this
@@ -237,7 +230,6 @@ def _run_method(method_cfg: dict, train: DataTable, target_x: np.ndarray,
     if name in ("alg1", "alg2"):
         if "candidates" in kw:
             kw["specs"] = [CandidateSpec(**d) for d in kw.pop("candidates")]
-        kw["fractions"] = tuple(kw.get("fractions", fractions))
         fit = fit_covariate_shift if name == "alg1" else fit_transport
         model = fit(train, target_x, alpha_level, seed=seed, **kw)
         return predict_interval(model, target_x), model.shrink.lambda_hat
@@ -299,7 +291,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunSummary:
             t0 = time.perf_counter()
             try:
                 intervals, lam = _run_method(method_cfg, train, target.x,
-                                             cfg.alpha_level, cfg.fractions, mseed)
+                                             cfg.alpha_level, mseed)
             except Exception as exc:  # isolate per-method failures
                 summary.failures.append({"rep": rep, "method": method_cfg["name"],
                                          "error": f"{type(exc).__name__}: {exc}"})

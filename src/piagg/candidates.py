@@ -266,7 +266,7 @@ class _KnnQuantile:
         object.__setattr__(self, "tau", float(self.tau))
 
     def evaluate(self, x):
-        x, inverse = _distinct_rows(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.empty(x.shape[0])
         proven = np.zeros(x.shape[0], dtype=bool)
         if x.shape[1] == self.train_x.shape[1] == 1:
@@ -279,7 +279,7 @@ class _KnnQuantile:
                 nearest, proven[rows] = _window_knn_block(x[rows, 0], order, sorted_x, self.k)
                 out[rows] = _equal_weight_quantile_rows(self.r2[nearest], self.tau)
         out[~proven] = _by_distance_block(x[~proven], self.train_x, [self._from_d2])[:, 0]
-        return out if inverse is None else out[inverse]
+        return out
 
     def _from_d2(self, d2):
         return _equal_weight_quantile_rows(self.r2[_knn_indices_block(d2, self.k)], self.tau)
@@ -421,6 +421,9 @@ class CandidateBank:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if not np.all(np.isfinite(x)):
             raise NonFiniteInput("x: covariates must be finite")
+        # in 1-d every candidate's value rests on its row alone (a linear
+        # candidate's product has one term), so each distinct row goes once
+        x, inverse = _distinct_rows(x) if x.shape[1] == 1 else (x, None)
         out = np.empty((x.shape[0], len(self.fitted)))
         shared = {}  # in d > 1: first candidate of each distinct train_x -> its group
         for j, cand in enumerate(self.fitted):
@@ -433,7 +436,7 @@ class CandidateBank:
         for first, cols in shared.items():
             out[:, cols] = _by_distance_block(x, self.fitted[first].train_x,
                                               [self.fitted[j]._from_d2 for j in cols])
-        return out
+        return out if inverse is None else out[inverse]
 
     def to_state(self) -> dict:
         return {"specs": [s.to_dict() for s in self.specs],

@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteInput,
     ParseError,
     check_args,
+    unit_partition,
 )
 from .rng import Rng
 
@@ -86,23 +87,9 @@ class SplitSpec:
 
     def __post_init__(self):
         fr = tuple(float(f) for f in self.fractions)
-        if any(f <= 0 for f in fr):
-            raise ConfigError("all fractions must be positive")
-        if abs(sum(fr) - 1.0) > 1e-9:
-            raise ConfigError("fractions must sum to 1")
+        if not unit_partition(fr):
+            raise ConfigError("fractions: must be positive and sum to 1")
         object.__setattr__(self, "fractions", fr)
-
-
-def split_spec(fractions, seed: int, parts: int, path: str) -> SplitSpec:
-    """``SplitSpec(fractions, seed)`` with exactly ``parts`` fractions; any
-    violation is a ConfigError naming ``path``."""
-    try:
-        spec = SplitSpec(tuple(fractions), seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if len(spec.fractions) != parts:
-        raise ConfigError(f"{path}: needs {parts} fractions, got {len(spec.fractions)}")
-    return spec
 
 
 def load_csv(path: str, label_column: str | None = None) -> DataTable:

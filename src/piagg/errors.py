@@ -82,6 +82,17 @@ def _integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def unit_partition(fractions) -> bool:
+    """Whether the floats ``fractions`` are all > 0 and sum to 1 within 1e-9."""
+    return all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9
+
+
+def _specs(v) -> bool:
+    from .candidates import CandidateSpec  # candidates imports this module
+    return v is None or isinstance(v, (list, tuple)) and len(v) > 0 and all(
+        isinstance(s, CandidateSpec) for s in v)
+
+
 _UNIT = ("lie in (0, 1)", lambda v: _real(v) and 0 < v < 1)
 _FINITE_NONNEGATIVE = ("be finite and >= 0", lambda v: _real(v) and 0 <= v < math.inf)
 _FINITE_POSITIVE_OR_NULL = ("be null or finite and > 0",
@@ -109,7 +120,10 @@ ARG_RULES = {
              lambda v: all(_real(b) and math.isfinite(b) for b in v) and len(v) > 0
              if isinstance(v, list) else _real(v) and math.isfinite(v)),
     "size": ("be an integer >= 0", lambda v: _integer(v) and v >= 0),
-    "specs": ("be null or non-empty", lambda v: v is None or len(v) > 0),
+    "specs": ("be null or a non-empty list of CandidateSpec", _specs),
+    "fractions": ("be three positive numbers summing to 1",
+                  lambda v: (isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) == 1)
+                  and len(v) == 3 and all(map(_real, v)) and unit_partition(list(map(float, v)))),
     "mode": ("be 'exact' or 'hinge'", lambda v: v in ("exact", "hinge")),
     "transport_mode": ("be one of ('gaussian_ot', 'coral', 'location_scale')",
                        lambda v: v in ("gaussian_ot", "coral", "location_scale")),

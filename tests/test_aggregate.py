@@ -749,6 +749,11 @@ class TestPipelineArguments:
         (fit_transport, {"specs": []}, "specs"),
         (fit_transport, {"transport_mode": "bogus"}, "transport_mode"),
         (fit_transport, {"cov_ridge": -1.0}, "cov_ridge"),
+        (fit_covariate_shift, {"specs": [{"kind": "constant_one"}]}, "specs"),
+        (fit_transport, {"specs": CandidateSpec("constant_one")}, "specs"),
+        (fit_covariate_shift, {"fractions": [0.5, [0.25], 0.25]}, "fractions"),
+        (fit_transport, {"fractions": np.full((3, 1), 1 / 3)}, "fractions"),
+        (fit_transport, {"transport_map": (np.eye(1), np.zeros(1))}, "transport_map"),
     ])
     def test_bad_argument_rejected_before_the_split(self, monkeypatch, fit, kwargs, param):
         def no_split(*args):
@@ -758,6 +763,15 @@ class TestPipelineArguments:
         src = gen_hetero_sim(200, seed=3)
         with pytest.raises(ConfigError, match=rf"^{param}: "):
             fit(src, src.x[:40], 0.1, **kwargs)
+
+    def test_map_of_another_dimension_rejected_before_the_split(self, monkeypatch):
+        def no_split(*args):
+            raise AssertionError("the split ran before the map was checked")
+
+        monkeypatch.setattr("piagg.aggregate.split", no_split)
+        src, tgt = gen_affine_gauss(200, 50, np.eye(5), np.zeros(5), seed=3)
+        with pytest.raises(DimensionMismatch, match=r"^transport_map: "):
+            fit_transport(src, tgt.x, 0.1, transport_map=AffineMap.identity(3))
 
     @pytest.mark.parametrize("fit", [fit_covariate_shift, fit_transport], ids=["alg1", "alg2"])
     def test_unlabeled_source_rejected_before_the_split(self, monkeypatch, fit):
@@ -804,10 +818,16 @@ def _bank():
                                  mode="hinge", epsilon=0.1), ConfigError),
     (lambda: fit_shape_cov_shift(np.ones((3, 1)), np.ones(3), np.ones(3), np.ones((2, 1)),
                                  mode="hinge", delta=0.1), ConfigError),
+    (lambda: fit_transport(_LABELED, transport_map=(np.eye(1), np.zeros(1))), ConfigError),
+    (lambda: fit_transport(_LABELED, transport_map=AffineMap.identity(3)), DimensionMismatch),
+    (lambda: fit_covariate_shift(_LABELED, _LABELED.x, 0.1, specs=[{"kind": "constant_one"}]),
+     ConfigError),
+    (lambda: fit_transport(_LABELED, specs=CandidateSpec("constant_one")), ConfigError),
     *[(call, PiaggError) for call in _UNLABELED_CALLS.values()],
 ], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative", "no_specs",
         "logistic_labels", "hinge_no_scale", "bank_nan", "bank_inf", "hinge_no_delta",
-        "hinge_no_epsilon", *[f"unlabeled_{name}" for name in _UNLABELED_CALLS]])
+        "hinge_no_epsilon", "tuple_map", "map_dimension", "dict_specs", "lone_spec",
+        *[f"unlabeled_{name}" for name in _UNLABELED_CALLS]])
 def test_public_entry_points_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()

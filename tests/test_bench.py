@@ -119,12 +119,11 @@ class TestRunScenario:
         seed = derive_seed(cfg.base_seed, 0)
         train, target = _make_rep_data(cfg, seed, {})
         mseed = derive_seed(seed, 100)
-        b1, lam1 = _run_method(cfg.methods[0], train, target.x, cfg.alpha_level,
-                               cfg.fractions, mseed)
+        b1, lam1 = _run_method(cfg.methods[0], train, target.x, cfg.alpha_level, mseed)
         perm = np.random.default_rng(0).permutation(target.n)
         shuffled = target.take(perm)  # same covariate multiset, labels moved
         b2, lam2 = _run_method(cfg.methods[0], train, np.asarray(target.x),
-                               cfg.alpha_level, cfg.fractions, mseed)
+                               cfg.alpha_level, mseed)
         assert lam1 == lam2
         assert np.array_equal(b1.lower, b2.lower)
         cov1, _ = coverage_and_width(b1, target.y)
@@ -268,18 +267,29 @@ class TestConfigValidation:
     def test_only_given_keys_reach_the_fit(self, monkeypatch):
         seen = []
 
-        def record(*args, **kwargs):
-            seen.append(kwargs)
-            return real(*args, **kwargs)
+        def spy(real):
+            def record(*args, **kwargs):
+                seen.append(kwargs)
+                return real(*args, **kwargs)
+            return record
 
-        real = bench.fit_density_ratio
-        monkeypatch.setattr(bench, "fit_density_ratio", record)
+        for name in ("fit_density_ratio", "fit_covariate_shift", "fit_transport"):
+            monkeypatch.setattr(bench, name, spy(getattr(bench, name)))
         run_scenario(_base_config(methods=[{"name": "wqc", "ratio_ridge": 1e-3},
                                            {"name": "wvac"}], replications=1))
         assert seen == [{"ridge": 1e-3}, {}]
+        # the split fractions reach alg1 and alg2 only from their own entries
+        seen.clear()
+        s = run_scenario(_base_config(methods=[
+            {"name": "alg1"}, {"name": "alg2"},
+            {"name": "alg1", "fractions": [0.4, 0.3, 0.3]},
+            {"name": "alg2", "fractions": [0.6, 0.2, 0.2]}], replications=1))
+        assert not s.failures
+        assert [sorted(kw) for kw in seen] == [["seed"], ["seed"],
+                                              ["fractions", "seed"], ["fractions", "seed"]]
+        assert [kw["fractions"] for kw in seen[2:]] == [[0.4, 0.3, 0.3], [0.6, 0.2, 0.2]]
 
     @pytest.mark.parametrize("key, value", [
-        ("fractions", [0.5, 0.5]), ("fractions", [0.9, 0.1, 0.0]),
         ("train_fraction", 1.0), ("train_fraction", 0.0), ("train_fraction", "x"),
     ])
     def test_bad_split_value(self, key, value):
@@ -319,10 +329,13 @@ class TestConfigValidation:
         ("shift.beta", {"shift": {"kind": "affine", "a": [[1.0]], "b": [0.0], "beta": [1.0]}}),
         ("shift.gamma", {"shift": {"kind": "sigmoid", "beta": [1.0], "gamma": 2}}),
         ("shift.beta", {"shift": {"kind": "none", "beta": [1.0]}}),
+        ("fractions", {"fractions": [0.5, 0.5]}),
+        ("fractions", {"fractions": [0.9, 0.1, 0.0]}),
     ])
     def test_unknown_key_names_its_path(self, path, overrides):
-        # retired keys (target_size, and data.a, data.b and data.noise_scale
-        # of affine_gauss) and misplaced ones fail at load
+        # retired keys (target_size, the top-level fractions, and data.a,
+        # data.b and data.noise_scale of affine_gauss) and misplaced ones
+        # fail at load
         with pytest.raises(ConfigError, match=f"^{re.escape('config.' + path)}: not a field"):
             _base_config(**overrides)
 
@@ -357,7 +370,10 @@ class TestConfigValidation:
 # refuses must not be one the library would have taken.
 PROBES = [True, "x", -1, 0, 0.25, 0.7, math.inf, math.nan, None]
 RULE_KEYS = [(name, key) for name, keys in METHOD_KEYS.items() for key in keys
-             if key not in ("candidates", "fractions")]
+             if key != "candidates"]
+# a valid split, two parts, a zero part, a ragged list and a 1-d array
+FRACTION_PROBES = [[0.5, 0.25, 0.25], [0.5, 0.5], [0.5, 0.5, 0.0], [0.5, [0.25], 0.25],
+                   np.array([0.2, 0.3, 0.5])]
 _SRC = gen_hetero_sim(300, seed=3)
 
 
@@ -387,6 +403,28 @@ def test_loader_and_library_agree(name, key, value):
             call(value)
     else:
         call(value)
+
+
+@pytest.mark.parametrize("value", FRACTION_PROBES, ids=repr)
+@pytest.mark.parametrize("name", ["alg1", "alg2"])
+def test_loader_and_library_agree_on_fractions(name, value):
+    test_loader_and_library_agree(name, "fractions", value)
+
+
+@pytest.mark.parametrize("value", [
+    0.5, "abc", None, {"a": 1}, [0.5, [0.25], 0.25], [[0.5], [0.25], [0.25]], [0.5, 0.25],
+    [True, 0.0, 0.0], [0.5, 0.25, 0.25 + 1e-8], [0.5, 0.5, math.nan], [0.5, -0.25, 0.75],
+    np.array(0.5), np.full((3, 1), 1 / 3), "0.5", {0.5, 0.25},
+], ids=repr)
+def test_fractions_rule_refuses_without_raising(value):
+    assert ARG_RULES["fractions"][1](value) is False
+
+
+@pytest.mark.parametrize("value", [(0.5, 0.25, 0.25), [1 / 3] * 3, [0.5, 0.25, 0.25 + 1e-10],
+                                   np.array([0.2, 0.3, 0.5]), [np.float64(0.5), 0.25, 0.25]],
+                         ids=repr)
+def test_fractions_rule_accepts_three_positive_parts(value):
+    assert ARG_RULES["fractions"][1](value) is True
 
 
 def test_every_checked_method_key_has_a_rule():

@@ -543,6 +543,35 @@ def test_each_distinct_row_reaches_the_distance_pass_once(d, monkeypatch):
     assert seen == {KernelVariance: 30, KnnMean: 30}
 
 
+@pytest.mark.parametrize("distance", [True, False], ids=["default_bank", "no_distance"])
+def test_one_dimensional_bank_finds_the_distinct_rows_once(distance, monkeypatch):
+    # the 1-d bank finds the distinct rows once for all of its candidates; a
+    # distance pass's own check after it sees distinct rows only
+    bank, _, train = _default_bank(1, False)
+    if not distance:
+        keep = [j for j, c in enumerate(bank.fitted) if not isinstance(c, candidates._BY_DISTANCE)]
+        bank = CandidateBank([bank.specs[j] for j in keep], [bank.fitted[j] for j in keep])
+    rng = np.random.default_rng(63)
+    x = np.vstack([rng.normal(size=(40, 1)), train.x[:5]])[rng.integers(0, 45, 200)]
+    calls = []
+
+    def spy(rows, real=candidates._distinct_rows):
+        out = real(rows)
+        calls.append((rows.shape[0], out[1] is not None))
+        return out
+
+    monkeypatch.setattr(candidates, "_distinct_rows", spy)
+    got = bank.evaluate(x)
+    assert calls[0] == (200, True)
+    if distance:
+        assert all(n <= np.unique(x).shape[0] and not found for n, found in calls[1:])
+    else:
+        assert len(calls) == 1
+    monkeypatch.undo()
+    rows = np.concatenate([bank.evaluate(x[i:i + 1]) for i in range(x.shape[0])])
+    assert got.tobytes() == rows.tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 5])
 def test_empty_input_passes_through(d):
     bank, knn_mean, _ = _default_bank(d, False)
