@@ -57,7 +57,6 @@ from .numerics import (
     ols_fit,
     quantile_reg_fit,
     sym_eig,
-    weighted_quantile,
 )
 from .rng import Rng, derive_seed
 from .transport import AffineMap, apply_map, energy_distance, fit_affine_transport

@@ -363,12 +363,14 @@ class _Blocks:
     r2_22: np.ndarray
 
 
-def _fit_pipeline(source: DataTable, specs, fractions, seed: int, mean_method: str) -> _Blocks:
-    """The three-block plan of both algorithms up to the shape LP: split
-    the source, fit the mean and the candidates on D1, and evaluate them
-    on D21 and D22."""
+def _fit_pipeline(source: DataTable, tx, specs, fractions, seed: int, mean_method: str) -> _Blocks:
+    """The three-block plan of both algorithms up to the shape LP: check the
+    source against the target covariates ``tx`` (or None), split the source,
+    fit the mean and the candidates on D1, and evaluate them on D21 and D22."""
     if source.y is None:
         raise PiaggError("source: needs a labeled table")
+    if tx is not None and tx.shape[1] != source.d:
+        raise DimensionMismatch("source and target dimension differ")
     d1, d21, d22 = split(source, SplitSpec(fractions, seed))
     mean_model = fit_mean(d1, mean_method)
     bank = fit_candidate_set(d1, residuals(d1, mean_model), specs)
@@ -397,7 +399,7 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
     check_args(alpha_level=alpha_level, specs=specs, fractions=fractions, mode=mode,
                delta=delta, epsilon=epsilon, support_threshold=support_threshold,
                mean_method=mean_method, prob_clip=prob_clip, ratio_cap=ratio_cap)
-    b = _fit_pipeline(source, specs, fractions, seed, mean_method)
+    b = _fit_pipeline(source, tx, specs, fractions, seed, mean_method)
     if weight_fn is not None:
         adapter = None
         w21 = _known_weights(weight_fn, b.x21)
@@ -446,7 +448,7 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
         raise ConfigError("transport_map: must be null or an AffineMap")
     if transport_map is not None and transport_map.b.shape[0] != source.d:
         raise DimensionMismatch(f"transport_map: needs dimension {source.d}, the source's")
-    b = _fit_pipeline(source, specs, fractions, seed, mean_method)
+    b = _fit_pipeline(source, tx, specs, fractions, seed, mean_method)
     if transport_map is not None:
         adapter: AffineMap | None = transport_map
     elif tx is not None:

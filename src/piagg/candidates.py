@@ -9,7 +9,10 @@ the squared residuals, and equal-frequency binned quantiles.
 
 from __future__ import annotations
 
+import contextvars
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -143,6 +146,33 @@ def check_squared_residuals(r2, n_rows: int) -> np.ndarray:
 # _ENTRIES // n_train, so each block's temporaries stay cache-sized
 # (256 KB of float64) whatever the size of the training block
 _ENTRIES = 2 ** 15
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)  # threads of a distance pass, the caller's included
+_POOLS: dict[int, ThreadPoolExecutor] = {}  # by process id
+
+
+def _in_shares(n_rows: int, step: int, block) -> None:
+    """``block(rows)`` for each ``step``-row slice of ``range(n_rows)``, in one
+    contiguous share per worker at two blocks or more per worker: the caller runs
+    the first share, the pool the others, each in a copy of the caller's context
+    (so ``np.errstate`` holds there), and the caller waits for all before it
+    returns or re-raises. ``block`` writes only its rows and never calls back here."""
+    n_blocks = -(-n_rows // step)
+    n = _WORKERS if n_blocks >= 2 * _WORKERS else 1
+    cuts = [step * (n_blocks * i // n) for i in range(n)] + [n_rows]
+    def run(i):
+        for start in range(cuts[i], cuts[i + 1], step):
+            block(slice(start, start + step))
+    pid = os.getpid()  # the pool is built at first use; a forked child finds none under its id
+    if n > 1 and pid not in _POOLS:
+        _POOLS.setdefault(pid, ThreadPoolExecutor(_WORKERS - 1))
+    futures = [_POOLS[pid].submit(contextvars.copy_context().run, run, i) for i in range(1, n)]
+    try:
+        run(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -173,15 +203,14 @@ def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
         raise DimensionMismatch("covariate dimension does not match training data")
     x, inverse = _distinct_rows(x)
     out = np.empty((x.shape[0], len(row_fns)))
-    step = max(1, _ENTRIES // train_x.shape[0])
-    for start in range(0, x.shape[0], step):
-        rows = x[start:start + step]
+    def block(rows):
         if x.shape[1] == 1:
-            d2 = (rows[:, 0][:, None] - train_x[:, 0][None, :]) ** 2
+            d2 = (x[rows, 0][:, None] - train_x[:, 0][None, :]) ** 2
         else:
-            d2 = cdist(rows, train_x, "sqeuclidean")
+            d2 = cdist(x[rows], train_x, "sqeuclidean")
         for j, row_fn in enumerate(row_fns):
-            out[start:start + step, j] = row_fn(d2)
+            out[rows, j] = row_fn(d2)
+    _in_shares(x.shape[0], max(1, _ENTRIES // train_x.shape[0]), block)
     return out if inverse is None else out[inverse]
 
 
@@ -226,12 +255,10 @@ def _window_knn_block(x0: np.ndarray, order: np.ndarray, sorted_x: np.ndarray,
 
 def _equal_weight_quantile_rows(values: np.ndarray, tau: float) -> np.ndarray:
     """Row-wise left-continuous quantile at level tau, matching
-    ``weighted_quantile`` with unit weights exactly; the partition picks
-    the same entry as a full sort."""
+    ``numerics.left_quantiles`` with unit weights exactly; the partition
+    picks the same entry as a full sort."""
     k = values.shape[1]
-    cum = np.arange(1.0, k + 1.0)
-    idx = int(np.searchsorted(cum, tau * float(k), side="left"))
-    idx = min(idx, k - 1)
+    idx = min(int(np.searchsorted(np.arange(1.0, k + 1.0), tau * float(k), side="left")), k - 1)
     return np.partition(values, idx, axis=1)[:, idx]
 
 
@@ -273,11 +300,10 @@ class _KnnQuantile:
             # sorted on each call, so the saved state stays piagg-model-v1
             order = np.argsort(self.train_x[:, 0], kind="stable")
             sorted_x = self.train_x[order, 0]
-            step = max(1, _ENTRIES // (2 * self.k + 2))
-            for start in range(0, x.shape[0], step):
-                rows = slice(start, start + step)
+            def block(rows):
                 nearest, proven[rows] = _window_knn_block(x[rows, 0], order, sorted_x, self.k)
                 out[rows] = _equal_weight_quantile_rows(self.r2[nearest], self.tau)
+            _in_shares(x.shape[0], max(1, _ENTRIES // (2 * self.k + 2)), block)
         out[~proven] = _by_distance_block(x[~proven], self.train_x, [self._from_d2])[:, 0]
         return out
 

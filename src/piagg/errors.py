@@ -33,10 +33,6 @@ class EmptyInput(PiaggError):
     """An operation received an empty vector or table, or too few rows for it."""
 
 
-class AllZeroWeights(PiaggError):
-    """A weighted operation received weights that sum to zero."""
-
-
 class ParseError(PiaggError):
     """A CSV cell could not be parsed; the message names the row and column."""
 
@@ -105,7 +101,6 @@ _COUNT = ("be an integer >= 1", lambda v: _integer(v) and v >= 1)
 # rule that says "null or" lets None stand for the fit's default.
 ARG_RULES = {
     "alpha_level": _UNIT, "tau": _UNIT, "train_fraction": _UNIT,
-    "q": ("lie in [0, 1]", lambda v: _real(v) and 0 <= v <= 1),
     "prob_clip": ("lie in (0, 0.5)", lambda v: _real(v) and 0 < v < 0.5),
     "ratio_cap": ("be > 0", lambda v: _real(v) and v > 0),  # inf: no cap
     "delta": _FINITE_POSITIVE_OR_NULL, "alg2_delta": _FINITE_POSITIVE_OR_NULL,
@@ -124,10 +119,11 @@ ARG_RULES = {
     "fractions": ("be three positive numbers summing to 1",
                   lambda v: (isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) == 1)
                   and len(v) == 3 and all(map(_real, v)) and unit_partition(list(map(float, v)))),
-    "mode": ("be 'exact' or 'hinge'", lambda v: v in ("exact", "hinge")),
-    "transport_mode": ("be one of ('gaussian_ot', 'coral', 'location_scale')",
-                       lambda v: v in ("gaussian_ot", "coral", "location_scale")),
-    "mean_method": ("be 'ols' or 'knn'", lambda v: v in ("ols", "knn")),
+    # a name rule takes only a str: ``in`` on an array raises a bare ValueError
+    "mode": ("be 'exact' or 'hinge'", lambda v: isinstance(v, str) and v in ("exact", "hinge")),
+    "transport_mode": ("be one of ('gaussian_ot', 'coral', 'location_scale')", lambda v:
+                       isinstance(v, str) and v in ("gaussian_ot", "coral", "location_scale")),
+    "mean_method": ("be 'ols' or 'knn'", lambda v: isinstance(v, str) and v in ("ols", "knn")),
 }
 
 

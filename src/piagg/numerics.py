@@ -14,7 +14,6 @@ import numpy as np
 from scipy import optimize as _sp_optimize
 
 from .errors import (
-    AllZeroWeights,
     ConfigError,
     DimensionMismatch,
     DivergentFit,
@@ -173,28 +172,6 @@ def logistic_fit(x: np.ndarray, labels: np.ndarray, ridge: float = 1e-6,
         if ridge == 0.0 and (nll < 1e-6 or np.max(np.abs(beta)) > 1e6):
             raise DivergentFit("data appear separable; set ridge > 0")
     return LinearModel(beta, "logistic", converged=converged)
-
-
-def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """Left-continuous weighted quantile.
-
-    Returns ``inf{v in values : sum of weights at values <= v >= q * total}``
-    with tied values merged by weight accumulation and the total summed in
-    sorted order. Equal weights reduce to the unweighted empirical
-    quantile under the same convention.
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise EmptyInput("values is empty")
-    if w.shape != v.shape:
-        raise DimensionMismatch("weights length does not match values")
-    if np.any(w < 0):
-        raise ConfigError("weights: must be nonnegative")
-    if w.sum() <= 0:
-        raise AllZeroWeights("weights sum to zero")
-    check_args(q=q)
-    return float(left_quantiles(v, w, q, np.zeros(1))[0])
 
 
 def left_quantiles(values: np.ndarray, weights: np.ndarray, level: float,

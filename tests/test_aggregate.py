@@ -783,6 +783,21 @@ class TestPipelineArguments:
         with pytest.raises(PiaggError, match=r"^source: .*labeled"):
             fit(DataTable(src.x), src.x[:40], 0.1)
 
+    @pytest.mark.parametrize("fit", [fit_covariate_shift, fit_transport], ids=["alg1", "alg2"])
+    def test_target_of_another_dimension_rejected_before_the_split(self, monkeypatch, fit):
+        calls = []
+
+        def spy(*args, real=aggregate.split):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr("piagg.aggregate.split", spy)
+        src = gen_hetero_sim(400, seed=3)
+        _, tgt = gen_affine_gauss(50, 50, np.eye(5), np.zeros(5), seed=3)
+        with pytest.raises(DimensionMismatch, match="dimension differ"):
+            fit(src, tgt.x, 0.1)
+        assert calls == []
+
 
 _LABELED = gen_hetero_sim(20, 1)
 _UNLABELED = DataTable(_LABELED.x)

@@ -22,7 +22,7 @@ from piagg.bench import (
 from piagg.conformal import fit_wvac
 from piagg.dataset import SplitSpec, gen_hetero_sim, split
 from piagg.densratio import fit_density_ratio
-from piagg.errors import ARG_RULES, ConfigError, LengthMismatch
+from piagg.errors import ARG_RULES, ConfigError, LengthMismatch, check_args
 
 
 def read_per_rep(path):
@@ -425,6 +425,15 @@ def test_fractions_rule_refuses_without_raising(value):
                          ids=repr)
 def test_fractions_rule_accepts_three_positive_parts(value):
     assert ARG_RULES["fractions"][1](value) is True
+
+
+@pytest.mark.parametrize("value", [np.array([0.2, 0.3, 0.5]), np.array(["exact", "hinge"]),
+                                   np.array("ols"), 3, None, ("knn",)], ids=repr)
+@pytest.mark.parametrize("name", ["mode", "transport_mode", "mean_method"])
+def test_name_rules_refuse_a_non_string_with_a_config_error(name, value):
+    # `in` on an array raises a bare ValueError; each name rule refuses it
+    with pytest.raises(ConfigError, match=rf"^{name}: must "):
+        check_args(**{name: value})
 
 
 def test_every_checked_method_key_has_a_rule():

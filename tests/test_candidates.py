@@ -1,10 +1,13 @@
 """Candidate bank construction: mean models, residuals, and the five
 candidate families."""
 
+import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+import threading
+import time
 from functools import lru_cache
 from unittest import mock
 
@@ -35,7 +38,7 @@ from piagg.candidates import (
 )
 from piagg.dataset import DataTable, gen_hetero_sim
 from piagg.errors import ConfigError, EmptyBin
-from piagg.numerics import weighted_quantile
+from piagg.numerics import left_quantiles
 
 
 class ZeroMean:
@@ -103,7 +106,7 @@ class TestBuildBank:
         t = _labeled(rng, n=60)
         r = residuals(t, ZeroMean())
         bank = fit_candidate_set(t, r, [CandidateSpec("knn_quantile", k=60, tau=0.7)])
-        glob = weighted_quantile(r, np.ones(60), 0.7)
+        glob = left_quantiles(r, np.ones(60), 0.7, np.zeros(1))[0]
         assert np.allclose(bank.evaluate(t.x), glob)
 
     @pytest.mark.parametrize("bins", range(1, 9))
@@ -115,8 +118,8 @@ class TestBuildBank:
             cand = fit_candidate_set(t, r2, [CandidateSpec("binned_quantile", bins=bins,
                                                            tau=tau)]).fitted[0]
             member = np.searchsorted(cand.edges, t.x[:, 0], side="right")
-            expected = [weighted_quantile(r2[member == b], np.ones(np.sum(member == b)), tau)
-                        for b in range(bins)]
+            expected = [left_quantiles(r2[member == b], np.ones(np.sum(member == b)), tau,
+                                       np.zeros(1))[0] for b in range(bins)]
             assert np.array_equal(cand.values, expected)
 
     def test_kernel_variance_recovers_second_moment_at_origin(self):
@@ -581,3 +584,153 @@ def test_empty_input_passes_through(d):
     kernel = bank.fitted[5]
     assert _by_distance_block(x, kernel.train_x, [kernel._from_d2]).shape == (0, 1)
     assert _distinct_rows(x)[1] is None
+
+
+def _serial_and_threaded(f, x, workers):
+    """``f(x)`` with the distance passes on the caller alone, and with
+    ``workers`` threads; the bytes must agree."""
+    with mock.patch.object(candidates, "_WORKERS", 1):
+        serial = f(x)
+    with mock.patch.object(candidates, "_WORKERS", workers):
+        threaded = f(x)
+    assert threaded.tobytes() == serial.tobytes()
+
+
+def _rows_near_the_split(rng, workers, step, above):
+    """A row count whose blocks of ``step`` rows fall one short of two per
+    worker, or reach it: the split runs only in the second case."""
+    return (2 * workers - 2 + above) * step + int(rng.integers(1, step + 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.sampled_from([1, 5]), loaded=st.booleans(), workers=st.integers(2, 4),
+       above=st.integers(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_threaded_distance_pass_is_bit_identical(d, loaded, workers, above, seed):
+    bank, knn_mean, train = _default_bank(d, loaded)
+    rng = np.random.default_rng(seed)
+    m = _rows_near_the_split(rng, workers, candidates._ENTRIES // train.n, above)
+    # m distinct rows (three of them training rows), then repeats of them
+    x = np.vstack([rng.normal(size=(m - 3, d)), train.x[:3]])
+    x = x[rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, m // 4)]))]
+    for f in (bank.evaluate, knn_mean.predict, bank.fitted[5].evaluate):
+        _serial_and_threaded(f, x, workers)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(workers=st.integers(2, 4), above=st.integers(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_threaded_knn_window_with_edge_ties_is_bit_identical(workers, above, seed):
+    # rounded rows tie at window edges, so the brute fallback runs after the
+    # threaded window loop
+    rng = np.random.default_rng(seed)
+    train_x = np.round(rng.uniform(-1, 1, size=500), 1)
+    cand = _KnnQuantile(train_x[:, None], rng.exponential(size=500), 30, 0.9)
+    m = _rows_near_the_split(rng, workers, candidates._ENTRIES // (2 * 30 + 2), above)
+    x = np.round(rng.uniform(-1.2, 1.2, size=m), 1)
+    order = np.argsort(train_x, kind="stable")
+    assert not _window_knn_block(x, order, train_x[order], 30)[1].all()
+    _serial_and_threaded(cand.evaluate, x[:, None], workers)
+
+
+def test_stress_more_workers_than_cores_with_short_switch_interval():
+    # four workers on any machine, and a thread switch every microsecond: a
+    # share that wrote outside its rows, or a lost write, would change bytes
+    bank, knn_mean, train = _default_bank(5, False)
+    x = np.random.default_rng(74).normal(size=(20 * candidates._ENTRIES // train.n, 5))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _serial_and_threaded(bank.evaluate, x, 4)
+            _serial_and_threaded(knn_mean.predict, x, 4)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _threads_of_blocks(monkeypatch, workers, n_rows):
+    """The thread of each block of a 1-d kernel pass over ``n_rows`` rows
+    with 64 rows a block, by the block's first row value."""
+    rng = np.random.default_rng(71)
+    cand = KernelVariance(rng.normal(size=(candidates._ENTRIES // 64, 1)),
+                          rng.exponential(size=candidates._ENTRIES // 64), 0.3)
+    seen = []
+
+    def spy(self, d2, real=KernelVariance._from_d2):
+        seen.append(threading.get_ident())
+        return real(self, d2)
+
+    monkeypatch.setattr(KernelVariance, "_from_d2", spy)
+    monkeypatch.setattr(candidates, "_WORKERS", workers)
+    cand.evaluate(np.arange(float(n_rows))[:, None])
+    return seen
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_starts_at_two_blocks_per_worker(monkeypatch, workers):
+    below = _threads_of_blocks(monkeypatch, workers, (2 * workers - 1) * 64)
+    assert len(below) == 2 * workers - 1 and set(below) == {threading.get_ident()}
+    at = _threads_of_blocks(monkeypatch, workers, 2 * workers * 64)
+    # the caller runs the first share, two blocks; the pool the others
+    assert len(at) == 2 * workers and at.count(threading.get_ident()) == 2
+    assert len(set(at)) > 1
+
+
+def test_caller_error_waits_for_every_share(monkeypatch):
+    done = []
+
+    def block(rows):
+        if rows.start == 0:
+            raise FloatingPointError("first share")
+        time.sleep(0.05)
+        done.append(rows.start)
+
+    monkeypatch.setattr(candidates, "_WORKERS", 2)
+    with pytest.raises(FloatingPointError, match="first share"):
+        candidates._in_shares(4, 1, block)
+    assert sorted(done) == [2, 3]
+
+
+def test_errstate_holds_on_the_worker_shares(monkeypatch):
+    # the last row, whose square overflows, falls in the pool's share
+    rng = np.random.default_rng(72)
+    cand = KernelVariance(rng.normal(size=(candidates._ENTRIES // 64, 1)),
+                          rng.exponential(size=candidates._ENTRIES // 64), 0.3)
+    x = np.append(rng.normal(size=255), 1e200)[:, None]
+    monkeypatch.setattr(candidates, "_WORKERS", 2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        cand.evaluate(x)
+
+
+def _evaluate_in_child(conn, bank, x):
+    conn.send(bank.evaluate(x).tobytes())
+    conn.close()
+
+
+@pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+def test_forked_child_evaluates_after_the_parent_used_the_pool(monkeypatch):
+    bank, _, train = _default_bank(5, False)
+    x = np.random.default_rng(73).normal(size=(2000, 5))
+    monkeypatch.setattr(candidates, "_WORKERS", 2)
+    expected = bank.evaluate(x).tobytes()
+    assert os.getpid() in candidates._POOLS
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_evaluate_in_child, args=(send, bank, x))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child did not answer within 60 s"
+        assert receive.recv() == expected
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
+def test_import_starts_no_thread():
+    script = "import threading, piagg; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(
+                             pathlib.Path(piagg.__file__).parents[1])))
+    assert out.stdout.strip() == "1"

@@ -11,9 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from piagg.errors import (
-    AllZeroWeights,
     DivergentFit,
-    EmptyInput,
     NotSymmetric,
     SingularDesign,
 )
@@ -25,7 +23,6 @@ from piagg.numerics import (
     ols_fit,
     quantile_reg_fit,
     sym_eig,
-    weighted_quantile,
 )
 
 
@@ -191,24 +188,24 @@ class TestLogistic:
         assert np.all(np.diff(path) <= 1e-12)
 
 
+def _quantile(values, weights, q):
+    """The left-continuous weighted quantile, with no atom at +inf."""
+    return left_quantiles(np.asarray(values, dtype=np.float64),
+                          np.asarray(weights, dtype=np.float64), q, np.zeros(1))[0]
+
+
 class TestWeightedQuantile:
     def test_equal_weights_median(self):
-        assert weighted_quantile([1, 2, 3, 4], [1, 1, 1, 1], 0.5) == 2.0
+        assert _quantile([1, 2, 3, 4], [1, 1, 1, 1], 0.5) == 2.0
 
     def test_singleton(self):
-        assert weighted_quantile([7.5], [0.3], 0.99) == 7.5
+        assert _quantile([7.5], [0.3], 0.99) == 7.5
 
     def test_cumulative_scan(self):
-        assert weighted_quantile([1, 5], [0.9, 0.1], 0.95) == 5.0
+        assert _quantile([1, 5], [0.9, 0.1], 0.95) == 5.0
 
     def test_ties_merged(self):
-        assert weighted_quantile([2, 2, 1], [0.2, 0.4, 0.4], 0.5) == 2.0
-
-    def test_errors(self):
-        with pytest.raises(EmptyInput):
-            weighted_quantile([], [], 0.5)
-        with pytest.raises(AllZeroWeights):
-            weighted_quantile([1.0, 2.0], [0.0, 0.0], 0.5)
+        assert _quantile([2, 2, 1], [0.2, 0.4, 0.4], 0.5) == 2.0
 
     def test_matches_unweighted_rule(self):
         # same inf-convention computed without weights
@@ -217,7 +214,7 @@ class TestWeightedQuantile:
             n = rng.integers(1, 30)
             vals = rng.normal(size=n)
             q = rng.uniform(0, 1)
-            got = weighted_quantile(vals, np.ones(n), q)
+            got = _quantile(vals, np.ones(n), q)
             s = np.sort(vals)
             counts = np.arange(1.0, n + 1.0)
             idx = min(int(np.searchsorted(counts, q * float(n), side="left")), n - 1)
@@ -231,7 +228,7 @@ class TestWeightedQuantile:
 
 
 def _weighted_quantile_reference(values, weights, q):
-    """``weighted_quantile`` as it was before it shared ``left_quantiles``:
+    """The weighted quantile as computed before ``left_quantiles`` existed:
     a pairwise total and an index clamped to the last value."""
     v = np.asarray(values, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
@@ -279,7 +276,6 @@ def test_left_quantiles_matches_both_references(case, level):
     if weights.sum() > 0:
         expected = _weighted_quantile_reference(values, weights, level)
         assert np.array_equal(left_quantiles(values, weights, level, np.zeros(1)), [expected])
-        assert weighted_quantile(values, weights, level) == expected
     assert np.array_equal(left_quantiles(values, weights, level, atoms),
                           _weighted_eta_reference(values, weights, atoms, level))
 
