@@ -572,14 +572,18 @@ def model_from_dict(d: dict) -> PiModel:
 
 
 def save_model(m: PiModel, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(m), fh)
+    with open(path, "w") as fh:  # dumps runs the C encoder; dump, the Python one
+        fh.write(json.dumps(model_to_dict(m)))
+
+
+def read_json(path: str, name: str):
+    """The JSON document in the file ``path``; ConfigError("<name>: …") if it holds none."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: not a JSON document ({exc})") from exc
 
 
 def load_model(path: str) -> PiModel:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"model: not a JSON document ({exc})") from exc
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, "model"))

@@ -25,19 +25,19 @@ from .dataset import (
     affine_shift,
     gen_affine_gauss,
     gen_hetero_sim,
+    linear_index,
     load_csv,
     split,
     tilt_resample,
     weighted_resample,
 )
 from .densratio import fit_density_ratio
-from .errors import ConfigError, LengthMismatch, check_args
+from .errors import ARG_RULES, ConfigError, LengthMismatch, check_args
 from .numerics import sigmoid
 from .rng import derive_seed
 
 # the keys each method entry may set besides "name"; a key is handed to the
-# fit only when the entry sets it, so the defaults live in the fit functions,
-# and its value is checked at load by the fit's own rule in ARG_RULES
+# fit only when the entry sets it, so the defaults live in the fit functions
 METHOD_KEYS = {
     "alg1": ("candidates", "fractions", "mode", "delta", "epsilon", "support_threshold",
              "ratio_cap", "prob_clip"),
@@ -45,23 +45,6 @@ METHOD_KEYS = {
     "wvac": ("ratio_ridge", "prob_clip", "ratio_cap", "sigma_min", "bandwidth"),
     "wqc": ("ratio_ridge", "prob_clip", "ratio_cap"),
 }
-
-
-def _check_method_value(prefix: str, key: str, value) -> None:
-    """ConfigError("<prefix><key>: ...") unless ``value`` is valid for ``key``."""
-    if key == "candidates":
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{prefix}{key}: must be a non-empty list")
-        for j, entry in enumerate(value):
-            try:
-                CandidateSpec(**entry)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{prefix}{key}: entry {j}: {exc}") from None
-    elif key == "ratio_ridge":  # the ridge of the density-ratio fit
-        check_args(prefix + "ratio_", ridge=value)
-    else:
-        check_args(prefix, **{key: value})
-
 
 DEFAULT_AFFINE_A = np.diag([1.5, 1.2, 1.6, 2.0, 1.8])
 DEFAULT_AFFINE_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
@@ -78,10 +61,31 @@ DATA_KEYS = {"hetero1d": ("generator", "n"), "affine_gauss": ("generator", "n", 
 SHIFT_KEYS = {"none": (), "tilt": ("beta",), "sigmoid": ("beta",), "affine": ("a", "b")}
 
 
-def _check_keys(d: dict, allowed: tuple, path: str, owner: str) -> None:
-    for key in d:
-        if key not in allowed:
+def _selector(section, path: str, key: str, known) -> str:
+    """The value of ``section[key]``, which must be a string naming one of ``known``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: must be an object")
+    if key not in section:
+        raise ConfigError(f"{path}.{key}: missing required field")
+    if not isinstance(section[key], str) or section[key] not in known:
+        raise ConfigError(f"{path}.{key}: must be one of {tuple(known)}, got {section[key]!r}")
+    return section[key]
+
+
+def _section(section, path: str, owner: str, keys: tuple, optional: tuple = ()) -> dict:
+    """``section``, checked to be an object that sets every key of ``keys`` but
+    the ``optional`` ones, no other key, and only values their rules in
+    ARG_RULES accept (sections, selectors and candidates have no rule)."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: must be an object")
+    for key in section:
+        if key not in keys:
             raise ConfigError(f"{path}.{key}: not a field of {owner}")
+    for key in keys:
+        if key not in section and key not in optional:
+            raise ConfigError(f"{path}.{key}: missing required field")
+    check_args(path + ".", **{k: v for k, v in section.items() if k in ARG_RULES})
+    return section
 
 
 @dataclass(frozen=True)
@@ -99,61 +103,42 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        def need(d: dict, key: str, path: str):
-            if key not in d:
-                raise ConfigError(f"{path}.{key}: missing required field")
-            return d[key]
-
-        _check_keys(doc, [f.name for f in fields(cls)], "config", "a scenario")
-        data = need(doc, "data", "config")
-        kind = need(data, "kind", "config.data")
-        if kind == "synthetic":
-            form = need(data, "generator", "config.data")
-            if form not in ("hetero1d", "affine_gauss"):
-                raise ConfigError(f"config.data.generator: unknown generator '{form}'")
-            need(data, "n", "config.data")
-        elif kind == "csv":
-            form = kind
-            need(data, "path", "config.data")
-        else:
-            raise ConfigError(f"config.data.kind: unknown kind '{kind}'")
-        _check_keys(data, ("kind",) + DATA_KEYS[form], "config.data", f"{form} data")
-        check_args("config.data.", **{key: data[key] for key in ("n", "n_target") if key in data})
+        _section(doc, "config", "a scenario", tuple(f.name for f in fields(cls)),
+                 optional=("shift", "train_fraction", "out_dir"))
+        data = doc["data"]
+        form = _selector(data, "config.data", "kind", ("synthetic", "csv"))
+        if form == "synthetic":
+            form = _selector(data, "config.data", "generator", ("hetero1d", "affine_gauss"))
+        _section(data, "config.data", f"{form} data", ("kind",) + DATA_KEYS[form],
+                 optional=("n_target",))
 
         shift = doc.get("shift", {"kind": "none"})
-        skind = need(shift, "kind", "config.shift")
-        if skind not in SHIFT_KEYS:
-            raise ConfigError(f"config.shift.kind: unknown kind '{skind}'")
+        skind = _selector(shift, "config.shift", "kind", SHIFT_KEYS)
         if form == "affine_gauss" and skind != "none":
             raise ConfigError("config.shift.kind: affine_gauss generates paired "
                               "source/target tables; shift must be 'none'")
-        for key in SHIFT_KEYS[skind]:
-            need(shift, key, "config.shift")
-        _check_keys(shift, ("kind",) + SHIFT_KEYS[skind], "config.shift", f"a {skind} shift")
-        if "beta" in shift:
-            check_args("config.shift.", beta=shift["beta"])
+        _section(shift, "config.shift", f"a {skind} shift", ("kind",) + SHIFT_KEYS[skind])
 
-        methods = need(doc, "methods", "config")
+        methods = doc["methods"]
         if not isinstance(methods, list) or not methods:
             raise ConfigError("config.methods: must be a non-empty list")
         for i, m in enumerate(methods):
-            name = need(m, "name", f"config.methods[{i}]")
-            if name not in METHOD_KEYS:
-                raise ConfigError(f"config.methods[{i}].name: unknown method '{name}'")
-            _check_keys(m, ("name",) + METHOD_KEYS[name], f"config.methods[{i}]", name)
-            for key in METHOD_KEYS[name]:
-                if key in m:
-                    _check_method_value(f"config.methods[{i}].", key, m[key])
+            path = f"config.methods[{i}]"
+            name = _selector(m, path, "name", METHOD_KEYS)
+            _section(m, path, name, ("name",) + METHOD_KEYS[name], optional=METHOD_KEYS[name])
+            specs = m.get("candidates")
+            if "candidates" in m and not (isinstance(specs, list) and specs):
+                raise ConfigError(f"{path}.candidates: must be a non-empty list")
+            for j, entry in enumerate(specs or ()):
+                try:
+                    CandidateSpec(**entry)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{path}.candidates: entry {j}: {exc}") from None
 
-        top = {key: need(doc, key, "config")
-               for key in ("alpha_level", "replications", "base_seed")}
-        train_fraction = doc.get("train_fraction", 0.75)
-        check_args("config.", **top, train_fraction=train_fraction)
         return cls(
-            data=data, shift=shift, methods=methods, alpha_level=float(top["alpha_level"]),
-            replications=int(top["replications"]), base_seed=int(top["base_seed"]),
-            train_fraction=float(train_fraction),
-            out_dir=doc.get("out_dir"),
+            data=data, shift=shift, methods=methods, alpha_level=float(doc["alpha_level"]),
+            replications=int(doc["replications"]), base_seed=int(doc["base_seed"]),
+            train_fraction=float(doc.get("train_fraction", 0.75)), out_dir=doc.get("out_dir"),
         )
 
 
@@ -174,11 +159,7 @@ class RunSummary:
     failures: list[dict] = field(default_factory=list)
 
     def methods(self) -> list[str]:
-        seen: list[str] = []
-        for r in self.rows:
-            if r.method not in seen:
-                seen.append(r.method)
-        return seen
+        return list(dict.fromkeys(r.method for r in self.rows))
 
     def metric(self, method: str, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.rows if r.method == method]
@@ -258,9 +239,9 @@ def _make_rep_data(cfg: ScenarioConfig, seed: int,
     if data["kind"] == "synthetic":
         table = gen_hetero_sim(int(data["n"]), derive_seed(seed, 1))
     else:
-        key = (data["path"], data.get("label_column"))
+        key = (data["path"], data["label_column"])
         if key not in csv_cache:
-            csv_cache[key] = load_csv(data["path"], data.get("label_column"))
+            csv_cache[key] = load_csv(*key)
         table = csv_cache[key]
 
     train, held = split(table, SplitSpec((cfg.train_fraction, 1.0 - cfg.train_fraction),
@@ -271,7 +252,7 @@ def _make_rep_data(cfg: ScenarioConfig, seed: int,
     elif shift["kind"] == "tilt":
         target = tilt_resample(held, shift["beta"], held.n, derive_seed(seed, 3))
     elif shift["kind"] == "sigmoid":
-        w = sigmoid(held.x @ np.asarray(shift["beta"], float))
+        w = sigmoid(linear_index(held, shift["beta"]))
         target = weighted_resample(held, w, held.n, derive_seed(seed, 3))
     else:
         target = affine_shift(held, shift["a"], shift["b"])
@@ -305,9 +286,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunSummary:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
 def emit_report(s: RunSummary, out_dir: str) -> tuple[str, str]:

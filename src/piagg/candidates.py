@@ -26,8 +26,8 @@ from .numerics import LinearModel, ols_fit, quantile_reg_fit
 
 @dataclass(frozen=True)
 class CandidateSpec:
-    """Declarative description of one candidate; only the parameters the
-    kind uses are meaningful.
+    """Declarative description of one candidate; a parameter its kind does
+    not use must be left None.
 
     A ``bandwidth`` of None means the normal-reference rule at fit time.
     """
@@ -41,12 +41,15 @@ class CandidateSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"kind: must be one of {KINDS}, got {self.kind!r}")
-        used = {"knn_quantile": ("k", "tau"), "linear_quantile_sq": ("tau",),
+        used = {"knn_quantile": ("k", "tau"), "kernel_variance": ("bandwidth",),
+                "linear_quantile_sq": ("tau",),
                 "binned_quantile": ("bins", "tau")}.get(self.kind, ())
-        check_args(bandwidth=self.bandwidth, **{name: getattr(self, name) for name in used})
-        for name in ("k", "bins"):  # stored as ints; an unused float count is a TypeError
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("k", "tau", "bandwidth", "bins"):
+            if name not in used and getattr(self, name) is not None:
+                raise ConfigError(f"{name}: not a parameter of {self.kind}")
+        check_args(**{name: getattr(self, name) for name in used})
+        for name in {"k", "bins"}.intersection(used):  # stored as ints
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return {name: v for name, v in state_dict(self).items() if v is not None}

@@ -26,6 +26,7 @@ from .aggregate import (
     fit_transport,
     load_model,
     predict_interval,
+    read_json,
     save_model,
 )
 from .bench import (
@@ -48,8 +49,7 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config) as fh:
-        cfg = ScenarioConfig.from_dict(json.load(fh))
+    cfg = ScenarioConfig.from_dict(read_json(args.config, "config"))
     out_dir = args.out or cfg.out_dir
     if out_dir is None:
         raise ConfigError("config.out_dir: missing and no --out given")
@@ -63,14 +63,14 @@ def _cmd_bench(args) -> int:
 def _cmd_fit(args) -> int:
     source = load_csv(args.source, args.label_column)
     target = load_csv(args.target_x)
+    x = target.x
     if args.label_column in target.column_names:
         # covariates only: a stray label column on the target side is dropped
-        target = load_csv(args.target_x, args.label_column).without_labels()
+        x = np.delete(x, target.column_names.index(args.label_column), axis=1)
     if args.method == "alg1":
-        model = fit_covariate_shift(source, target.x, args.alpha,
-                                    seed=args.seed, mode=args.mode)
+        model = fit_covariate_shift(source, x, args.alpha, seed=args.seed, mode=args.mode)
     else:
-        model = fit_transport(source, target.x, args.alpha, seed=args.seed)
+        model = fit_transport(source, x, args.alpha, seed=args.seed)
     save_model(model, args.model)
     print(args.model)
     return 0

@@ -73,9 +73,6 @@ class DataTable:
         y = self.y[idx] if self.y is not None else None
         return DataTable(self.x[idx], y, list(self.column_names))
 
-    def without_labels(self) -> "DataTable":
-        return DataTable(self.x, None, list(self.column_names))
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -171,13 +168,18 @@ def weighted_resample(t: DataTable, weights: np.ndarray, m: int, seed: int) -> D
     return t.take(idx)
 
 
-def tilt_resample(t: DataTable, beta: np.ndarray, m: int, seed: int) -> DataTable:
-    """Exponential-tilting resample: row i is drawn with probability
-    proportional to exp(x_i @ beta), computed in log space."""
+def linear_index(t: DataTable, beta) -> np.ndarray:
+    """x_i @ beta for every row; a scalar ``beta`` stands for a length-1 vector."""
     beta = np.asarray(beta, dtype=np.float64).ravel()
     if beta.shape[0] != t.d:
         raise DimensionMismatch("beta length does not match covariate dimension")
-    logits = t.x @ beta
+    return t.x @ beta
+
+
+def tilt_resample(t: DataTable, beta: np.ndarray, m: int, seed: int) -> DataTable:
+    """Exponential-tilting resample: row i is drawn with probability
+    proportional to exp(x_i @ beta), computed in log space."""
+    logits = linear_index(t, beta)
     logits -= logits.max()
     w = np.exp(logits)
     return weighted_resample(t, w, m, seed)

@@ -1,8 +1,8 @@
 """Exception and warning types shared across the package, and the one
-table of value rules for named arguments."""
+table of value rules for named arguments and scenario keys."""
 
-import math
 import numbers
+import sys
 
 
 class PiaggError(Exception):
@@ -78,6 +78,10 @@ def _integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _finite(v) -> bool:  # an int beyond the float range is not finite: float(v) overflows
+    return _real(v) and abs(v) <= sys.float_info.max
+
+
 def unit_partition(fractions) -> bool:
     """Whether the floats ``fractions`` are all > 0 and sum to 1 within 1e-9."""
     return all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9
@@ -90,15 +94,18 @@ def _specs(v) -> bool:
 
 
 _UNIT = ("lie in (0, 1)", lambda v: _real(v) and 0 < v < 1)
-_FINITE_NONNEGATIVE = ("be finite and >= 0", lambda v: _real(v) and 0 <= v < math.inf)
+_FINITE_NONNEGATIVE = ("be finite and >= 0", lambda v: _finite(v) and v >= 0)
 _FINITE_POSITIVE_OR_NULL = ("be null or finite and > 0",
-                            lambda v: v is None or _real(v) and 0 < v < math.inf)
+                            lambda v: v is None or _finite(v) and v > 0)
 _COUNT = ("be an integer >= 1", lambda v: _integer(v) and v >= 1)
+_STRING = ("be a string", lambda v: isinstance(v, str))
+_NUMBERS = ("be a finite number or a non-empty list of them",
+            lambda v: all(map(_finite, v)) and len(v) > 0 if isinstance(v, list) else _finite(v))
 
-# The value rule of every checked named argument: what a valid value must
-# be, and its test. Fits, fitted-state constructors and the scenario loader
-# all read these entries, so a value is accepted everywhere or nowhere. A
-# rule that says "null or" lets None stand for the fit's default.
+# The value rule of every checked named argument and scenario key: what a
+# valid value must be, and its test. Fits, fitted-state constructors and the
+# scenario loader all read these entries, so a value is accepted everywhere
+# or nowhere. A rule that says "null or" lets None stand for the default.
 ARG_RULES = {
     "alpha_level": _UNIT, "tau": _UNIT, "train_fraction": _UNIT,
     "prob_clip": ("lie in (0, 0.5)", lambda v: _real(v) and 0 < v < 0.5),
@@ -108,12 +115,16 @@ ARG_RULES = {
     "epsilon": ("be null or finite and >= 0",
                 lambda v: v is None or _FINITE_NONNEGATIVE[1](v)),
     "support_threshold": _FINITE_NONNEGATIVE, "ridge": _FINITE_NONNEGATIVE,
+    "ratio_ridge": _FINITE_NONNEGATIVE,  # the scenario's name for the ratio fit's ridge
     "cov_ridge": _FINITE_NONNEGATIVE, "floor": _FINITE_NONNEGATIVE,
     "k": _COUNT, "bins": _COUNT, "n": _COUNT, "n_target": _COUNT, "replications": _COUNT,
     "base_seed": ("be an integer", _integer),
-    "beta": ("be a finite number or a non-empty list of them",
-             lambda v: all(_real(b) and math.isfinite(b) for b in v) and len(v) > 0
-             if isinstance(v, list) else _real(v) and math.isfinite(v)),
+    "beta": _NUMBERS, "b": _NUMBERS,  # a scalar stands for a length-1 vector
+    "a": ("be a square list of lists of finite numbers", lambda v: isinstance(v, list) and all(
+        isinstance(row, list) and len(row) == len(v) and all(map(_finite, row)) for row in v)
+        and len(v) > 0),
+    "path": _STRING, "label_column": _STRING,
+    "out_dir": ("be null or a string", lambda v: v is None or isinstance(v, str)),
     "size": ("be an integer >= 0", lambda v: _integer(v) and v >= 0),
     "specs": ("be null or a non-empty list of CandidateSpec", _specs),
     "fractions": ("be three positive numbers summing to 1",

@@ -3,6 +3,8 @@
 import json
 import math
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from piagg import bench
 from piagg.aggregate import IntervalBatch, fit_covariate_shift, fit_transport
 from piagg.bench import (
     CSV_COLUMNS,
+    DATA_KEYS,
     METHOD_KEYS,
+    SHIFT_KEYS,
     RepResult,
     RunSummary,
     ScenarioConfig,
@@ -145,7 +149,9 @@ class TestShiftAndDataPaths:
     @pytest.mark.parametrize("shift", [
         {"kind": "tilt", "beta": [1.5]},
         {"kind": "affine", "a": [[1.3]], "b": [0.2]},
-    ], ids=["tilt", "affine"])
+        {"kind": "sigmoid", "beta": 2.0},
+        {"kind": "affine", "a": [[1.3]], "b": 0.2},
+    ], ids=["tilt", "affine", "sigmoid_scalar_beta", "affine_scalar_b"])
     def test_shift_runs(self, shift):
         s = run_scenario(_base_config(data={"kind": "synthetic", "generator": "hetero1d",
                                             "n": 300}, shift=shift))
@@ -237,6 +243,9 @@ class TestConfigValidation:
         ({"name": "alg1", "fractions": 0.5}, "fractions"),
         ({"name": "alg1", "support_threshold": "x"}, "support_threshold"),
         ({"name": "alg1", "support_threshold": -0.5}, "support_threshold"),
+        ({"name": "alg1", "candidates": [{"kind": "kernel_variance", "tau": 0.9}]},
+         "candidates"),
+        ({"name": "alg1", "candidates": ["constant_one"]}, "candidates"),
     ])
     def test_bad_method_value(self, method, key):
         with pytest.raises(ConfigError, match=rf"^config\.methods\[1\]\.{key}:"):
@@ -308,6 +317,16 @@ class TestConfigValidation:
                                     "n_target": "x"}, "shift": {"kind": "none"}}),
         ("data.n_target", {"data": {"kind": "synthetic", "generator": "affine_gauss", "n": 100,
                                     "n_target": 0}, "shift": {"kind": "none"}}),
+        ("data.path", {"data": {"kind": "csv", "path": ["a.csv"], "label_column": "y"}}),
+        ("data.label_column", {"data": {"kind": "csv", "path": "a.csv", "label_column": 1}}),
+        ("shift.beta", {"shift": {"kind": "tilt", "beta": [1e400]}}),
+        ("shift.beta", {"shift": {"kind": "tilt", "beta": 10 ** 400}}),
+        ("shift.beta", {"shift": {"kind": "tilt", "beta": []}}),
+        ("shift.a", {"shift": {"kind": "affine", "a": [[1.0, 0.0]], "b": [0.0]}}),
+        ("shift.a", {"shift": {"kind": "affine", "a": [[math.nan]], "b": [0.0]}}),
+        ("shift.a", {"shift": {"kind": "affine", "a": [], "b": []}}),
+        ("shift.b", {"shift": {"kind": "affine", "a": [[1.0]], "b": "x"}}),
+        ("out_dir", {"out_dir": ["results"]}),
     ])
     def test_bad_scenario_value(self, path, overrides):
         with pytest.raises(ConfigError, match=f"^{re.escape('config.' + path)}: must "):
@@ -343,6 +362,9 @@ class TestConfigValidation:
         ("shift.a", {"shift": {"kind": "affine", "b": [0.0]}}),
         ("shift.beta", {"shift": {"kind": "tilt"}}),
         ("data.path", {"data": {"kind": "csv", "label_column": "y"}}),
+        ("data.generator", {"data": {"kind": "synthetic", "n": 100}}),
+        ("shift.kind", {"shift": {"beta": [1.0]}}),
+        ("methods[0].name", {"methods": [{"mode": "exact"}]}),
     ])
     def test_missing_key_names_its_path(self, path, overrides):
         with pytest.raises(ConfigError, match=f"^{re.escape('config.' + path)}: missing"):
@@ -350,6 +372,16 @@ class TestConfigValidation:
 
     def test_scalar_beta_loads(self):
         assert _base_config(shift={"kind": "tilt", "beta": 1.5}).shift["beta"] == 1.5
+
+    @pytest.mark.parametrize("path, overrides", [
+        ("data.kind", {"data": {"kind": "parquet", "path": "a.parquet"}}),
+        ("data.generator", {"data": {"kind": "synthetic", "generator": ["hetero1d"], "n": 9}}),
+        ("shift.kind", {"shift": {"kind": None}}),
+        ("methods[0].name", {"methods": [{"name": {"alg1": 1}}]}),
+    ])
+    def test_selector_names_a_known_entry(self, path, overrides):
+        with pytest.raises(ConfigError, match=f"^{re.escape('config.' + path)}: must be one of"):
+            _base_config(**overrides)
 
     def test_bad_alpha(self):
         with pytest.raises(ConfigError, match="alpha_level"):
@@ -439,3 +471,18 @@ def test_name_rules_refuse_a_non_string_with_a_config_error(name, value):
 def test_every_checked_method_key_has_a_rule():
     for _, key in RULE_KEYS:
         assert ("ridge" if key == "ratio_ridge" else key) in ARG_RULES
+
+
+def test_every_scenario_value_key_has_a_rule():
+    # all but the sections, the selectors and the candidate list
+    keys = {f.name for f in fields(ScenarioConfig)}
+    for table in (DATA_KEYS, SHIFT_KEYS, METHOD_KEYS):
+        keys.update(key for section_keys in table.values() for key in section_keys)
+    assert keys - set(ARG_RULES) == {"data", "shift", "methods", "generator", "candidates"}
+
+
+def test_readme_scenario_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("## Scenario configuration")[1].split("```json\n")[1].split("```")[0]
+    cfg = ScenarioConfig.from_dict(json.loads(example))
+    assert [m["name"] for m in cfg.methods] == ["alg1", "wvac"]

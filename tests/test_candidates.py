@@ -210,6 +210,20 @@ def test_spec_validation():
         CandidateSpec("mystery")
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("constant_one", {"k": 5}),
+    ("kernel_variance", {"tau": 0.9}),
+    ("knn_quantile", {"k": 5, "tau": 0.9, "bins": 3}),
+    ("linear_quantile_sq", {"tau": 0.9, "bandwidth": 0.1}),
+    ("binned_quantile", {"bins": 3, "tau": 0.9, "k": 2.5}),
+])
+def test_spec_refuses_a_parameter_its_kind_does_not_use(kind, params):
+    # an unused value would be ignored by the fit and still written into the model document
+    unused = list(params)[-1]
+    with pytest.raises(ConfigError, match=rf"^{unused}: not a parameter of {kind}$"):
+        CandidateSpec(kind, **params)
+
+
 def _knn_quantile_brute(cand, x):
     """The brute-force block rule, nearest by (d², index), one row per call."""
     def one(row):

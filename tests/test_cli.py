@@ -175,3 +175,85 @@ def test_malformed_candidate_state_is_a_typed_error(tmp_path, capsys, corrupt):
     obj = json.loads(err)
     assert obj["error"] == "ConfigError"
     assert obj["message"].startswith("model.bank: ")
+
+
+_SCENARIO = {"data": {"kind": "synthetic", "generator": "hetero1d", "n": 300},
+             "shift": {"kind": "sigmoid", "beta": [2.0]}, "methods": [{"name": "alg1"}],
+             "alpha_level": 0.1, "replications": 1, "base_seed": 5}
+
+
+def _scenario(**changes) -> str:
+    return json.dumps({**_SCENARIO, **changes})
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ('{"data": ', "ConfigError", "config: not a JSON document ("),
+    ("5", "ConfigError", "config: must be an object"),
+    (_scenario(data=3), "ConfigError", "config.data: must be an object"),
+    (_scenario(shift="tilt"), "ConfigError", "config.shift: must be an object"),
+    (_scenario(shift={"kind": ["tilt"]}), "ConfigError", "config.shift.kind: must be one of"),
+    (_scenario(methods=["alg1"]), "ConfigError", "config.methods[0]: must be an object"),
+    (_scenario(methods=[{"name": ["alg1"]}]), "ConfigError",
+     "config.methods[0].name: must be one of"),
+    # 0 and 5 would be read as file descriptors
+    (_scenario(data={"kind": "csv", "path": 0, "label_column": "y"}), "ConfigError",
+     "config.data.path: must be a string"),
+    (_scenario(data={"kind": "csv", "path": 5, "label_column": "y"}), "ConfigError",
+     "config.data.path: must be a string"),
+    (_scenario(shift={"kind": "affine", "a": "x", "b": [0]}), "ConfigError",
+     "config.shift.a: must be a square list"),
+    (_scenario(out_dir=7), "ConfigError", "config.out_dir: must be null or a string"),
+    (_scenario(shift={"kind": "sigmoid", "beta": [1, 2]}), "DimensionMismatch", "beta length"),
+    # without a label column the label would be fitted on as a covariate
+    (_scenario(data={"kind": "csv", "path": "source.csv"}), "ConfigError",
+     "config.data.label_column: missing required field"),
+], ids=["not_json", "not_an_object", "data_not_an_object", "shift_not_an_object",
+        "shift_kind_a_list", "method_not_an_object", "method_name_a_list", "path_0", "path_5",
+        "shift_a_a_string", "out_dir_a_number", "beta_too_long", "csv_without_label_column"])
+def test_bad_scenario_is_one_json_line(tmp_path, capsys, text, error, message):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(text)
+    args = ["bench", "--config", str(cfg_path)]
+    if "out_dir" not in text:  # the out_dir case runs without --out, as it names its own
+        args += ["--out", str(tmp_path / "results")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
+    assert json.loads(err)["message"].startswith(message)
+    assert not (tmp_path / "results").exists()
+
+
+def test_scalar_sigmoid_beta_runs(tmp_path):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(_scenario(shift={"kind": "sigmoid", "beta": 2.0}))
+    assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "results")]) == 0
+    summary = json.loads((tmp_path / "results" / "summary.json").read_text())
+    assert summary["failures"] == [] and "alg1" in summary["aggregates"]
+
+
+def test_fit_reads_the_target_once_and_drops_its_label_column(tmp_path, monkeypatch):
+    from piagg import cli
+    src = tmp_path / "s.csv"
+    tgt = tmp_path / "t.csv"
+    main(["gen", "--scenario", "hetero1d", "--out", str(src), "--n", "400"])
+    main(["gen", "--scenario", "hetero1d", "--out", str(tgt), "--n", "150", "--seed", "9"])
+    tgt_x = tmp_path / "t_x.csv"
+    tgt_x.write_text("".join(line.split(",")[0] + "\n"
+                             for line in tgt.read_text().splitlines()))
+    reads = []
+
+    def load_csv(path, label_column=None):
+        reads.append(path)
+        return real(path, label_column)
+
+    real = cli.load_csv
+    monkeypatch.setattr(cli, "load_csv", load_csv)
+    docs = []
+    for target in (tgt, tgt_x):
+        model = tmp_path / "m.json"
+        assert main(["fit", "--source", str(src), "--target-x", str(target),
+                     "--method", "alg1", "--alpha", "0.1", "--model", str(model)]) == 0
+        docs.append(model.read_text())
+    assert reads == [str(src), str(tgt), str(src), str(tgt_x)]
+    assert docs[0] == docs[1]

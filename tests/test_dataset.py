@@ -10,6 +10,7 @@ from piagg.dataset import (
     SplitSpec,
     affine_shift,
     gen_hetero_sim,
+    linear_index,
     load_csv,
     split,
     tilt_resample,
@@ -105,6 +106,13 @@ class TestResampling:
         out = tilt_resample(t, beta, 4000, seed=8)
         assert out.x[:, 4].mean() > t.x[:, 4].mean()
         assert out.x[:, 0].mean() < t.x[:, 0].mean()
+
+    def test_linear_index_reads_a_scalar_as_a_length_one_vector(self):
+        t = DataTable(np.arange(4.0)[:, None])
+        assert np.array_equal(linear_index(t, 2.0), linear_index(t, [2.0]))
+        assert np.array_equal(linear_index(t, 2.0), 2.0 * np.arange(4.0))
+        with pytest.raises(DimensionMismatch):
+            linear_index(t, [1.0, 2.0])
 
     def test_weighted_resample_validates(self):
         t = DataTable(np.arange(4.0)[:, None])
