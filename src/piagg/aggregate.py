@@ -314,7 +314,7 @@ def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
     x = check_covariates("x", x)
     z = apply_map(m.adapter, x) if isinstance(m.adapter, AffineMap) else x
     center = np.asarray(m.mean_model.predict(z), dtype=np.float64).ravel()
-    f = m.bank.evaluate(z) @ m.shape.alpha
+    f = np.vecdot(m.bank.evaluate(z), m.shape.alpha)
     half = np.sqrt(np.maximum(m.shrink.lambda_hat * _lift(f, m.floor, m.alg2_delta), 0.0))
     return IntervalBatch(center - half, center + half, center)
 
@@ -418,7 +418,7 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
                                 delta=delta, epsilon=epsilon,
                                 support_threshold=support_threshold)
 
-    f22 = b.phi22 @ shape.alpha
+    f22 = np.vecdot(b.phi22, shape.alpha)
     floor = 1e-9 * max(float(np.max(b.r2_22, initial=0.0)), 1.0)
     shrink = shrink_cov_shift(f22, b.r2_22, w22, alpha_level, floor=floor)
     bound = shrink.lambda_hat * _lift(f22, floor, 0.0)
@@ -458,7 +458,7 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
 
     shape = fit_shape_source(b.phi21, b.r2_21)
 
-    f22 = b.phi22 @ shape.alpha
+    f22 = np.vecdot(b.phi22, shape.alpha)
     if alg2_delta is None:
         alg2_delta = max(0.01 * float(np.quantile(b.r2_21, 0.9)), 1e-12)
     shrink = shrink_source(f22, b.r2_22, alpha_level, alg2_delta)

@@ -136,12 +136,12 @@ def residuals(train: DataTable, mean_model) -> np.ndarray:
 
 
 def check_squared_residuals(r2, n_rows: int) -> np.ndarray:
-    """``r2`` as a float vector of ``n_rows`` nonnegative entries."""
+    """``r2`` as a float vector of ``n_rows`` finite nonnegative entries."""
     r2 = np.asarray(r2, dtype=np.float64).ravel()
     if r2.shape[0] != n_rows:
         raise DimensionMismatch(f"r2: {r2.shape[0]} squared residuals for {n_rows} rows")
-    if np.any(r2 < 0):
-        raise PiaggError("r2: squared residuals must be nonnegative")
+    if not np.all((r2 >= 0) & (r2 < np.inf)):  # NaN fails both
+        raise PiaggError("r2: squared residuals must be finite and nonnegative")
     return r2
 
 
@@ -181,9 +181,8 @@ def _in_shares(n_rows: int, step: int, block) -> None:
 def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The distinct rows of ``x``, told apart by their bytes (0.0 and -0.0
     differ), and the index of each row of ``x`` among them; ``(x, None)`` if
-    no row repeats. A resampled target repeats rows. Only for values computed
-    from each row alone, as distances are: a BLAS matrix product (a linear
-    candidate in d > 1, ``phi @ alpha``) may round a row by its batch."""
+    no row repeats (a resampled target repeats rows). Every per-row value
+    rests on its row alone (distances, ``np.vecdot`` products), in any batch."""
     first = np.sort(x[:, :1].view(np.int64), axis=0)  # cheaper than np.unique
     if not np.any(first[1:] == first[:-1]):
         return x, None
@@ -450,9 +449,7 @@ class CandidateBank:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if not np.all(np.isfinite(x)):
             raise NonFiniteInput("x: covariates must be finite")
-        # in 1-d every candidate's value rests on its row alone (a linear
-        # candidate's product has one term), so each distinct row goes once
-        x, inverse = _distinct_rows(x) if x.shape[1] == 1 else (x, None)
+        x, inverse = _distinct_rows(x)
         out = np.empty((x.shape[0], len(self.fitted)))
         shared = {}  # in d > 1: first candidate of each distinct train_x -> its group
         for j, cand in enumerate(self.fitted):

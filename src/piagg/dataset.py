@@ -161,11 +161,11 @@ def weighted_resample(t: DataTable, weights: np.ndarray, m: int, seed: int) -> D
     w = np.asarray(weights, dtype=np.float64).ravel()
     if w.shape[0] != t.n:
         raise DimensionMismatch("weights length does not match table rows")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ConfigError("weights: must be nonnegative with a positive sum")
-    probs = w / w.sum()
-    idx = Rng(seed).choice_with_replacement(np.cumsum(probs), m)
-    return t.take(idx)
+    with np.errstate(all="ignore"):  # a sum that overflows, or inf - inf, is refused below
+        total = w.sum()
+    if not (np.all(w >= 0) and 0 < total < np.inf):  # NaN fails both
+        raise ConfigError("weights: must be finite and nonnegative with a finite positive sum")
+    return t.take(Rng(seed).choice_with_replacement(np.cumsum(w / total), m))
 
 
 def linear_index(t: DataTable, beta) -> np.ndarray:
@@ -179,9 +179,11 @@ def linear_index(t: DataTable, beta) -> np.ndarray:
 def tilt_resample(t: DataTable, beta: np.ndarray, m: int, seed: int) -> DataTable:
     """Exponential-tilting resample: row i is drawn with probability
     proportional to exp(x_i @ beta), computed in log space."""
-    logits = linear_index(t, beta)
-    logits -= logits.max()
-    w = np.exp(logits)
+    with np.errstate(all="ignore"):  # a non-finite x @ beta is refused below; exp(-inf) is 0
+        logits = linear_index(t, beta)
+        w = np.exp(logits - logits.max())
+    if not np.all(np.isfinite(logits)):
+        raise ConfigError("beta: x @ beta must be finite on every row")
     return weighted_resample(t, w, m, seed)
 
 

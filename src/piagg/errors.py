@@ -109,7 +109,8 @@ _NUMBERS = ("be a finite number or a non-empty list of them",
 ARG_RULES = {
     "alpha_level": _UNIT, "tau": _UNIT, "train_fraction": _UNIT,
     "prob_clip": ("lie in (0, 0.5)", lambda v: _real(v) and 0 < v < 0.5),
-    "ratio_cap": ("be > 0", lambda v: _real(v) and v > 0),  # inf: no cap
+    "ratio_cap": ("be finite or inf, and > 0",  # inf: no cap
+                  lambda v: _real(v) and v > 0 and (_finite(v) or v == float("inf"))),
     "delta": _FINITE_POSITIVE_OR_NULL, "alg2_delta": _FINITE_POSITIVE_OR_NULL,
     "sigma_min": _FINITE_POSITIVE_OR_NULL, "bandwidth": _FINITE_POSITIVE_OR_NULL,
     "epsilon": ("be null or finite and >= 0",

@@ -54,7 +54,7 @@ class LinearModel:
         if x.shape[1] != len(self.coefficients) - 1:
             raise DimensionMismatch(
                 f"model expects {len(self.coefficients) - 1} covariates, got {x.shape[1]}")
-        return self.coefficients[0] + x @ self.coefficients[1:]
+        return self.coefficients[0] + np.vecdot(x, self.coefficients[1:])
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         if self.kind != "logistic":

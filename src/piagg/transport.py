@@ -99,7 +99,7 @@ def apply_map(m: AffineMap, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != m.a.shape[0]:
         raise DimensionMismatch("x dimension does not match the map")
-    return x @ m.a.T + m.b
+    return np.vecdot(x[:, None, :], m.a) + m.b
 
 
 def energy_distance(a: np.ndarray, b: np.ndarray, max_points: int = 2000) -> float:

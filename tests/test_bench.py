@@ -246,6 +246,7 @@ class TestConfigValidation:
         ({"name": "alg1", "candidates": [{"kind": "kernel_variance", "tau": 0.9}]},
          "candidates"),
         ({"name": "alg1", "candidates": ["constant_one"]}, "candidates"),
+        ({"name": "alg1", "ratio_cap": 10 ** 400}, "ratio_cap"),
     ])
     def test_bad_method_value(self, method, key):
         with pytest.raises(ConfigError, match=rf"^config\.methods\[1\]\.{key}:"):

@@ -472,17 +472,15 @@ def test_property_k_nearest_matches_stable_argsort(case):
     assert proven.all() or k < n
 
 
-def _assert_repeats_exact(f, x, idx, batch_invariant=True):
+def _assert_repeats_exact(f, x, idx):
     """``f(x[idx])``, ``idx`` with repeats, has the bytes of ``f`` with each
-    repeat evaluated again and, where ``f`` is batch-invariant, of the gather
-    ``f(x)[idx]`` and of one row per call. Bytes tell -0.0 from 0.0;
-    ``array_equal`` does not."""
+    repeat evaluated again, of the gather ``f(x)[idx]`` and of one row per
+    call. Bytes tell -0.0 from 0.0; ``array_equal`` does not."""
     got = f(x[idx])
     with mock.patch.object(candidates, "_distinct_rows", lambda rows: (rows, None)):
         assert got.tobytes() == f(x[idx]).tobytes()
-    if batch_invariant:
-        assert got.tobytes() == f(x)[idx].tobytes()
-        assert got.tobytes() == np.concatenate([f(x[i:i + 1]) for i in idx]).tobytes()
+    assert got.tobytes() == f(x)[idx].tobytes()
+    assert got.tobytes() == np.concatenate([f(x[i:i + 1]) for i in idx]).tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -510,8 +508,7 @@ def test_property_repeated_rows_are_evaluated_exactly(d, loaded, seed, m, draws)
     idx = rng.integers(0, x.shape[0], draws)
     by_distance = [c.evaluate for c in bank.fitted if isinstance(c, candidates._BY_DISTANCE)]
     for f in [bank.evaluate, knn_mean.predict] + by_distance:
-        # in d > 1 a linear candidate's BLAS product rounds a row by its batch
-        _assert_repeats_exact(f, x, idx, batch_invariant=d == 1 or f != bank.evaluate)
+        _assert_repeats_exact(f, x, idx)
 
 
 def test_signed_zero_rows_stay_apart():
@@ -561,15 +558,16 @@ def test_each_distinct_row_reaches_the_distance_pass_once(d, monkeypatch):
 
 
 @pytest.mark.parametrize("distance", [True, False], ids=["default_bank", "no_distance"])
-def test_one_dimensional_bank_finds_the_distinct_rows_once(distance, monkeypatch):
-    # the 1-d bank finds the distinct rows once for all of its candidates; a
+@pytest.mark.parametrize("d", [1, 5])
+def test_bank_finds_the_distinct_rows_once(d, distance, monkeypatch):
+    # the bank finds the distinct rows once for all of its candidates; a
     # distance pass's own check after it sees distinct rows only
-    bank, _, train = _default_bank(1, False)
+    bank, _, train = _default_bank(d, False)
     if not distance:
         keep = [j for j, c in enumerate(bank.fitted) if not isinstance(c, candidates._BY_DISTANCE)]
         bank = CandidateBank([bank.specs[j] for j in keep], [bank.fitted[j] for j in keep])
     rng = np.random.default_rng(63)
-    x = np.vstack([rng.normal(size=(40, 1)), train.x[:5]])[rng.integers(0, 45, 200)]
+    x = np.vstack([rng.normal(size=(40, d)), train.x[:5]])[rng.integers(0, 45, 200)]
     calls = []
 
     def spy(rows, real=candidates._distinct_rows):
@@ -581,7 +579,7 @@ def test_one_dimensional_bank_finds_the_distinct_rows_once(distance, monkeypatch
     got = bank.evaluate(x)
     assert calls[0] == (200, True)
     if distance:
-        assert all(n <= np.unique(x).shape[0] and not found for n, found in calls[1:])
+        assert all(n <= np.unique(x, axis=0).shape[0] and not found for n, found in calls[1:])
     else:
         assert len(calls) == 1
     monkeypatch.undo()

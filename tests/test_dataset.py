@@ -16,7 +16,7 @@ from piagg.dataset import (
     tilt_resample,
     weighted_resample,
 )
-from piagg.errors import DimensionMismatch, MissingColumn, ParseError
+from piagg.errors import ConfigError, DimensionMismatch, MissingColumn, ParseError
 from piagg.rng import Rng, derive_seed
 
 
@@ -118,6 +118,33 @@ class TestResampling:
         t = DataTable(np.arange(4.0)[:, None])
         with pytest.raises(ValueError):
             weighted_resample(t, np.zeros(4), 5, seed=0)
+
+    @pytest.mark.parametrize("weights", [
+        [1.0, np.nan, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0], [np.inf, -np.inf, 1.0, 1.0],
+        [1e308] * 10,
+    ], ids=["nan", "inf", "inf_and_minus_inf", "sum_overflows"])
+    def test_non_finite_weights_rejected(self, weights):
+        # a NaN, an inf or an overflowing sum drew one row m times, silently
+        t = DataTable(np.arange(float(len(weights)))[:, None])
+        with pytest.raises(ConfigError, match="^weights: must be finite"):
+            weighted_resample(t, weights, 5, seed=0)
+
+    @pytest.mark.parametrize("beta", [[np.nan], [np.inf], [1e308]])
+    def test_non_finite_tilt_rejected(self, beta):
+        with pytest.raises(ConfigError, match="^beta: "):
+            tilt_resample(DataTable(np.arange(4.0)[:, None]), beta, 5, seed=0)
+
+    def test_tilt_beyond_the_float_range_draws_the_top_row(self):
+        # x @ beta is finite but spans more than the float range: far rows weigh 0
+        out = tilt_resample(DataTable(np.array([[-1.0], [0.0], [1.0]])), [1e308], 20, seed=0)
+        assert np.all(out.x[:, 0] == 1.0)
+
+    def test_finite_weights_draw_as_before(self):
+        # the draws rest on the cumulative sum of w / sum(w), bit for bit
+        w = np.random.default_rng(3).uniform(0.0, 2.0, 50)
+        t = DataTable(np.arange(50.0)[:, None])
+        idx = Rng(9).choice_with_replacement(np.cumsum(w / w.sum()), 200)
+        assert np.array_equal(weighted_resample(t, w, 200, seed=9).x[:, 0], idx)
 
 
 class TestAffineShift:

@@ -9,9 +9,12 @@ bandwidth rules; wqc; alg2 with and without a target; and in 5-d, alg1
 and alg2 with a kNN and two kernel candidates, and alg2 with the default
 bank through each transport mode and through a supplied map. A second
 hash per fit covers its intervals on 999 rows drawn with replacement from
-those 333, as a resampled target repeats rows. Equal output from two runs
-means bit-identical fits and intervals, so diff it across commits or BLAS
-thread counts:
+those 333, as a resampled target repeats rows. A row's interval must not
+depend on the rows predicted with it: the tool exits 1, naming the fit,
+unless the resampled intervals, and the first of them predicted alone, are
+the 333-row intervals gathered row for row, byte for byte. Equal output
+from two runs means bit-identical fits and intervals, so diff it across
+commits or BLAS thread counts:
 
     PYTHONPATH=src python tools/hash_set.py > a.txt
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_set.py > b.txt
@@ -20,6 +23,7 @@ thread counts:
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -47,6 +51,8 @@ ALPHA = 0.1
 FAR = [1e10, -1e50, 1e100]
 # RandomState's stream is frozen across NumPy versions
 RESAMPLE = np.random.RandomState(333).randint(0, 333, 999)
+# each fit predicts the 333 rows, the 999 resampled rows, and the first of those alone
+PICKS = [slice(None), RESAMPLE, RESAMPLE[:1]]
 KNN_KERNELS = [CandidateSpec("constant_one"), CandidateSpec("knn_quantile", k=20, tau=0.9),
                CandidateSpec("kernel_variance"), CandidateSpec("kernel_variance", bandwidth=0.8)]
 
@@ -69,7 +75,7 @@ def _piagg(fit, data, **kw):
     def run(seed):
         source, target_x, rows = data(seed)
         model = fit(source, target_x, ALPHA, seed=seed, **kw)
-        return model_to_dict(model), [predict_interval(model, r) for r in (rows, rows[RESAMPLE])]
+        return model_to_dict(model), [predict_interval(model, rows[p]) for p in PICKS]
     return run
 
 
@@ -80,13 +86,13 @@ def _conformal(name, **kw):
         ratio = fit_density_ratio(train1.x, target_x)
         if name == "wvac":
             model = fit_wvac(train1, cal, ratio, **kw)
-            batches = [predict_wvac(model, r, ALPHA) for r in (rows, rows[RESAMPLE])]
+            batches = [predict_wvac(model, rows[p], ALPHA) for p in PICKS]
             scale = model.scale_model
             doc = {"mean": model.mean_model.coefficients.tolist(),
                    "bandwidth": scale.smoother.bandwidth, "sigma_min": scale.sigma_min}
         else:
             model = fit_wqc(train1, cal, ratio, ALPHA)
-            batches = [predict_wqc(model, r, ALPHA) for r in (rows, rows[RESAMPLE])]
+            batches = [predict_wqc(model, rows[p], ALPHA) for p in PICKS]
             doc = {"q_lo": model.q_lo.coefficients.tolist(),
                    "q_hi": model.q_hi.coefficients.tolist()}
         doc.update(cal_scores=model.cal_scores.tolist(), cal_weights=model.cal_weights.tolist())
@@ -129,7 +135,11 @@ def main():
     total = hashlib.sha256()
     for name, run in FITS.items():
         for rep in range(REPS):
-            doc, (batch, resampled) = run(1000 * rep + 7)
+            doc, (batch, resampled, alone) = run(1000 * rep + 7)
+            for got, pick in ((resampled, RESAMPLE), (alone, RESAMPLE[:1])):
+                if any(getattr(batch, v)[pick].tobytes() != getattr(got, v).tobytes()
+                       for v in ("lower", "center", "upper")):
+                    sys.exit(f"{name} {rep}: an interval depends on the rows predicted with it")
             fit_hash = _digest(hashlib.sha256(json.dumps(doc, sort_keys=True).encode()), batch)
             for label, h in ((rep, fit_hash),
                              (f"{rep} resampled", _digest(hashlib.sha256(), resampled))):
