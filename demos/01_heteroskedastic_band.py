@@ -26,7 +26,7 @@ print("candidate weights (alpha):")
 for spec, a in zip(model.bank.specs, model.shape.alpha):
     print(f"  {spec.kind:<20} {a:.4f}")
 print(f"shrink level lambda = {model.shrink.lambda_hat:.4f}")
-print(f"diagnostics: {diagnose(model).to_dict()}")
+print(f"diagnostics: {diagnose(model)}")
 
 # the fitted band against the true 90% envelope at a few points
 grid = np.linspace(-1, 1, 9)[:, None]

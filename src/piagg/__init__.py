@@ -9,7 +9,6 @@ benchmark harness round out the toolkit.
 """
 
 from .aggregate import (
-    DiagnosticReport,
     IntervalBatch,
     PiModel,
     ShapeModel,
@@ -59,6 +58,6 @@ from .numerics import (
     sym_eig,
 )
 from .rng import Rng, derive_seed
-from .transport import AffineMap, apply_map, energy_distance, fit_affine_transport
+from .transport import AffineMap, apply_map, fit_affine_transport, marginal_ks
 
 __version__ = "0.1.0"

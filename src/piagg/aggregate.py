@@ -36,6 +36,7 @@ from .densratio import DensityRatioModel, eval_ratio, fit_density_ratio
 from .errors import (
     ConfigError,
     DimensionMismatch,
+    NonFiniteInput,
     PiaggError,
     ShapeInfeasible,
     ShrinkExceedsOneWarning,
@@ -65,8 +66,8 @@ class ShapeModel:
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=np.float64).ravel()
-        if np.any(alpha < 0):
-            raise ConfigError("alpha: must be nonnegative")
+        if not np.all((alpha >= 0) & (alpha < np.inf)):  # NaN fails both
+            raise ConfigError("alpha: must be finite and nonnegative")
         object.__setattr__(self, "alpha", alpha)
         check_args(delta=self.delta, epsilon=self.epsilon,
                    support_threshold=self.support_threshold)
@@ -142,14 +143,17 @@ def _solve_shape(obj: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, infeasible: 
 
 
 def _shape_block(phi, r2, w=None):
-    """Shape-block inputs as float arrays, checked to align row for row."""
+    """Shape-block float arrays, aligned row for row: finite phi, finite r2 and w >= 0."""
     phi = np.asarray(phi, dtype=np.float64)
+    if not np.all(np.isfinite(phi)):
+        raise NonFiniteInput("phi: shape values must be finite")
     r2 = check_squared_residuals(r2, phi.shape[0])
     if w is not None:
         w = np.asarray(w, dtype=np.float64).ravel()
         if w.shape[0] != phi.shape[0]:
-            raise DimensionMismatch(f"weights_on_source: {w.shape[0]} weights for "
-                                    f"{phi.shape[0]} rows")
+            raise DimensionMismatch(f"weights: {w.shape[0]} weights for {phi.shape[0]} rows")
+        if not np.all((w >= 0) & (w < np.inf)):  # NaN fails both
+            raise ConfigError("weights: must be finite and nonnegative")
     return phi, r2, w
 
 
@@ -264,9 +268,7 @@ def _shrink(scale: np.ndarray, r2: np.ndarray, w: np.ndarray, alpha_level: float
     exceeds the budget. Every other row has threshold r2 / scale (zero
     where the scale vanishes).
     """
-    r2, w = (np.asarray(v, dtype=np.float64).ravel() for v in (r2, w))
-    if not scale.shape == r2.shape == w.shape:
-        raise DimensionMismatch("calibration vectors must share a length")
+    scale, r2, w = _shape_block(scale, r2, w)
     n = scale.size
     if n == 0:
         raise PiaggError("calibration set is empty")
@@ -319,32 +321,21 @@ def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
     return IntervalBatch(center - half, center + half, center)
 
 
-@dataclass(frozen=True)
-class DiagnosticReport:
-    lambda_hat: float
-    lambda_exceeds_one: bool
-    achieved_violation: float
-    holdout_violation: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def diagnose(m: PiModel) -> DiagnosticReport:
-    """Calibration diagnostics; warns when the shrink level exceeds one,
-    i.e. the calibration step had to widen the fitted shape."""
+def diagnose(m: PiModel) -> dict:
+    """Calibration diagnostics as a flat JSON-ready mapping: the shrink
+    result's fields and the hold-out violation. Warns when the shrink level
+    exceeds one, i.e. the calibration step had to widen the fitted shape."""
     if m.shrink.lambda_exceeds_one:
         warnings.warn(
             f"shrink level {m.shrink.lambda_hat:.4g} exceeds 1; the shape is being widened",
             ShrinkExceedsOneWarning, stacklevel=2)
-    return DiagnosticReport(m.shrink.lambda_hat, m.shrink.lambda_exceeds_one,
-                            m.shrink.achieved_violation, m.holdout_violation)
+    return {**asdict(m.shrink), "holdout_violation": m.holdout_violation}
 
 
 def _known_weights(weight_fn, x: np.ndarray) -> np.ndarray:
     w = np.asarray(weight_fn(x), dtype=np.float64).ravel()
-    if w.shape[0] != x.shape[0] or not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise PiaggError(f"weight_fn must return {x.shape[0]} finite nonnegative weights")
+    if w.shape[0] != x.shape[0] or not (np.all((w >= 0) & (w < np.inf)) and w.sum() > 0):
+        raise PiaggError(f"weight_fn must return {x.shape[0]} finite weights >= 0, not all 0")
     return w
 
 
@@ -553,6 +544,9 @@ def model_from_dict(d: dict) -> PiModel:
                               d["lambda_exceeds_one"])
         scalars = dict(alpha_level=d["alpha_level"], alg2_delta=d["alg2_delta"],
                        floor=d["floor"], holdout_violation=d["holdout_violation"])
+        # an Alg. 1 model stores alg2_delta = 0, which the rule reads as null
+        check_args(alpha_level=d["alpha_level"], lambda_hat=d["lambda_hat"], floor=d["floor"],
+                   alg2_delta=None if d["alg2_delta"] == 0 else d["alg2_delta"])
         bank_state, mean_state = d["bank"], d["mean_model"]
         adapter_state = d["adapter_kind"], d["adapter"]
         section = "model.bank"
@@ -564,6 +558,8 @@ def model_from_dict(d: dict) -> PiModel:
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if section == "model" and isinstance(exc, KeyError):
             raise ConfigError(f"model.{exc.args[0]}: missing required field") from None
+        if section == "model" and isinstance(exc, ConfigError):  # "<field>: must ..."
+            raise ConfigError(f"model.{exc}") from None
         raise ConfigError(f"{section}: malformed ({type(exc).__name__}: {exc})") from exc
     if shape.alpha.shape[0] != bank.n_candidates:
         raise ConfigError(f"model.alpha: {shape.alpha.shape[0]} weights for "

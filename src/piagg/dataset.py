@@ -35,6 +35,17 @@ def check_covariates(name: str, x) -> np.ndarray:
     return x
 
 
+def check_samples(name_a: str, a, name_b: str, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two covariate samples through ``check_covariates``, rejected unless
+    both have rows and columns and they share a dimension."""
+    a, b = check_covariates(name_a, a), check_covariates(name_b, b)
+    if a.size == 0 or b.size == 0:
+        raise EmptyInput(f"{name_a}, {name_b}: both covariate samples must be non-empty")
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatch(f"{name_a}, {name_b}: covariate dimensions differ")
+    return a, b
+
+
 @dataclass(frozen=True)
 class DataTable:
     """Covariate matrix with an optional response vector.

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, check_args
+from .dataset import check_covariates, check_samples
+from .errors import check_args
 from .numerics import LinearModel, logistic_fit
 
 
@@ -38,12 +39,7 @@ def fit_density_ratio(source_x: np.ndarray, target_x: np.ndarray,
     the fit finite when the two samples are nearly separable.
     """
     check_args(ridge=ridge, prob_clip=prob_clip, ratio_cap=ratio_cap)
-    source_x = np.atleast_2d(np.asarray(source_x, dtype=np.float64))
-    target_x = np.atleast_2d(np.asarray(target_x, dtype=np.float64))
-    if source_x.shape[0] == 0 or target_x.shape[0] == 0:
-        raise EmptyInput("both covariate samples must be non-empty")
-    if source_x.shape[1] != target_x.shape[1]:
-        raise DimensionMismatch("source and target dimension differ")
+    source_x, target_x = check_samples("source_x", source_x, "target_x", target_x)
     pooled = np.vstack([source_x, target_x])
     labels = np.concatenate([np.zeros(source_x.shape[0]), np.ones(target_x.shape[0])])
     clf = logistic_fit(pooled, labels, ridge=ridge)
@@ -53,7 +49,7 @@ def fit_density_ratio(source_x: np.ndarray, target_x: np.ndarray,
 
 def eval_ratio(m: DensityRatioModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the capped ratio estimate on new covariates."""
-    p = m.classifier.predict_proba(x)
+    p = m.classifier.predict_proba(check_covariates("x", x))
     p = np.clip(p, m.prob_clip, 1.0 - m.prob_clip)
     ratio = (m.n_source / m.n_target) * p / (1.0 - p)
     return np.minimum(ratio, m.ratio_cap)

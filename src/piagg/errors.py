@@ -118,6 +118,7 @@ ARG_RULES = {
     "support_threshold": _FINITE_NONNEGATIVE, "ridge": _FINITE_NONNEGATIVE,
     "ratio_ridge": _FINITE_NONNEGATIVE,  # the scenario's name for the ratio fit's ridge
     "cov_ridge": _FINITE_NONNEGATIVE, "floor": _FINITE_NONNEGATIVE,
+    "lambda_hat": _FINITE_NONNEGATIVE,  # a fitted model's shrink level
     "k": _COUNT, "bins": _COUNT, "n": _COUNT, "n_target": _COUNT, "replications": _COUNT,
     "base_seed": ("be an integer", _integer),
     "beta": _NUMBERS, "b": _NUMBERS,  # a scalar stands for a length-1 vector

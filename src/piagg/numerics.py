@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize as _sp_optimize
 
+from .dataset import check_covariates
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -73,7 +74,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def design_with_intercept(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = check_covariates("x", x)
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 

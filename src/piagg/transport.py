@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, DimensionMismatch, EmptyInput, check_args
+from .dataset import check_covariates, check_samples
+from .errors import ConfigError, DimensionMismatch, check_args
 from .numerics import sym_eig
 
 
@@ -70,12 +70,7 @@ def fit_affine_transport(target_x: np.ndarray, source_x: np.ndarray,
     exactly and, for the covariance-aware modes, the source covariance;
     ``mode`` is one of the ``transport_mode`` values."""
     check_args(transport_mode=mode, cov_ridge=cov_ridge)
-    target_x = np.atleast_2d(np.asarray(target_x, dtype=np.float64))
-    source_x = np.atleast_2d(np.asarray(source_x, dtype=np.float64))
-    if target_x.shape[0] == 0 or source_x.shape[0] == 0:
-        raise EmptyInput("both covariate samples must be non-empty")
-    if target_x.shape[1] != source_x.shape[1]:
-        raise DimensionMismatch("source and target dimension differ")
+    target_x, source_x = check_samples("target_x", target_x, "source_x", source_x)
     mu_t, cov_t = _mean_cov(target_x, cov_ridge)
     mu_s, cov_s = _mean_cov(source_x, cov_ridge)
     if mode == "gaussian_ot":
@@ -96,22 +91,17 @@ def fit_affine_transport(target_x: np.ndarray, source_x: np.ndarray,
 
 def apply_map(m: AffineMap, x: np.ndarray) -> np.ndarray:
     """Row-wise a @ x + b."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = check_covariates("x", x)
     if x.shape[1] != m.a.shape[0]:
         raise DimensionMismatch("x dimension does not match the map")
     return np.vecdot(x[:, None, :], m.a) + m.b
 
 
-def energy_distance(a: np.ndarray, b: np.ndarray, max_points: int = 2000) -> float:
-    """Energy distance between two samples, a goodness-of-alignment
-    diagnostic for fitted maps (no pass/fail threshold is implied).
-
-    Both samples are truncated to their first ``max_points`` rows to keep
-    the pairwise computation bounded; the mean pairwise distances come
-    from SciPy's ``cdist``.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))[:max_points]
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))[:max_points]
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch("samples have different dimension")
-    return float(2.0 * cdist(a, b).mean() - cdist(a, a).mean() - cdist(b, b).mean())
+def marginal_ks(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest two-sample Kolmogorov-Smirnov statistic over the coordinates,
+    from both empirical CDFs at every pooled point: a goodness-of-alignment
+    diagnostic for fitted maps (no pass/fail threshold is implied) on marginals only."""
+    a, b = (np.sort(v, axis=0) for v in check_samples("a", a, "b", b))
+    return max(float(np.max(np.abs(np.searchsorted(u, t, side="right") / u.size
+                                   - np.searchsorted(v, t, side="right") / v.size)))
+               for u, v, t in zip(a.T, b.T, np.vstack([a, b]).T))

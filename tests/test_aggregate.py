@@ -43,7 +43,7 @@ from piagg.dataset import (
     split,
     weighted_resample,
 )
-from piagg.densratio import fit_density_ratio
+from piagg.densratio import eval_ratio, fit_density_ratio
 from piagg.errors import (
     ConfigError,
     DimensionMismatch,
@@ -54,8 +54,8 @@ from piagg.errors import (
     ShrinkUnbounded,
 )
 from piagg.linprog import OPTIMAL, LinearProgram, solve_lp
-from piagg.numerics import LinearModel, logistic_fit
-from piagg.transport import AffineMap
+from piagg.numerics import LinearModel, logistic_fit, ols_fit, quantile_reg_fit
+from piagg.transport import AffineMap, apply_map, fit_affine_transport
 
 DATA = Path(__file__).parent / "data"
 
@@ -564,19 +564,20 @@ class TestDiagnose:
         with w.catch_warnings():
             w.simplefilter("error")
             report = diagnose(m)
-        assert not report.lambda_exceeds_one
+        assert not report["lambda_exceeds_one"]
 
     def test_warning_above_one(self):
         m = _tiny_model(alpha=1.0, lam=1.3)
         with pytest.warns(ShrinkExceedsOneWarning):
             report = diagnose(m)
-        assert report.lambda_exceeds_one
+        assert report["lambda_exceeds_one"]
 
-    def test_report_round_trips(self):
-        m = _tiny_model(alpha=1.0, lam=0.8)
+    def test_mapping_holds_the_calibration_fields_and_round_trips(self):
+        m = replace(_tiny_model(alpha=1.0, lam=0.8), holdout_violation=0.03)
         report = diagnose(m)
-        loaded = json.loads(json.dumps(report.to_dict()))
-        assert loaded == report.to_dict()
+        assert report == {"lambda_hat": 0.8, "achieved_violation": 0.0,
+                          "lambda_exceeds_one": False, "holdout_violation": 0.03}
+        assert json.loads(json.dumps(report)) == report
 
 
 class TestSerialization:
@@ -622,6 +623,24 @@ class TestSerialization:
             del doc[key]
             with pytest.raises(ConfigError, match=rf"^model\.{key}: missing required field$"):
                 model_from_dict(doc)
+
+    # each but delta loaded before, then predicted ±inf or zero-width intervals
+    # or failed only at predict, on the interval order; delta failed with
+    # "model: malformed (...)", which named no field
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", float("inf")), ("alpha", float("nan")),
+        ("lambda_hat", float("inf")), ("lambda_hat", float("nan")), ("lambda_hat", -1.0),
+        ("alg2_delta", float("inf")), ("alg2_delta", -1.0),
+        ("floor", float("nan")), ("floor", -5.0), ("alpha_level", 7.0), ("delta", -1.0),
+    ])
+    def test_bad_scalar_rejected_at_load(self, field, value):
+        doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
+        if field == "alpha":
+            doc["alpha"][2] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ConfigError, match=rf"^model\.{field}: must "):
+            model_from_dict(json.loads(json.dumps(doc)))  # NaN and Infinity survive JSON
 
     def test_malformed_section_names_its_path(self):
         doc = self._tiny_doc()
@@ -718,7 +737,8 @@ class TestKnownWeights:
         lambda x: np.full(x.shape[0], np.nan),
         lambda x: np.full(x.shape[0], np.inf),
         lambda x: np.ones(x.shape[0] + 1),
-    ], ids=["negative", "nan", "inf", "wrong_size"])
+        lambda x: np.zeros(x.shape[0]),
+    ], ids=["negative", "nan", "inf", "wrong_size", "all_zero"])
     def test_bad_weights_rejected(self, weight_fn):
         src = gen_hetero_sim(300, seed=19)
         with pytest.raises(PiaggError, match="weight_fn"):
@@ -825,6 +845,9 @@ def _bank():
     return fit_candidate_set(_LABELED, np.ones(20), None)
 
 
+_NAN_ROW = np.vstack([_LABELED.x[:19], [[np.nan]]])
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: DataTable(np.array([[0.0], [np.nan]])), NonFiniteInput),
     (lambda: DataTable(np.array([[0.0], [-1.5e100]])), NonFiniteInput),
@@ -847,10 +870,31 @@ def _bank():
     (lambda: fit_covariate_shift(_LABELED, _LABELED.x, 0.1, specs=[{"kind": "constant_one"}]),
      ConfigError),
     (lambda: fit_transport(_LABELED, specs=CandidateSpec("constant_one")), ConfigError),
+    (lambda: shrink_cov_shift(np.ones(3), np.ones(3), [1.0, -3.0, 1.0], 0.1), ConfigError),
+    (lambda: shrink_cov_shift([1.0, np.nan, 1.0], np.ones(3), np.ones(3), 0.1), NonFiniteInput),
+    (lambda: shrink_source([1.0, np.inf, 1.0], np.ones(3), 0.1, 0.1), NonFiniteInput),
+    (lambda: fit_shape_cov_shift(np.ones((3, 1)), np.ones(3), [1.0, np.nan, 1.0],
+                                 np.ones((2, 1))), ConfigError),
+    (lambda: fit_shape_cov_shift(np.ones((3, 1)), np.ones(3), [1.0, np.inf, 1.0],
+                                 np.ones((2, 1)), mode="hinge", delta=0.1, epsilon=0.1),
+     ConfigError),
+    (lambda: fit_shape_source([[1.0], [np.nan], [1.0]], np.ones(3)), NonFiniteInput),
+    (lambda: eval_ratio(fit_density_ratio(_LABELED.x, _LABELED.x + 0.5), [[0.0], [np.nan]]),
+     NonFiniteInput),
+    (lambda: fit_density_ratio(_NAN_ROW, _LABELED.x), NonFiniteInput),
+    (lambda: apply_map(AffineMap.identity(1), [[0.0], [np.nan]]), NonFiniteInput),
+    (lambda: fit_affine_transport(_LABELED.x, _NAN_ROW), NonFiniteInput),
+    (lambda: ols_fit(_NAN_ROW, np.arange(20.0)), NonFiniteInput),
+    (lambda: quantile_reg_fit(_NAN_ROW, np.arange(20.0), 0.5), NonFiniteInput),
+    (lambda: logistic_fit(_NAN_ROW, np.arange(20.0) % 2), NonFiniteInput),
     *[(call, PiaggError) for call in _UNLABELED_CALLS.values()],
 ], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative", "no_specs",
         "logistic_labels", "hinge_no_scale", "bank_nan", "bank_inf", "hinge_no_delta",
         "hinge_no_epsilon", "tuple_map", "map_dimension", "dict_specs", "lone_spec",
+        "shrink_negative_weight", "shrink_nan_shape", "shrink_source_inf_shape",
+        "shape_nan_weight", "hinge_inf_weight", "shape_nan_phi", "eval_ratio_nan",
+        "density_ratio_nan", "apply_map_nan", "affine_transport_nan", "ols_nan",
+        "quantile_reg_nan", "logistic_nan",
         *[f"unlabeled_{name}" for name in _UNLABELED_CALLS]])
 def test_public_entry_points_raise_typed_errors(call, error):
     with pytest.raises(error):

@@ -2,6 +2,7 @@
 bench subcommand, and error reporting."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +176,21 @@ def test_malformed_candidate_state_is_a_typed_error(tmp_path, capsys, corrupt):
     obj = json.loads(err)
     assert obj["error"] == "ConfigError"
     assert obj["message"].startswith("model.bank: ")
+
+
+def test_model_with_an_infinite_shrink_level_is_a_typed_error(tmp_path, capsys):
+    # before, predict wrote ±inf bounds and exited 0
+    doc = json.loads((Path(__file__).parent / "data" / "model_v1_alg1_1d.json").read_text())
+    doc["lambda_hat"] = float("inf")
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    x = tmp_path / "x.csv"
+    x.write_text("x1\n0.0\n0.5\n")
+    assert main(["predict", "--model", str(model), "--x", str(x),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": "model.lambda_hat: must be finite and >= 0"}
 
 
 _SCENARIO = {"data": {"kind": "synthetic", "generator": "hetero1d", "n": 300},
