@@ -547,6 +547,10 @@ def model_from_dict(d: dict) -> PiModel:
         # an Alg. 1 model stores alg2_delta = 0, which the rule reads as null
         check_args(alpha_level=d["alpha_level"], lambda_hat=d["lambda_hat"], floor=d["floor"],
                    alg2_delta=None if d["alg2_delta"] == 0 else d["alg2_delta"])
+        if d["alg2_delta"] is None:
+            raise ConfigError("alg2_delta: must be a number, 0 for an Alg. 1 model")
+        if d["lambda_exceeds_one"] is not (d["lambda_hat"] > 1):
+            raise ConfigError("lambda_exceeds_one: must be true exactly when lambda_hat > 1")
         bank_state, mean_state = d["bank"], d["mean_model"]
         adapter_state = d["adapter_kind"], d["adapter"]
         section = "model.bank"

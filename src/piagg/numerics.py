@@ -25,6 +25,8 @@ from .errors import (
     check_args,
 )
 
+_GLOB_ROWS, _GLOB_ROUNDS = 5000, 4  # quantile regression: globbing's row threshold and rounds
+
 
 @dataclass(frozen=True)
 class SymEig:
@@ -194,12 +196,22 @@ def left_quantiles(values: np.ndarray, weights: np.ndarray, level: float,
     return out
 
 
+def _rank_score_dual(xd: np.ndarray, y: np.ndarray, b_eq: np.ndarray):
+    """HiGHS on ``max y@a``, ``X'a = b_eq``, ``0 <= a <= 1``: its result and coefficients."""
+    res = _sp_optimize.linprog(-y, A_eq=xd.T, b_eq=b_eq, bounds=(0, 1), method="highs",
+                               options={"presolve": False})
+    return res, -np.asarray(res.eqlin.marginals, dtype=np.float64) if res.success else None
+
+
 def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
     """Linear quantile regression by minimizing the check loss.
 
     HiGHS solves the Koenker-Bassett rank-score dual, ``max y@a`` subject
     to ``X'a = (1 - tau) X'1`` and ``0 <= a <= 1`` with X the design with
     intercept; the coefficients are the multipliers of its equalities.
+    Above ``_GLOB_ROWS`` rows it globs (Portnoy & Koenker, 1997): it solves the dual on a
+    band of rows around the tau-quantile of a subsample fit's residuals, the other rows
+    fixed, and keeps that fit only when it is optimal for the full LP.
     The test suite checks the check loss against the primal LP with split
     residual parts, solved through ``solve_lp``.
     """
@@ -211,9 +223,22 @@ def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
         raise DimensionMismatch("y length does not match x rows")
     if n < p + 1:
         raise EmptyInput(f"need at least {p + 1} observations for {p - 1} covariates")
-    res = _sp_optimize.linprog(-y, A_eq=xd.T, b_eq=(1.0 - tau) * xd.sum(axis=0),
-                               bounds=(0, 1), method="highs", options={"presolve": False})
-    if not res.success:
+    b_eq = (1.0 - tau) * xd.sum(axis=0)
+    if n > _GLOB_ROWS:
+        m = int(np.ceil(np.sqrt(p) * n ** (2 / 3)))
+        sub = slice(None, None, max(n // m, 1))
+        beta = _rank_score_dual(xd[sub], y[sub], (1.0 - tau) * xd[sub].sum(axis=0))[1]
+        for band in 3 * m * 2 ** np.arange(_GLOB_ROUNDS if beta is not None else 0):
+            order = np.argsort(y - xd @ beta)
+            lo, hi = max(int(tau * n) - band // 2, 0), min(int(tau * n) + band // 2, n)
+            glob = _rank_score_dual(xd[order[lo:hi]], y[order[lo:hi]],
+                                    b_eq - xd[order[hi:]].sum(axis=0))[1]
+            if glob is not None:
+                r = y - xd @ glob
+                if np.all(r[order[hi:]] >= 0) and np.all(r[order[:lo]] <= 0):
+                    return LinearModel(glob, "quantile", tau=tau)
+                beta = glob
+    res, beta = _rank_score_dual(xd, y, b_eq)
+    if beta is None:
         raise PiaggError(f"quantile regression LP failed: {res.message}")
-    beta = -np.asarray(res.eqlin.marginals, dtype=np.float64)
     return LinearModel(beta, "quantile", tau=tau)

@@ -632,6 +632,8 @@ class TestSerialization:
         ("lambda_hat", float("inf")), ("lambda_hat", float("nan")), ("lambda_hat", -1.0),
         ("alg2_delta", float("inf")), ("alg2_delta", -1.0),
         ("floor", float("nan")), ("floor", -5.0), ("alpha_level", 7.0), ("delta", -1.0),
+        # null predicted a bare TypeError; a stale flag silenced diagnose's warning
+        ("alg2_delta", None), ("lambda_exceeds_one", True), ("lambda_exceeds_one", 0),
     ])
     def test_bad_scalar_rejected_at_load(self, field, value):
         doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
@@ -641,6 +643,15 @@ class TestSerialization:
             doc[field] = value
         with pytest.raises(ConfigError, match=rf"^model\.{field}: must "):
             model_from_dict(json.loads(json.dumps(doc)))  # NaN and Infinity survive JSON
+
+    def test_loaded_shrink_level_above_one_warns(self):
+        doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
+        doc["lambda_hat"] = 1.3
+        with pytest.raises(ConfigError, match=r"^model\.lambda_exceeds_one: must "):
+            model_from_dict(doc)
+        doc["lambda_exceeds_one"] = True
+        with pytest.warns(ShrinkExceedsOneWarning):
+            assert diagnose(model_from_dict(doc))["lambda_hat"] == 1.3
 
     def test_malformed_section_names_its_path(self):
         doc = self._tiny_doc()

@@ -178,10 +178,15 @@ def test_malformed_candidate_state_is_a_typed_error(tmp_path, capsys, corrupt):
     assert obj["message"].startswith("model.bank: ")
 
 
-def test_model_with_an_infinite_shrink_level_is_a_typed_error(tmp_path, capsys):
-    # before, predict wrote ±inf bounds and exited 0
+# before, an infinite shrink level wrote ±inf bounds and exited 0, and a
+# null alg2_delta raised a bare TypeError at predict
+@pytest.mark.parametrize("field, value, message", [
+    ("lambda_hat", float("inf"), "model.lambda_hat: must be finite and >= 0"),
+    ("alg2_delta", None, "model.alg2_delta: must be a number, 0 for an Alg. 1 model"),
+], ids=["infinite_shrink_level", "null_alg2_delta"])
+def test_model_with_a_bad_scalar_is_a_typed_error(tmp_path, capsys, field, value, message):
     doc = json.loads((Path(__file__).parent / "data" / "model_v1_alg1_1d.json").read_text())
-    doc["lambda_hat"] = float("inf")
+    doc[field] = value
     model = tmp_path / "m.json"
     model.write_text(json.dumps(doc))
     x = tmp_path / "x.csv"
@@ -189,8 +194,7 @@ def test_model_with_an_infinite_shrink_level_is_a_typed_error(tmp_path, capsys):
     assert main(["predict", "--model", str(model), "--x", str(x),
                  "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
-    assert json.loads(err) == {"error": "ConfigError",
-                               "message": "model.lambda_hat: must be finite and >= 0"}
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
 
 
 _SCENARIO = {"data": {"kind": "synthetic", "generator": "hetero1d", "n": 300},

@@ -5,11 +5,15 @@ logistic IRLS, weighted quantiles, and check-loss quantile regression
 The property tests draw their cases deterministically, so the suite's
 outcome does not depend on the run."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from piagg import numerics
 from piagg.errors import (
     DivergentFit,
     NotSymmetric,
@@ -345,3 +349,88 @@ class TestQuantileReg:
         m = quantile_reg_fit(x, y, tau)
         fitted = check_loss(y - m.predict(x), tau)
         assert fitted == pytest.approx(_primal_check_loss_optimum(x, y, tau), rel=1e-8, abs=1e-12)
+
+
+def _full_fit(x, y, tau):
+    """The fit by one rank-score dual over every row."""
+    with mock.patch.object(numerics, "_GLOB_ROWS", len(y)):
+        return quantile_reg_fit(x, y, tau)
+
+
+def _traced_fit(x, y, tau):
+    """The fit, and the (rows, HiGHS status) of each rank-score dual it solved."""
+    solves, solve = [], numerics._rank_score_dual
+
+    def traced(xd, y, b_eq):
+        res, beta = solve(xd, y, b_eq)
+        solves.append((len(y), res.status))
+        return res, beta
+
+    with mock.patch.object(numerics, "_rank_score_dual", traced):
+        return quantile_reg_fit(x, y, tau), solves
+
+
+def _misleading_subsample(sub_y, n=6000):
+    """Pure noise on [-1, 1] whose first globbing subsample (every n // m-th
+    row of a 1-d design) follows ``sub_y(x)`` instead, so the residual ranks
+    it gives are wrong."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, size=(n, 1))
+    y = rng.normal(size=n)
+    sub = slice(None, None, n // math.ceil(math.sqrt(2) * n ** (2 / 3)))
+    y[sub] = sub_y(x[sub, 0])
+    return x, y
+
+
+class TestQuantileRegGlobbing:
+    """Above ``_GLOB_ROWS`` rows the fit solves the rank-score dual on a
+    band of rows around the tau-quantile, with the others fixed, and keeps
+    the answer only when it is optimal for the full LP."""
+
+    def _assert_full_optimum(self, x, y, tau, m):
+        full = check_loss(y - _full_fit(x, y, tau).predict(x), tau)
+        assert check_loss(y - m.predict(x), tau) == pytest.approx(full, rel=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(above=st.booleans(), extra=st.integers(1, 2000), d=st.sampled_from([1, 5]),
+           tau=st.floats(0.001, 0.02) | st.floats(0.02, 0.98) | st.floats(0.98, 0.999),
+           seed=st.integers(0, 2 ** 32 - 1), responses=st.sampled_from(["t3", "ties", "levels"]))
+    def test_property_reaches_the_full_optimum(self, above, extra, d, tau, seed, responses):
+        n = numerics._GLOB_ROWS + extra if above else d + 1 + extra
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        y = x @ rng.normal(size=d) + rng.standard_t(3, size=n)
+        if responses == "ties":
+            y = np.round(y)
+        elif responses == "levels":  # three response values, each on about n/3 rows
+            y = rng.integers(0, 3, size=n).astype(float)
+        self._assert_full_optimum(x, y, tau, quantile_reg_fit(x, y, tau))
+
+    def test_globbing_is_deterministic_and_solves_a_band(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(8000, 2))
+        y = (x[:, 0] + rng.standard_t(3, size=8000)) ** 2
+        m, solves = _traced_fit(x, y, 0.9)
+        assert [rows < 8000 for rows, _ in solves] == [True, True]
+        assert np.array_equal(quantile_reg_fit(x, y, 0.9).coefficients, m.coefficients)
+        self._assert_full_optimum(x, y, 0.9, m)
+
+    def test_band_that_fails_the_check_doubles(self):
+        x, y = _misleading_subsample(lambda v: 10 * v ** 2)
+        m, solves = _traced_fit(x, y, 0.7)
+        assert len(solves) == 3 and all(status == 0 for _, status in solves)
+        assert solves[1][0] < solves[2][0] < len(y)
+        self._assert_full_optimum(x, y, 0.7, m)
+
+    def test_infeasible_band_is_not_accepted(self):
+        x, y = _misleading_subsample(lambda v: 5 * v)
+        m, solves = _traced_fit(x, y, 0.3)
+        assert [status for _, status in solves[1:3]] == [2, 2]  # HiGHS: infeasible
+        self._assert_full_optimum(x, y, 0.3, m)
+
+    def test_last_failed_round_falls_back_to_the_full_solve(self):
+        x, y = _misleading_subsample(lambda v: 10 * v ** 2)
+        with mock.patch.object(numerics, "_GLOB_ROUNDS", 1):
+            m, solves = _traced_fit(x, y, 0.7)
+        assert [rows == len(y) for rows, _ in solves] == [False, False, True]
+        self._assert_full_optimum(x, y, 0.7, m)
