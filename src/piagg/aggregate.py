@@ -25,13 +25,12 @@ from .candidates import (
     CandidateBank,
     CandidateSpec,
     KnnMean,
-    check_squared_residuals,
     fit_candidate_set,
     fit_mean,
     residuals,
     state_dict,
 )
-from .dataset import DataTable, SplitSpec, check_covariates, split
+from .dataset import DataTable, SplitSpec, check_covariates, check_nonnegative, split
 from .densratio import DensityRatioModel, eval_ratio, fit_density_ratio
 from .errors import (
     ConfigError,
@@ -65,10 +64,7 @@ class ShapeModel:
     objective_value: float = float("nan")
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64).ravel()
-        if not np.all((alpha >= 0) & (alpha < np.inf)):  # NaN fails both
-            raise ConfigError("alpha: must be finite and nonnegative")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", check_nonnegative("alpha", self.alpha))
         check_args(delta=self.delta, epsilon=self.epsilon,
                    support_threshold=self.support_threshold)
         if self.mode == MODE_COV_HINGE and self.delta is None:
@@ -147,14 +143,8 @@ def _shape_block(phi, r2, w=None):
     phi = np.asarray(phi, dtype=np.float64)
     if not np.all(np.isfinite(phi)):
         raise NonFiniteInput("phi: shape values must be finite")
-    r2 = check_squared_residuals(r2, phi.shape[0])
-    if w is not None:
-        w = np.asarray(w, dtype=np.float64).ravel()
-        if w.shape[0] != phi.shape[0]:
-            raise DimensionMismatch(f"weights: {w.shape[0]} weights for {phi.shape[0]} rows")
-        if not np.all((w >= 0) & (w < np.inf)):  # NaN fails both
-            raise ConfigError("weights: must be finite and nonnegative")
-    return phi, r2, w
+    return (phi, check_nonnegative("r2", r2, phi.shape[0]),
+            None if w is None else check_nonnegative("weights", w, phi.shape[0]))
 
 
 def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.ndarray,
@@ -291,7 +281,7 @@ def shrink_cov_shift(f_hat_cal: np.ndarray, r2_cal: np.ndarray, w_cal: np.ndarra
     residual does not violates at every multiplier, and ShrinkUnbounded is
     raised when such rows alone exceed the budget.
     """
-    check_args(floor=floor)
+    check_args(alpha_level=alpha_level, floor=floor)
     f = np.asarray(f_hat_cal, dtype=np.float64).ravel()
     return _shrink(_lift(f, floor, 0.0), r2_cal, w_cal, alpha_level, False)
 
@@ -305,6 +295,9 @@ def shrink_source(f_hat_cal: np.ndarray, r2_cal: np.ndarray,
     infimum may not be attained; the scan returns the limit value and
     reports the violation measured just above it.
     """
+    check_args(alpha_level=alpha_level, alg2_delta=alg2_delta)
+    if alg2_delta is None:  # the rule's null stands for a pipeline's default, not set here
+        raise ConfigError("alg2_delta: must be a number")
     f = np.asarray(f_hat_cal, dtype=np.float64).ravel()
     return _shrink(_lift(f, 0.0, alg2_delta), r2_cal, np.ones(f.size),
                    alpha_level, True)
@@ -333,9 +326,9 @@ def diagnose(m: PiModel) -> dict:
 
 
 def _known_weights(weight_fn, x: np.ndarray) -> np.ndarray:
-    w = np.asarray(weight_fn(x), dtype=np.float64).ravel()
-    if w.shape[0] != x.shape[0] or not (np.all((w >= 0) & (w < np.inf)) and w.sum() > 0):
-        raise PiaggError(f"weight_fn must return {x.shape[0]} finite weights >= 0, not all 0")
+    w = check_nonnegative("weight_fn", weight_fn(x), x.shape[0])
+    if not w.sum() > 0:
+        raise ConfigError("weight_fn: weights must not all be 0")
     return w
 
 
@@ -476,7 +469,7 @@ def _mean_model_from_state(d: dict):
     state = dict(d)
     kind = state.pop("kind")
     if kind == "ols":
-        return LinearModel(np.asarray(state["coefficients"], float), "ols_mean")
+        return LinearModel(state["coefficients"], "ols_mean")
     if kind == "knn":
         return KnnMean(**state)
     raise ConfigError(f"unknown mean model kind '{kind}'")
@@ -499,7 +492,7 @@ def _adapter_from_state(kind: str, d: dict | None):
     if kind == "none":
         return None
     if kind == "ratio":
-        clf = LinearModel(np.asarray(d["coefficients"], float), "logistic")
+        clf = LinearModel(d["coefficients"], "logistic")
         return DensityRatioModel(clf, d["n_source"], d["n_target"],
                                  d["prob_clip"], d["ratio_cap"])
     if kind == "map":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import DataTable
+from .dataset import DataTable, check_nonnegative
 from .errors import (ConfigError, DimensionMismatch, EmptyBin, NonFiniteInput, PiaggError,
                      check_args)
 from .numerics import LinearModel, ols_fit, quantile_reg_fit
@@ -133,16 +133,6 @@ def residuals(train: DataTable, mean_model) -> np.ndarray:
         raise PiaggError("residuals need a labeled table")
     pred = np.asarray(mean_model.predict(train.x), dtype=np.float64).ravel()
     return (train.y - pred) ** 2
-
-
-def check_squared_residuals(r2, n_rows: int) -> np.ndarray:
-    """``r2`` as a float vector of ``n_rows`` finite nonnegative entries."""
-    r2 = np.asarray(r2, dtype=np.float64).ravel()
-    if r2.shape[0] != n_rows:
-        raise DimensionMismatch(f"r2: {r2.shape[0]} squared residuals for {n_rows} rows")
-    if not np.all((r2 >= 0) & (r2 < np.inf)):  # NaN fails both
-        raise PiaggError("r2: squared residuals must be finite and nonnegative")
-    return r2
 
 
 # entries per block of pairwise distances: evaluation rows go in blocks of
@@ -371,9 +361,9 @@ class _LinearQuantileSq:
     tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           np.asarray(self.coefficients, dtype=np.float64))
-        object.__setattr__(self, "tau", float(self.tau))
+        model = LinearModel(self.coefficients, "quantile", float(self.tau))  # finite coefficients
+        object.__setattr__(self, "coefficients", model.coefficients)
+        object.__setattr__(self, "tau", model.tau)
 
     def evaluate(self, x):
         return np.maximum(LinearModel(self.coefficients, "quantile", self.tau).predict(x), 0.0)
@@ -482,6 +472,6 @@ def fit_candidate_set(train: DataTable, r2: np.ndarray,
     check_args(specs=specs)
     if train.y is None:
         raise PiaggError("fit_candidate_set needs a labeled table")
-    r2 = check_squared_residuals(r2, train.n)
+    r2 = check_nonnegative("r2", r2, train.n)
     specs = default_bank_specs() if specs is None else list(specs)
     return CandidateBank(specs, [_fit_candidate(spec, train.x, r2) for spec in specs])

@@ -22,7 +22,7 @@ import numpy as np
 from .candidates import CandidateSpec, KernelVariance, fit_candidate_set, residuals
 from .dataset import DataTable, check_covariates
 from .densratio import DensityRatioModel, eval_ratio
-from .errors import PiaggError, check_args
+from .errors import EmptyInput, PiaggError, check_args
 from .numerics import LinearModel, left_quantiles, ols_fit, quantile_reg_fit
 from .aggregate import IntervalBatch
 
@@ -78,6 +78,8 @@ def fit_wvac(train1: DataTable, cal: DataTable, ratio: DensityRatioModel | None,
     check_args(sigma_min=sigma_min, bandwidth=bandwidth)
     if train1.y is None or cal.y is None:
         raise PiaggError("both blocks must be labeled")
+    if cal.n == 0:  # no calibration score: every interval would be infinite
+        raise EmptyInput("cal: the calibration block has no rows")
     mean_model = ols_fit(train1.x, train1.y)
     resid2 = residuals(train1, mean_model)
     if sigma_min is None:
@@ -112,6 +114,8 @@ def fit_wqc(train1: DataTable, cal: DataTable, ratio: DensityRatioModel | None,
     check_args(alpha_level=alpha_level)
     if train1.y is None or cal.y is None:
         raise PiaggError("both blocks must be labeled")
+    if cal.n == 0:  # no calibration score: every interval would be infinite
+        raise EmptyInput("cal: the calibration block has no rows")
     q_lo = quantile_reg_fit(train1.x, train1.y, alpha_level / 2.0)
     q_hi = quantile_reg_fit(train1.x, train1.y, 1.0 - alpha_level / 2.0)
     lo, hi = _ordered_quantiles(q_lo, q_hi, cal.x)

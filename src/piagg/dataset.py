@@ -35,6 +35,17 @@ def check_covariates(name: str, x) -> np.ndarray:
     return x
 
 
+def check_nonnegative(name: str, v, n_rows: int | None = None) -> np.ndarray:
+    """``v`` as a float vector of finite nonnegative entries, ``n_rows`` of
+    them when given; the errors start with the argument's name."""
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if n_rows is not None and v.shape[0] != n_rows:
+        raise DimensionMismatch(f"{name}: {v.shape[0]} entries for {n_rows} rows")
+    if not np.all((v >= 0) & (v < np.inf)):  # NaN fails both
+        raise ConfigError(f"{name}: must be finite and nonnegative")
+    return v
+
+
 def check_samples(name_a: str, a, name_b: str, b) -> tuple[np.ndarray, np.ndarray]:
     """Two covariate samples through ``check_covariates``, rejected unless
     both have rows and columns and they share a dimension."""
@@ -169,12 +180,10 @@ def split(t: DataTable, s: SplitSpec) -> list[DataTable]:
 def weighted_resample(t: DataTable, weights: np.ndarray, m: int, seed: int) -> DataTable:
     """Draw ``m`` rows with replacement, row i with probability
     proportional to ``weights[i]``."""
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if w.shape[0] != t.n:
-        raise DimensionMismatch("weights length does not match table rows")
-    with np.errstate(all="ignore"):  # a sum that overflows, or inf - inf, is refused below
+    w = check_nonnegative("weights", weights, t.n)
+    with np.errstate(over="ignore"):  # a sum that overflows is refused below
         total = w.sum()
-    if not (np.all(w >= 0) and 0 < total < np.inf):  # NaN fails both
+    if not 0 < total < np.inf:
         raise ConfigError("weights: must be finite and nonnegative with a finite positive sum")
     return t.take(Rng(seed).choice_with_replacement(np.cumsum(w / total), m))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import check_covariates, check_samples
 from .errors import check_args
-from .numerics import LinearModel, logistic_fit
+from .numerics import LinearModel, logistic_fit, sigmoid
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def fit_density_ratio(source_x: np.ndarray, target_x: np.ndarray,
 
 def eval_ratio(m: DensityRatioModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the capped ratio estimate on new covariates."""
-    p = m.classifier.predict_proba(check_covariates("x", x))
+    p = sigmoid(m.classifier.predict(check_covariates("x", x)))
     p = np.clip(p, m.prob_clip, 1.0 - m.prob_clip)
     ratio = (m.n_source / m.n_target) * p / (1.0 - p)
     return np.minimum(ratio, m.ratio_cap)

@@ -13,10 +13,6 @@ class DimensionMismatch(PiaggError):
     """Array shapes are inconsistent with each other or with a fitted model."""
 
 
-class PivotLimitExceeded(PiaggError):
-    """The LP solver hit its simplex iteration limit before reaching optimality."""
-
-
 class NotSymmetric(PiaggError):
     """A matrix passed to the symmetric eigensolver is not symmetric."""
 
@@ -120,7 +116,7 @@ ARG_RULES = {
     "cov_ridge": _FINITE_NONNEGATIVE, "floor": _FINITE_NONNEGATIVE,
     "lambda_hat": _FINITE_NONNEGATIVE,  # a fitted model's shrink level
     "k": _COUNT, "bins": _COUNT, "n": _COUNT, "n_target": _COUNT, "replications": _COUNT,
-    "base_seed": ("be an integer", _integer),
+    "base_seed": ("be an integer", _integer), "index": ("be an integer", _integer),
     "beta": _NUMBERS, "b": _NUMBERS,  # a scalar stands for a length-1 vector
     "a": ("be a square list of lists of finite numbers", lambda v: isinstance(v, list) and all(
         isinstance(row, list) and len(row) == len(v) and all(map(_finite, row)) for row in v)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, sparse
 
-from .errors import DimensionMismatch, PiaggError, PivotLimitExceeded
+from .errors import DimensionMismatch, PiaggError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -74,29 +74,17 @@ class LPSolution:
 _STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
 
 
-def solve_lp(p: LinearProgram, max_pivots: int | None = None) -> LPSolution:
+def solve_lp(p: LinearProgram) -> LPSolution:
     """Solve a canonical-form LP with HiGHS's dual simplex at primal
-    feasibility tolerance ``FEAS_TOL``.
+    feasibility tolerance ``FEAS_TOL`` and HiGHS's default iteration limit.
 
-    Raises
-    ------
-    PivotLimitExceeded
-        when HiGHS stops at ``max_pivots`` simplex iterations
-        (default ``200 * (m + n)`` for m constraints and n variables).
-    PiaggError
-        when HiGHS ends without an optimum, an infeasibility or an
-        unboundedness proof.
+    Raises PiaggError when HiGHS ends without an optimum, an infeasibility
+    or an unboundedness proof.
     """
-    m, n = p.ineq_lhs.shape
-    if max_pivots is None:
-        max_pivots = 200 * (m + n)
-    bounds = np.column_stack([np.where(p.nonneg_mask, 0.0, -np.inf), np.full(n, np.inf)])
+    bounds = np.where(p.nonneg_mask[:, None], [0.0, np.inf], [-np.inf, np.inf])
     res = optimize.linprog(p.objective, A_ub=p.ineq_lhs, b_ub=p.ineq_rhs,
                            bounds=bounds, method="highs-ds",
-                           options={"primal_feasibility_tolerance": FEAS_TOL,
-                                    "maxiter": max_pivots})
-    if res.status == 1:
-        raise PivotLimitExceeded(f"exceeded {max_pivots} simplex iterations")
+                           options={"primal_feasibility_tolerance": FEAS_TOL})
     if res.status not in _STATUS:
         raise PiaggError(f"LP solve failed: {res.message}")
     if _STATUS[res.status] != OPTIMAL:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize as _sp_optimize
 
-from .dataset import check_covariates
+from .dataset import DataTable, check_covariates
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -51,6 +51,11 @@ class LinearModel:
     tau: float | None = None
     converged: bool | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=np.float64))
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ConfigError("coefficients: must be finite")
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         """The linear score: intercept plus covariates times the slopes."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -58,11 +63,6 @@ class LinearModel:
             raise DimensionMismatch(
                 f"model expects {len(self.coefficients) - 1} covariates, got {x.shape[1]}")
         return self.coefficients[0] + np.vecdot(x, self.coefficients[1:])
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        if self.kind != "logistic":
-            raise PiaggError("predict_proba is only defined for logistic models")
-        return sigmoid(self.predict(x))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -96,25 +96,19 @@ def sym_eig(m: np.ndarray) -> SymEig:
     return SymEig(eigenvalues[::-1].copy(), v[:, ::-1].copy())
 
 
-def ols_fit(x: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> LinearModel:
-    """Least squares with an intercept, via the (optionally ridged)
-    normal equations ``(X'X + ridge I) beta = X'y``.
+def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
+    """Least squares with an intercept, via the normal equations
+    ``X'X beta = X'y``.
 
-    Raises SingularDesign when ridge is zero and the normal equations are
-    numerically singular.
+    Raises SingularDesign when the normal equations are numerically singular.
     """
-    check_args(ridge=ridge)
-    xd = design_with_intercept(x)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (xd.shape[0],):
-        raise DimensionMismatch("y length does not match x rows")
-    gram = xd.T @ xd + ridge * np.eye(xd.shape[1])
-    if ridge == 0.0:
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularDesign("normal equations are numerically singular; set ridge > 0")
-    beta = np.linalg.solve(gram, xd.T @ y)
-    return LinearModel(beta, "ols_mean")
+    t = DataTable(x, np.asarray(y, dtype=np.float64))  # finite x and y (None reads as NaN)
+    xd = design_with_intercept(t.x)
+    gram = xd.T @ xd
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularDesign("normal equations are numerically singular")
+    return LinearModel(np.linalg.solve(gram, xd.T @ t.y), "ols_mean")
 
 
 def _penalized_nll(xd: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float) -> float:
@@ -216,11 +210,9 @@ def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
     residual parts, solved through ``solve_lp``.
     """
     check_args(tau=tau)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    xd = design_with_intercept(x)
+    t = DataTable(x, np.asarray(y, dtype=np.float64))  # finite x and y (None reads as NaN)
+    xd, y = design_with_intercept(t.x), t.y
     n, p = xd.shape
-    if y.shape[0] != n:
-        raise DimensionMismatch("y length does not match x rows")
     if n < p + 1:
         raise EmptyInput(f"need at least {p + 1} observations for {p - 1} covariates")
     b_eq = (1.0 - tau) * xd.sum(axis=0)

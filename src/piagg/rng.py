@@ -48,6 +48,7 @@ def derive_seed(base_seed: int, index: int) -> int:
     The index is folded in with a fixed 64-bit constant before one
     splitmix64 step, so consecutive indices give unrelated streams.
     """
+    check_args(base_seed=base_seed, index=index)
     mixed = (int(base_seed) ^ ((int(index) + 1) * MIX_CONSTANT)) & _MASK64
     _, out = splitmix64(mixed)
     return out

@@ -47,6 +47,7 @@ from piagg.densratio import eval_ratio, fit_density_ratio
 from piagg.errors import (
     ConfigError,
     DimensionMismatch,
+    EmptyInput,
     NonFiniteInput,
     PiaggError,
     ShapeInfeasible,
@@ -55,6 +56,7 @@ from piagg.errors import (
 )
 from piagg.linprog import OPTIMAL, LinearProgram, solve_lp
 from piagg.numerics import LinearModel, logistic_fit, ols_fit, quantile_reg_fit
+from piagg.rng import derive_seed
 from piagg.transport import AffineMap, apply_map, fit_affine_transport
 
 DATA = Path(__file__).parent / "data"
@@ -150,14 +152,15 @@ class TestShapeCovShift:
 ], ids=["cov_shift", "source", "hinge_value", "candidate_set"])
 @pytest.mark.parametrize("r2, error", [
     ([1.0, 2.0, 0.5], DimensionMismatch),
-    ([1.0, -0.5, 2.0, 0.5], PiaggError),
-    ([1.0, np.nan, 2.0, 0.5], PiaggError),
-    ([1.0, 2.0, np.inf, 0.5], PiaggError),
-    ([-np.inf, 2.0, 1.0, 0.5], PiaggError),
+    ([1.0, -0.5, 2.0, 0.5], ConfigError),
+    ([1.0, np.nan, 2.0, 0.5], ConfigError),
+    ([1.0, 2.0, np.inf, 0.5], ConfigError),
+    ([-np.inf, 2.0, 1.0, 0.5], ConfigError),
 ], ids=["misaligned", "negative", "nan", "inf", "minus_inf"])
 def test_shape_inputs_checked(fit, r2, error):
     # a NaN or inf r2 once reached the LP solver, and came back as SciPy's
-    # bare ValueError or as "LP data must be finite"
+    # bare ValueError or as "LP data must be finite"; it raises the
+    # ConfigError of a bad weight
     with pytest.raises(error, match="^r2:"):
         fit(np.ones((4, 1)), r2, np.ones(4))
 
@@ -294,8 +297,11 @@ class TestShrinkSource:
         assert r.achieved_violation == pytest.approx(0.25)
 
     def test_alpha_one(self):
-        r = shrink_source(np.ones(5), np.arange(5.0), 1.0, 0.1)
-        assert r.lambda_hat == 0.0
+        # the level lies in (0, 1), as in every fit; a budget that holds the
+        # four rows with a positive residual already gives zero
+        with pytest.raises(ConfigError, match="^alpha_level: "):
+            shrink_source(np.ones(5), np.arange(5.0), 1.0, 0.1)
+        assert shrink_source(np.ones(5), np.arange(5.0), 0.8, 0.1).lambda_hat == 0.0
 
     def test_monotone_in_alpha(self):
         rng = np.random.default_rng(12)
@@ -644,6 +650,23 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=rf"^model\.{field}: must "):
             model_from_dict(json.loads(json.dumps(doc)))  # NaN and Infinity survive JSON
 
+    # each loaded before: a NaN ratio coefficient predicted with no error, and a
+    # NaN candidate coefficient failed only at predict, on the interval order
+    @pytest.mark.parametrize("section, value", [
+        ("mean_model", float("nan")), ("adapter", float("nan")), ("adapter", float("inf")),
+        ("bank", float("nan")), ("bank", -float("inf")),
+    ])
+    def test_non_finite_coefficient_rejected_at_load(self, section, value):
+        doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
+        if section == "mean_model":  # the fixture's mean model is kNN
+            doc["mean_model"] = {"kind": "ols", "coefficients": [0.0, 1.0]}
+        coefficients = {"mean_model": doc["mean_model"], "adapter": doc["adapter"],
+                        "bank": doc["bank"]["state"][5]}[section]["coefficients"]
+        model_from_dict(json.loads(json.dumps(doc)))
+        coefficients[1] = value
+        with pytest.raises(ConfigError, match=rf"^model\.{section}: "):
+            model_from_dict(json.loads(json.dumps(doc)))  # NaN and Infinity survive JSON
+
     def test_loaded_shrink_level_above_one_warns(self):
         doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
         doc["lambda_hat"] = 1.3
@@ -743,16 +766,16 @@ class TestSerialization:
 
 
 class TestKnownWeights:
-    @pytest.mark.parametrize("weight_fn", [
-        lambda x: -np.ones(x.shape[0]),
-        lambda x: np.full(x.shape[0], np.nan),
-        lambda x: np.full(x.shape[0], np.inf),
-        lambda x: np.ones(x.shape[0] + 1),
-        lambda x: np.zeros(x.shape[0]),
+    @pytest.mark.parametrize("weight_fn, error", [
+        (lambda x: -np.ones(x.shape[0]), ConfigError),
+        (lambda x: np.full(x.shape[0], np.nan), ConfigError),
+        (lambda x: np.full(x.shape[0], np.inf), ConfigError),
+        (lambda x: np.ones(x.shape[0] + 1), DimensionMismatch),
+        (lambda x: np.zeros(x.shape[0]), ConfigError),
     ], ids=["negative", "nan", "inf", "wrong_size", "all_zero"])
-    def test_bad_weights_rejected(self, weight_fn):
+    def test_bad_weights_rejected(self, weight_fn, error):
         src = gen_hetero_sim(300, seed=19)
-        with pytest.raises(PiaggError, match="weight_fn"):
+        with pytest.raises(error, match="^weight_fn: "):
             fit_covariate_shift(src, src.x[:50], 0.1, weight_fn=weight_fn)
 
 
@@ -898,6 +921,20 @@ _NAN_ROW = np.vstack([_LABELED.x[:19], [[np.nan]]])
     (lambda: ols_fit(_NAN_ROW, np.arange(20.0)), NonFiniteInput),
     (lambda: quantile_reg_fit(_NAN_ROW, np.arange(20.0), 0.5), NonFiniteInput),
     (lambda: logistic_fit(_NAN_ROW, np.arange(20.0) % 2), NonFiniteInput),
+    *[(lambda v=v: fit(_LABELED.x, np.append(_LABELED.y[:19], v), *tau), NonFiniteInput)
+      for fit, tau in ((ols_fit, ()), (quantile_reg_fit, (0.5,)))
+      for v in (np.nan, np.inf, -np.inf)],
+    *[(lambda a=a: shrink_cov_shift(np.ones(3), np.ones(3), np.ones(3), a), ConfigError)
+      for a in (2.0, -1.0, np.nan)],
+    *[(lambda a=a: shrink_source(np.ones(3), np.ones(3), a, 0.1), ConfigError)
+      for a in (2.0, -1.0, np.nan)],
+    (lambda: shrink_source(np.ones(3), np.ones(3), 0.1, -5.0), ConfigError),
+    (lambda: shrink_source(np.ones(3), np.ones(3), 0.1, None), ConfigError),
+    (lambda: fit_wvac(_LABELED, _LABELED.take(np.arange(0)), None), EmptyInput),
+    (lambda: fit_wqc(_LABELED, _LABELED.take(np.arange(0)), None, 0.1), EmptyInput),
+    (lambda: derive_seed("a", 1), ConfigError),
+    (lambda: derive_seed(1.7, 1), ConfigError),
+    (lambda: derive_seed(1, 2.5), ConfigError),
     *[(call, PiaggError) for call in _UNLABELED_CALLS.values()],
 ], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative", "no_specs",
         "logistic_labels", "hinge_no_scale", "bank_nan", "bank_inf", "hinge_no_delta",
@@ -906,6 +943,12 @@ _NAN_ROW = np.vstack([_LABELED.x[:19], [[np.nan]]])
         "shape_nan_weight", "hinge_inf_weight", "shape_nan_phi", "eval_ratio_nan",
         "density_ratio_nan", "apply_map_nan", "affine_transport_nan", "ols_nan",
         "quantile_reg_nan", "logistic_nan",
+        *[f"{fit}_y_{v}" for fit in ("ols", "quantile_reg") for v in ("nan", "inf", "minus_inf")],
+        *[f"{fn}_alpha_level_{a}" for fn in ("shrink_cov_shift", "shrink_source")
+          for a in ("2", "minus_1", "nan")],
+        "shrink_source_alg2_delta_minus_5", "shrink_source_alg2_delta_null",
+        "wvac_empty_calibration", "wqc_empty_calibration",
+        "derive_seed_string", "derive_seed_float", "derive_seed_float_index",
         *[f"unlabeled_{name}" for name in _UNLABELED_CALLS]])
 def test_public_entry_points_raise_typed_errors(call, error):
     with pytest.raises(error):

@@ -9,6 +9,7 @@ from piagg.dataset import (
     DataTable,
     SplitSpec,
     affine_shift,
+    check_nonnegative,
     gen_hetero_sim,
     linear_index,
     load_csv,
@@ -145,6 +146,22 @@ class TestResampling:
         t = DataTable(np.arange(50.0)[:, None])
         idx = Rng(9).choice_with_replacement(np.cumsum(w / w.sum()), 200)
         assert np.array_equal(weighted_resample(t, w, 200, seed=9).x[:, 0], idx)
+
+
+class TestCheckNonnegative:
+    def test_returns_a_float_vector(self):
+        v = check_nonnegative("w", [[0, 2], [3, 1e308]], 4)
+        assert v.dtype == np.float64 and np.array_equal(v, [0.0, 2.0, 3.0, 1e308])
+        assert np.array_equal(check_nonnegative("w", np.zeros(0)), [])
+
+    @pytest.mark.parametrize("v", [[1.0, -1e-300], [np.nan, 1.0], [np.inf, 1.0], [-np.inf]])
+    def test_bad_entry_rejected(self, v):
+        with pytest.raises(ConfigError, match="^w: must be finite and nonnegative$"):
+            check_nonnegative("w", v)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch, match="^w: 2 entries for 3 rows$"):
+            check_nonnegative("w", [1.0, 2.0], 3)
 
 
 class TestAffineShift:

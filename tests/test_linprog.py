@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from piagg.errors import DimensionMismatch, PivotLimitExceeded
+from piagg.errors import DimensionMismatch
 from piagg.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 
 
@@ -75,13 +75,6 @@ class TestErrors:
     def test_nonfinite_rejected(self):
         with pytest.raises(DimensionMismatch):
             lp([np.inf], [[1.0]], [1.0], [True])
-
-    def test_pivot_limit(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(8, 5))
-        b = a @ np.full(5, 0.5) + 0.5
-        with pytest.raises(PivotLimitExceeded):
-            solve_lp(lp(rng.normal(size=5), a, b, [True] * 5), max_pivots=1)
 
 
 def _random_bounded_lp(rng, n=4, m=6):

@@ -26,6 +26,7 @@ from piagg.numerics import (
     logistic_fit,
     ols_fit,
     quantile_reg_fit,
+    sigmoid,
     sym_eig,
 )
 
@@ -137,11 +138,6 @@ class TestOls:
         with pytest.raises(SingularDesign):
             ols_fit(x, np.arange(10.0))
 
-    def test_ridge_rescues_singular(self):
-        x = np.ones((10, 2))
-        m = ols_fit(x, np.arange(10.0), ridge=1e-6)
-        assert np.all(np.isfinite(m.coefficients))
-
 
 class TestLogistic:
     def test_uninformative_covariates(self):
@@ -149,7 +145,7 @@ class TestLogistic:
         x = rng.normal(size=(4000, 2))
         y = np.concatenate([np.zeros(2000), np.ones(2000)])
         m = logistic_fit(x, y)
-        p = m.predict_proba(x)
+        p = sigmoid(m.predict(x))
         assert np.max(np.abs(p - 0.5)) <= 0.05
 
     def test_gaussian_shift_recovers_bayes_rule(self):
