@@ -49,14 +49,7 @@ from .dataset import (
 )
 from .densratio import DensityRatioModel, eval_ratio, fit_density_ratio
 from .linprog import LinearProgram, LPSolution, solve_lp
-from .numerics import (
-    LinearModel,
-    SymEig,
-    logistic_fit,
-    ols_fit,
-    quantile_reg_fit,
-    sym_eig,
-)
+from .numerics import LinearModel, logistic_fit, ols_fit, quantile_reg_fit
 from .rng import Rng, derive_seed
 from .transport import AffineMap, apply_map, fit_affine_transport, marginal_ks
 

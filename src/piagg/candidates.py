@@ -80,12 +80,12 @@ def state_dict(obj) -> dict:
 
 def _set_training_rows(obj, values: str) -> None:
     """Store ``train_x`` and the per-row field ``values`` of a frozen state
-    dataclass as float arrays, checked to align row for row."""
+    dataclass as float arrays, checked to be finite and to align row for row."""
     train_x = np.asarray(obj.train_x, dtype=np.float64)
     v = np.asarray(getattr(obj, values), dtype=np.float64)
     if (train_x.ndim != 2 or train_x.shape[0] == 0 or v.shape != (train_x.shape[0],)
-            or not np.all(np.isfinite(train_x))):
-        raise ConfigError(f"{values}: needs one entry per row of a non-empty, finite train_x")
+            or not (np.all(np.isfinite(train_x)) and np.all(np.isfinite(v)))):
+        raise ConfigError(f"{values}: must be finite, one per row of a non-empty, finite train_x")
     object.__setattr__(obj, "train_x", train_x)
     object.__setattr__(obj, values, v)
 
@@ -281,7 +281,9 @@ class _KnnQuantile:
 
     def __post_init__(self):
         _set_training_rows(self, "r2")
+        check_nonnegative("r2", self.r2)
         _set_neighbour_count(self)
+        check_args(tau=self.tau)
         object.__setattr__(self, "tau", float(self.tau))
 
     def evaluate(self, x):
@@ -331,6 +333,7 @@ class KernelVariance:
 
     def __post_init__(self):
         _set_training_rows(self, "r2")
+        check_nonnegative("r2", self.r2)
         if self.bandwidth is None:  # the rule's null means "choose at fit time"
             raise ConfigError("bandwidth: must be finite and > 0")
         check_args(bandwidth=self.bandwidth)
@@ -361,6 +364,7 @@ class _LinearQuantileSq:
     tau: float
 
     def __post_init__(self):
+        check_args(tau=self.tau)
         model = LinearModel(self.coefficients, "quantile", float(self.tau))  # finite coefficients
         object.__setattr__(self, "coefficients", model.coefficients)
         object.__setattr__(self, "tau", model.tau)
@@ -382,6 +386,9 @@ class _BinnedQuantile:
         values = np.asarray(self.values, dtype=np.float64)
         if edges.ndim != 1 or values.shape != (edges.shape[0] + 1,):
             raise ConfigError("values: needs one entry more than edges")
+        if not np.all(np.isfinite(edges)) or np.any(np.diff(edges) < 0):
+            raise ConfigError("edges: must be finite and nondecreasing")
+        check_nonnegative("values", values)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", values)
 

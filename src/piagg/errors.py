@@ -13,10 +13,6 @@ class DimensionMismatch(PiaggError):
     """Array shapes are inconsistent with each other or with a fitted model."""
 
 
-class NotSymmetric(PiaggError):
-    """A matrix passed to the symmetric eigensolver is not symmetric."""
-
-
 class SingularDesign(PiaggError):
     """The least-squares normal equations are numerically singular."""
 

@@ -7,7 +7,7 @@ Three variants share the form T(x) = mu_S + A (x - mu_T) and differ in A:
 * ``coral``: A = S_S^{1/2} S_T^{-1/2}, whitening then recoloring;
 * ``location_scale``: A = diag(sd_S / sd_T), componentwise.
 
-All matrix roots go through ``sym_eig`` (LAPACK's ``eigh``).
+All matrix roots go through ``numerics.sym_eig``, which is NumPy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -46,12 +46,10 @@ class AffineMap:
 
 
 def _psd_power(m: np.ndarray, power: float) -> np.ndarray:
-    eig = sym_eig(m)
-    vals = np.clip(eig.eigenvalues, 0.0, None)
+    vals, v = sym_eig((m + m.T) / 2.0)
+    vals, v = np.clip(vals[::-1], 0.0, None), v[:, ::-1].copy()  # the layout sets the sum order
     if power < 0:
-        floor = 1e-12 * max(vals.max(), 1.0)
-        vals = np.maximum(vals, floor)
-    v = eig.eigenvectors
+        vals = np.maximum(vals, 1e-12 * max(vals.max(), 1.0))
     return (v * vals ** power) @ v.T
 
 

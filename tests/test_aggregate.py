@@ -667,6 +667,30 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=rf"^model\.{section}: "):
             model_from_dict(json.loads(json.dumps(doc)))  # NaN and Infinity survive JSON
 
+    # each loaded before: a NaN r2 or train_y failed only at predict, on the
+    # interval order, and an inf r2, a negative r2 or binned value, bad edges or
+    # a kNN tau of -1 changed the intervals with no error; bank slots 1 and 2
+    # are kNN, 3 and 4 kernel, 5 linear, 6 binned
+    @pytest.mark.parametrize("section, slot, field, entry, value", [
+        *[("bank", slot, "r2", 4, v) for slot in (1, 3)
+          for v in (float("nan"), float("inf"), -1.0)],
+        ("mean_model", None, "train_y", 4, float("nan")),  # the fixture's mean model is kNN
+        *[("bank", slot, "tau", None, v) for slot in (1, 5) for v in (5.0, -1.0, float("nan"))],
+        ("bank", 6, "edges", 0, float("nan")), ("bank", 6, "edges", 1, float("inf")),
+        ("bank", 6, "edges", 0, 1e3),  # above the second edge
+        ("bank", 6, "values", 1, -1.0),
+    ])
+    def test_bad_fitted_state_rejected_at_load(self, section, slot, field, entry, value):
+        doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
+        state = doc["mean_model"] if slot is None else doc["bank"]["state"][slot]
+        if entry is None:
+            state[field] = value
+        else:
+            state[field][entry] = value
+        with pytest.raises(ConfigError,
+                           match=rf"^model\.{section}: malformed \(ConfigError: {field}: "):
+            model_from_dict(json.loads(json.dumps(doc)))  # NaN and Infinity survive JSON
+
     def test_loaded_shrink_level_above_one_warns(self):
         doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
         doc["lambda_hat"] = 1.3

@@ -1,6 +1,6 @@
-"""Kernel checks: the LAPACK-backed eigendecomposition, least squares,
-logistic IRLS, weighted quantiles, and check-loss quantile regression
-(fitted through its rank-score dual, checked against the primal LP).
+"""Kernel checks: least squares, logistic IRLS, weighted quantiles, and
+check-loss quantile regression (fitted through its rank-score dual, checked
+against the primal LP).
 
 The property tests draw their cases deterministically, so the suite's
 outcome does not depend on the run."""
@@ -14,11 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from piagg import numerics
-from piagg.errors import (
-    DivergentFit,
-    NotSymmetric,
-    SingularDesign,
-)
+from piagg.errors import DivergentFit, SingularDesign
 from piagg.linprog import LinearProgram, solve_lp
 from piagg.numerics import (
     _penalized_nll,
@@ -27,18 +23,12 @@ from piagg.numerics import (
     ols_fit,
     quantile_reg_fit,
     sigmoid,
-    sym_eig,
 )
 
 
 def check_loss(residuals, tau):
     r = np.asarray(residuals, dtype=np.float64)
     return float(np.sum(np.where(r >= 0, tau * r, (tau - 1.0) * r)))
-
-
-def reconstruct(e):
-    v = e.eigenvectors
-    return (v * e.eigenvalues) @ v.T
 
 
 def _primal_check_loss_optimum(x, y, tau):
@@ -54,50 +44,6 @@ def _primal_check_loss_optimum(x, y, tau):
     sol = solve_lp(LinearProgram(c, np.vstack([a_eq, -a_eq]), np.concatenate([y, -y]), mask))
     assert sol.status == "optimal"
     return sol.objective_value
-
-
-class TestSymEig:
-    def test_identity(self):
-        e = sym_eig(np.eye(3))
-        assert np.allclose(e.eigenvalues, 1.0, atol=1e-12)
-
-    def test_diagonal(self):
-        e = sym_eig(np.diag([4.0, 1.0]))
-        assert np.allclose(e.eigenvalues, [4.0, 1.0], atol=1e-12)
-        assert np.allclose(np.abs(e.eigenvectors), np.eye(2), atol=1e-12)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            m = rng.normal(size=(5, 5))
-            m = (m + m.T) / 2
-            e = sym_eig(m)
-            scale = np.max(np.abs(m))
-            assert np.max(np.abs(reconstruct(e) - m)) <= 1e-8 * scale
-            assert np.max(np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(5))) <= 1e-8
-            assert np.all(np.diff(e.eigenvalues) <= 1e-12)
-
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(spectrum=st.lists(st.sampled_from([0.0, 1.0, -2.5]) |
-                             st.floats(-10.0, 10.0, allow_subnormal=False),
-                             min_size=1, max_size=6),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_property_random_spectrum(self, spectrum, seed):
-        # a random rotation of a spectrum that may repeat values or hold zeros
-        d = len(spectrum)
-        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
-        m = (q * spectrum) @ q.T
-        m = (m + m.T) / 2
-        e = sym_eig(m)
-        scale = max(np.max(np.abs(m)), 1.0)
-        assert np.max(np.abs(reconstruct(e) - m)) <= 1e-8 * scale
-        assert np.max(np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(d))) <= 1e-8
-        assert np.all(np.diff(e.eigenvalues) <= 0.0)
-        assert np.max(np.abs(e.eigenvalues - np.sort(spectrum)[::-1])) <= 1e-8 * scale
-
-    def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestOls:

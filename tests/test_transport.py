@@ -7,11 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import piagg
 from piagg.errors import ConfigError, DimensionMismatch, EmptyInput, NonFiniteInput
-from piagg.numerics import sym_eig
-from piagg.transport import AffineMap, apply_map, fit_affine_transport, marginal_ks
+from piagg.transport import AffineMap, _psd_power, apply_map, fit_affine_transport, marginal_ks
 
 
 def _four_point_cloud(sd1, sd2):
@@ -100,7 +101,31 @@ class TestMomentMatching:
         tgt = rng.normal(size=(300, 3)) @ rng.normal(size=(3, 3))
         m = fit_affine_transport(tgt, src, mode="gaussian_ot")
         assert np.max(np.abs(m.a - m.a.T)) <= 1e-8
-        assert sym_eig(m.a).eigenvalues.min() >= -1e-8
+        assert np.linalg.eigvalsh(m.a).min() >= -1e-8
+
+
+class TestPsdPower:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(spectrum=st.lists(st.sampled_from([0.0, 1.0, -2.5]) |
+                             st.floats(-10.0, 10.0, allow_subnormal=False),
+                             min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_random_spectrum(self, spectrum, seed):
+        # a random rotation of a spectrum that may repeat values, hold zeros
+        # or go negative
+        d = len(spectrum)
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+
+        def rotated(values):
+            m = (q * values) @ q.T
+            return (m + m.T) / 2
+
+        scale = max(np.max(np.abs(spectrum)), 1.0)
+        half = _psd_power(rotated(spectrum), 0.5)
+        psd_part = rotated(np.clip(spectrum, 0.0, None))
+        assert np.max(np.abs(half @ half - psd_part)) <= 1e-8 * scale
+        m = rotated(np.abs(spectrum) + 0.01)  # positive: the -1/2 power inverts the 1/2
+        assert np.max(np.abs(_psd_power(m, -0.5) @ _psd_power(m, 0.5) - np.eye(d))) <= 1e-8
 
 
 class TestMarginalKs:
