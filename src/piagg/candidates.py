@@ -136,9 +136,10 @@ def residuals(train: DataTable, mean_model) -> np.ndarray:
 
 
 # entries per block of pairwise distances: evaluation rows go in blocks of
-# _ENTRIES // n_train, so each block's temporaries stay cache-sized
-# (256 KB of float64) whatever the size of the training block
-_ENTRIES = 2 ** 15
+# _ENTRIES // n_train (1 MB of float64). A 1-d kernel block holds this one
+# array alone: with three, the allocator handed each back to the system, and
+# the page faults cost more than the larger block saved in NumPy calls
+_ENTRIES = 2 ** 17
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)  # threads of a distance pass, the caller's included
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # by process id
@@ -189,7 +190,8 @@ def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
     distances to every training row, computed once for all the functions.
     Each row's distances are computed on their own (a broadcast difference
     in 1-d, where it is faster, SciPy's ``cdist`` otherwise), so a row's
-    value does not depend on the rows evaluated with it."""
+    value does not depend on the rows evaluated with it. ``d2`` is a new
+    array each block; only the last function may overwrite it."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != train_x.shape[1]:
         raise DimensionMismatch("covariate dimension does not match training data")
@@ -197,7 +199,8 @@ def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
     out = np.empty((x.shape[0], len(row_fns)))
     def block(rows):
         if x.shape[1] == 1:
-            d2 = (x[rows, 0][:, None] - train_x[:, 0][None, :]) ** 2
+            d2 = np.subtract(x[rows, 0][:, None], train_x[:, 0][None, :])
+            np.square(d2, out=d2)
         else:
             d2 = cdist(x[rows], train_x, "sqeuclidean")
         for j, row_fn in enumerate(row_fns):
@@ -297,7 +300,8 @@ class _KnnQuantile:
             def block(rows):
                 nearest, proven[rows] = _window_knn_block(x[rows, 0], order, sorted_x, self.k)
                 out[rows] = _equal_weight_quantile_rows(self.r2[nearest], self.tau)
-            _in_shares(x.shape[0], max(1, _ENTRIES // (2 * self.k + 2)), block)
+            # a window block holds four arrays of its size: pos, d2, index, partition
+            _in_shares(x.shape[0], max(1, _ENTRIES // 4 // (2 * self.k + 2)), block)
         out[~proven] = _by_distance_block(x[~proven], self.train_x, [self._from_d2])[:, 0]
         return out
 
@@ -343,7 +347,8 @@ class KernelVariance:
         return _by_distance_block(x, self.train_x, [self._from_d2])[:, 0]
 
     def _from_d2(self, d2):
-        logk = d2 / (-2.0 * self.bandwidth ** 2)  # -0.5 * d2 / h**2: scaling by 2 is exact
+        """The smoothed ``r2`` of each row of ``d2``; overwrites ``d2``."""
+        logk = np.divide(d2, -2.0 * self.bandwidth ** 2, out=d2)  # -0.5 * d2 / h**2 exactly
         logk -= logk.max(axis=1, keepdims=True)
         if logk.min() > _EXP_CUT:
             w = np.exp(logk, out=logk)
@@ -457,8 +462,11 @@ class CandidateBank:
                           if np.array_equal(self.fitted[i].train_x, cand.train_x)), j)
             shared.setdefault(first, []).append(j)
         for first, cols in shared.items():
-            out[:, cols] = _by_distance_block(x, self.fitted[first].train_x,
-                                              [self.fitted[j]._from_d2 for j in cols])
+            # a kernel overwrites its d2, which the group's kNN candidates read
+            out[:, cols] = _by_distance_block(x, self.fitted[first].train_x, [
+                (lambda d2, c=self.fitted[j]: c._from_d2(d2.copy()))
+                if isinstance(self.fitted[j], KernelVariance) else self.fitted[j]._from_d2
+                for j in cols])
         return out if inverse is None else out[inverse]
 
     def to_state(self) -> dict:

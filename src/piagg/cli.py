@@ -112,10 +112,10 @@ def _cmd_gen(args) -> int:
     elif args.scenario == "tilt":
         base = gen_hetero_sim(args.n, args.seed)
         beta = np.asarray(args.beta if args.beta else [1.0], dtype=np.float64)
-        table = tilt_resample(base, beta, args.m or args.n, args.seed + 1)
+        table = tilt_resample(base, beta, args.n if args.m is None else args.m, args.seed + 1)
     else:  # "affine": argparse admits only the three choices
-        source, target = gen_affine_gauss(args.n, args.m or max(args.n // 4, 1),
-                                          DEFAULT_AFFINE_A, DEFAULT_AFFINE_B, args.seed)
+        m = max(args.n // 4, 1) if args.m is None else args.m
+        source, target = gen_affine_gauss(args.n, m, DEFAULT_AFFINE_A, DEFAULT_AFFINE_B, args.seed)
         if args.out_target:
             _write_csv(args.out_target,
                        target.column_names + ["y"],

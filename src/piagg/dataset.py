@@ -180,6 +180,7 @@ def split(t: DataTable, s: SplitSpec) -> list[DataTable]:
 def weighted_resample(t: DataTable, weights: np.ndarray, m: int, seed: int) -> DataTable:
     """Draw ``m`` rows with replacement, row i with probability
     proportional to ``weights[i]``."""
+    check_args(m=m)
     w = check_nonnegative("weights", weights, t.n)
     with np.errstate(over="ignore"):  # a sum that overflows is refused below
         total = w.sum()
@@ -242,6 +243,7 @@ def gen_affine_gauss(n_source: int, n_target: int, a: np.ndarray, b: np.ndarray,
     conditional law of the response is exactly preserved under the map
     x -> A^{-1}(x - b). Target labels are for evaluation only.
     """
+    check_args(n=n_source, n_target=n_target)  # the scenario's names for the two sizes
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).ravel()
     d = a.shape[0]

@@ -111,7 +111,8 @@ ARG_RULES = {
     "ratio_ridge": _FINITE_NONNEGATIVE,  # the scenario's name for the ratio fit's ridge
     "cov_ridge": _FINITE_NONNEGATIVE, "floor": _FINITE_NONNEGATIVE,
     "lambda_hat": _FINITE_NONNEGATIVE,  # a fitted model's shrink level
-    "k": _COUNT, "bins": _COUNT, "n": _COUNT, "n_target": _COUNT, "replications": _COUNT,
+    "k": _COUNT, "bins": _COUNT, "replications": _COUNT,
+    "n": _COUNT, "n_target": _COUNT, "m": _COUNT,  # sizes of a generated or resampled table
     "base_seed": ("be an integer", _integer), "index": ("be an integer", _integer),
     "beta": _NUMBERS, "b": _NUMBERS,  # a scalar stands for a length-1 vector
     "a": ("be a square list of lists of finite numbers", lambda v: isinstance(v, list) and all(

@@ -913,6 +913,9 @@ _NAN_ROW = np.vstack([_LABELED.x[:19], [[np.nan]]])
     (lambda: SplitSpec((0.5, 0.6), 1), ConfigError),
     (lambda: weighted_resample(gen_hetero_sim(4, 1), [1.0, -1.0, 1.0, 1.0], 3, 0),
      ConfigError),
+    (lambda: weighted_resample(gen_hetero_sim(4, 1), np.ones(4), 0, 0), ConfigError),
+    (lambda: gen_affine_gauss(0, 0, np.eye(2), np.zeros(2), 1), ConfigError),
+    (lambda: gen_affine_gauss(2.5, 4, np.eye(2), np.zeros(2), 1), ConfigError),
     (lambda: fit_candidate_set(gen_hetero_sim(10, 1), np.ones(10), []), ConfigError),
     (lambda: logistic_fit(np.arange(4.0)[:, None], [0.0, 1.0, 2.0, 1.0]), ConfigError),
     (lambda: hinge_constraint_value(ShapeModel(np.ones(1), "cov_shift_exact"),
@@ -960,7 +963,8 @@ _NAN_ROW = np.vstack([_LABELED.x[:19], [[np.nan]]])
     (lambda: derive_seed(1.7, 1), ConfigError),
     (lambda: derive_seed(1, 2.5), ConfigError),
     *[(call, PiaggError) for call in _UNLABELED_CALLS.values()],
-], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative", "no_specs",
+], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative",
+        "resample_m0", "affine_gauss_n0", "affine_gauss_n2.5", "no_specs",
         "logistic_labels", "hinge_no_scale", "bank_nan", "bank_inf", "hinge_no_delta",
         "hinge_no_epsilon", "tuple_map", "map_dimension", "dict_specs", "lone_spec",
         "shrink_negative_weight", "shrink_nan_shape", "shrink_source_inf_shape",

@@ -620,12 +620,13 @@ def _rows_near_the_split(rng, workers, step, above):
 def test_property_threaded_distance_pass_is_bit_identical(d, loaded, workers, above, seed):
     bank, knn_mean, train = _default_bank(d, loaded)
     rng = np.random.default_rng(seed)
-    m = _rows_near_the_split(rng, workers, candidates._ENTRIES // train.n, above)
-    # m distinct rows (three of them training rows), then repeats of them
-    x = np.vstack([rng.normal(size=(m - 3, d)), train.x[:3]])
-    x = x[rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, m // 4)]))]
-    for f in (bank.evaluate, knn_mean.predict, bank.fitted[5].evaluate):
-        _serial_and_threaded(f, x, workers)
+    with mock.patch.object(candidates, "_ENTRIES", 2 ** 15):  # a few thousand rows, not 4x that
+        m = _rows_near_the_split(rng, workers, candidates._ENTRIES // train.n, above)
+        # m distinct rows (three of them training rows), then repeats of them
+        x = np.vstack([rng.normal(size=(m - 3, d)), train.x[:3]])
+        x = x[rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, m // 4)]))]
+        for f in (bank.evaluate, knn_mean.predict, bank.fitted[5].evaluate):
+            _serial_and_threaded(f, x, workers)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -636,7 +637,7 @@ def test_property_threaded_knn_window_with_edge_ties_is_bit_identical(workers, a
     rng = np.random.default_rng(seed)
     train_x = np.round(rng.uniform(-1, 1, size=500), 1)
     cand = _KnnQuantile(train_x[:, None], rng.exponential(size=500), 30, 0.9)
-    m = _rows_near_the_split(rng, workers, candidates._ENTRIES // (2 * 30 + 2), above)
+    m = _rows_near_the_split(rng, workers, candidates._ENTRIES // 4 // (2 * 30 + 2), above)
     x = np.round(rng.uniform(-1.2, 1.2, size=m), 1)
     order = np.argsort(train_x, kind="stable")
     assert not _window_knn_block(x, order, train_x[order], 30)[1].all()

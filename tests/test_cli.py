@@ -106,6 +106,19 @@ def test_bad_alpha_is_a_typed_error(tmp_path, capsys, method, alpha):
                                "message": "alpha_level: must lie in (0, 1)"}
 
 
+@pytest.mark.parametrize("scenario, size, message", [
+    ("tilt", ["--m", "0"], "m: must be an integer >= 1"),
+    ("affine", ["--m", "0"], "n_target: must be an integer >= 1"),
+    ("affine", ["--n", "0"], "n: must be an integer >= 1")])
+def test_gen_size_of_zero_is_a_typed_error(tmp_path, capsys, scenario, size, message):
+    out = tmp_path / "out.csv"
+    assert main(["gen", "--scenario", scenario, "--out", str(out), "--n", "50", *size]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
+    assert not out.exists()
+
+
 def test_alg2_fit_roundtrip(tmp_path):
     src = tmp_path / "s.csv"
     tgt = tmp_path / "t.csv"

@@ -10,6 +10,7 @@ from piagg.dataset import (
     SplitSpec,
     affine_shift,
     check_nonnegative,
+    gen_affine_gauss,
     gen_hetero_sim,
     linear_index,
     load_csv,
@@ -134,6 +135,18 @@ class TestResampling:
     def test_non_finite_tilt_rejected(self, beta):
         with pytest.raises(ConfigError, match="^beta: "):
             tilt_resample(DataTable(np.arange(4.0)[:, None]), beta, 5, seed=0)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: weighted_resample(DataTable(np.ones((4, 1))), np.ones(4), 0, seed=0), "m"),
+        (lambda: tilt_resample(DataTable(np.ones((4, 1))), [1.0], 2.5, seed=0), "m"),
+        (lambda: gen_affine_gauss(0, 3, np.eye(2), np.zeros(2), 1), "n"),
+        (lambda: gen_affine_gauss(2.5, 3, np.eye(2), np.zeros(2), 1), "n"),
+        (lambda: gen_affine_gauss(3, 0, np.eye(2), np.zeros(2), 1), "n_target"),
+    ], ids=["resample_m0", "tilt_m2.5", "affine_n0", "affine_n2.5", "affine_n_target0"])
+    def test_sizes_follow_the_count_rule(self, call, name):
+        # a size of 0 gave an empty table, and 2.5 failed in the stream as "size: ..."
+        with pytest.raises(ConfigError, match=f"^{name}: must be an integer >= 1$"):
+            call()
 
     def test_tilt_beyond_the_float_range_draws_the_top_row(self):
         # x @ beta is finite but spans more than the float range: far rows weigh 0

@@ -191,9 +191,9 @@ def test_jump_matrix_is_built_on_first_use_only():
 @pytest.mark.parametrize("name", sorted(DRAWS) + ["weighted_resample"])
 def test_negative_size_raises(name):
     """A negative size is a ConfigError raised before any draw, so the
-    generator's stream is left where it was."""
+    generator's stream is left where it was; ``weighted_resample`` names its ``m``."""
     gen = Rng(1)
-    with pytest.raises(ConfigError, match="^size: "):
+    with pytest.raises(ConfigError, match="^m: " if name == "weighted_resample" else "^size: "):
         if name == "weighted_resample":
             weighted_resample(gen_hetero_sim(5, 1), np.ones(5), -1, 0)
         else:
