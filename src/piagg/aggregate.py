@@ -236,33 +236,34 @@ def _scan_thresholds(thresholds: np.ndarray, weights: np.ndarray,
     return float(candidates[idx]), float(violations[idx])
 
 
-def _lift(f: np.ndarray, floor: float, alg2_delta: float) -> np.ndarray:
+def _lift(f, floor: float, alg2_delta: float) -> np.ndarray:
     """The scale that the shrink level multiplies, max(f + alg2_delta, floor):
     as f >= 0, max(f, floor) under covariate shift (Alg. 1, alg2_delta = 0)
     and f + alg2_delta on the source (Alg. 2, floor = 0)."""
-    return np.maximum(f + alg2_delta, floor)
+    return np.maximum(np.asarray(f, dtype=np.float64).ravel() + alg2_delta, floor)
 
 
-def _violates(r2: np.ndarray, bound, source: bool) -> np.ndarray:
-    """Alg. 2 counts r2 >= bound as a violation, Alg. 1 only r2 > bound."""
-    return r2 >= bound if source else r2 > bound
+def _violates(r2: np.ndarray, bound, alg2_delta: float) -> np.ndarray:
+    """Alg. 2 (alg2_delta > 0) counts r2 >= bound as a violation, Alg. 1 only r2 > bound."""
+    return r2 >= bound if alg2_delta > 0 else r2 > bound
 
 
-def _shrink(scale: np.ndarray, r2: np.ndarray, w: np.ndarray, alpha_level: float,
-            source: bool) -> ShrinkResult:
-    """Smallest lam >= 0 whose weighted miscoverage
-    (1/n) sum w * violates(r2, lam * scale) is at most ``alpha_level``.
+def _shrink(f: np.ndarray, r2: np.ndarray, w: np.ndarray, alpha_level: float,
+            floor: float, alg2_delta: float) -> ShrinkResult:
+    """Smallest lam >= 0 whose weighted miscoverage (1/n) sum w * violates(r2,
+    lam * scale) is at most ``alpha_level``, for the scale _lift(f, floor,
+    alg2_delta) and the rule that is non-strict exactly when alg2_delta > 0.
 
     A row without a positive scale that violates at lam = 0 violates at
     every lam; the scan raises ShrinkUnbounded when their mass alone
     exceeds the budget. Every other row has threshold r2 / scale (zero
     where the scale vanishes).
     """
-    scale, r2, w = _shape_block(scale, r2, w)
+    scale, r2, w = _shape_block(_lift(f, floor, alg2_delta), r2, w)
     n = scale.size
     if n == 0:
         raise PiaggError("calibration set is empty")
-    permanent = (scale <= 0.0) & _violates(r2, 0.0, source)
+    permanent = (scale <= 0.0) & _violates(r2, 0.0, alg2_delta)
     ok = ~permanent
     thresholds = np.divide(r2, scale, out=np.zeros(n), where=ok & (scale > 0.0))
     lam, violation = _scan_thresholds(thresholds[ok], w[ok], float(w[permanent].sum()),
@@ -282,8 +283,7 @@ def shrink_cov_shift(f_hat_cal: np.ndarray, r2_cal: np.ndarray, w_cal: np.ndarra
     raised when such rows alone exceed the budget.
     """
     check_args(alpha_level=alpha_level, floor=floor)
-    f = np.asarray(f_hat_cal, dtype=np.float64).ravel()
-    return _shrink(_lift(f, floor, 0.0), r2_cal, w_cal, alpha_level, False)
+    return _shrink(f_hat_cal, r2_cal, w_cal, alpha_level, floor, 0.0)
 
 
 def shrink_source(f_hat_cal: np.ndarray, r2_cal: np.ndarray,
@@ -298,9 +298,7 @@ def shrink_source(f_hat_cal: np.ndarray, r2_cal: np.ndarray,
     check_args(alpha_level=alpha_level, alg2_delta=alg2_delta)
     if alg2_delta is None:  # the rule's null stands for a pipeline's default, not set here
         raise ConfigError("alg2_delta: must be a number")
-    f = np.asarray(f_hat_cal, dtype=np.float64).ravel()
-    return _shrink(_lift(f, 0.0, alg2_delta), r2_cal, np.ones(f.size),
-                   alpha_level, True)
+    return _shrink(f_hat_cal, r2_cal, np.ones(np.size(f_hat_cal)), alpha_level, 0.0, alg2_delta)
 
 
 def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
@@ -346,6 +344,16 @@ class _Blocks:
     phi22: np.ndarray
     r2_22: np.ndarray
 
+    def model(self, shape: ShapeModel, adapter, alpha_level: float, floor: float,
+              alg2_delta: float, shrink) -> PiModel:
+        """Both algorithms' tail: ``shape`` calibrated on D22 by ``shrink(f22)``,
+        and the hold-out violation of its band there."""
+        f22 = np.vecdot(self.phi22, shape.alpha)
+        s = shrink(f22)
+        bound = s.lambda_hat * _lift(f22, floor, alg2_delta)
+        return PiModel(shape, self.bank, self.mean_model, s, alpha_level, adapter, alg2_delta,
+                       floor, float(np.mean(_violates(self.r2_22, bound, alg2_delta))))
+
 
 def _fit_pipeline(source: DataTable, tx, specs, fractions, seed: int, mean_method: str) -> _Blocks:
     """The three-block plan of both algorithms up to the shape LP: check the
@@ -384,15 +392,10 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
                delta=delta, epsilon=epsilon, support_threshold=support_threshold,
                mean_method=mean_method, prob_clip=prob_clip, ratio_cap=ratio_cap)
     b = _fit_pipeline(source, tx, specs, fractions, seed, mean_method)
-    if weight_fn is not None:
-        adapter = None
-        w21 = _known_weights(weight_fn, b.x21)
-        w22 = _known_weights(weight_fn, b.x22)
-    else:
-        adapter = fit_density_ratio(b.x1, tx, prob_clip=prob_clip, ratio_cap=ratio_cap)
-        w21 = eval_ratio(adapter, b.x21)
-        w22 = eval_ratio(adapter, b.x22)
-
+    adapter = None if weight_fn is not None else fit_density_ratio(
+        b.x1, tx, prob_clip=prob_clip, ratio_cap=ratio_cap)
+    w21, w22 = (_known_weights(weight_fn, x) if adapter is None else eval_ratio(adapter, x)
+                for x in (b.x21, b.x22))
     if mode == "hinge":
         if delta is None:
             delta = max(0.1 * float(np.quantile(b.r2_21, 0.9)), 1e-12)
@@ -401,13 +404,9 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
     shape = fit_shape_cov_shift(b.phi21, b.r2_21, w21, b.bank.evaluate(tx), mode=mode,
                                 delta=delta, epsilon=epsilon,
                                 support_threshold=support_threshold)
-
-    f22 = np.vecdot(b.phi22, shape.alpha)
     floor = 1e-9 * max(float(np.max(b.r2_22, initial=0.0)), 1.0)
-    shrink = shrink_cov_shift(f22, b.r2_22, w22, alpha_level, floor=floor)
-    bound = shrink.lambda_hat * _lift(f22, floor, 0.0)
-    return PiModel(shape, b.bank, b.mean_model, shrink, alpha_level, adapter, floor=floor,
-                   holdout_violation=float(np.mean(_violates(b.r2_22, bound, False))))
+    return b.model(shape, adapter, alpha_level, floor, 0.0,
+                   lambda f22: shrink_cov_shift(f22, b.r2_22, w22, alpha_level, floor=floor))
 
 
 def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *,
@@ -433,23 +432,14 @@ def fit_transport(source: DataTable, target_x=None, alpha_level: float = 0.05, *
     if transport_map is not None and transport_map.b.shape[0] != source.d:
         raise DimensionMismatch(f"transport_map: needs dimension {source.d}, the source's")
     b = _fit_pipeline(source, tx, specs, fractions, seed, mean_method)
-    if transport_map is not None:
-        adapter: AffineMap | None = transport_map
-    elif tx is not None:
+    adapter = transport_map
+    if adapter is None and tx is not None:
         adapter = fit_affine_transport(tx, b.x1, mode=transport_mode, cov_ridge=cov_ridge)
-    else:
-        adapter = None
-
     shape = fit_shape_source(b.phi21, b.r2_21)
-
-    f22 = np.vecdot(b.phi22, shape.alpha)
     if alg2_delta is None:
         alg2_delta = max(0.01 * float(np.quantile(b.r2_21, 0.9)), 1e-12)
-    shrink = shrink_source(f22, b.r2_22, alpha_level, alg2_delta)
-    bound = shrink.lambda_hat * _lift(f22, 0.0, alg2_delta)
-    return PiModel(shape, b.bank, b.mean_model, shrink, alpha_level, adapter,
-                   alg2_delta=alg2_delta,
-                   holdout_violation=float(np.mean(_violates(b.r2_22, bound, True))))
+    return b.model(shape, adapter, alpha_level, 0.0, alg2_delta,
+                   lambda f22: shrink_source(f22, b.r2_22, alpha_level, alg2_delta))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import DataTable, check_nonnegative
-from .errors import (ConfigError, DimensionMismatch, EmptyBin, NonFiniteInput, PiaggError,
-                     check_args)
+from .dataset import DataTable, check_nonnegative, check_rows
+from .errors import ConfigError, DimensionMismatch, EmptyBin, PiaggError, check_args
 from .numerics import LinearModel, ols_fit, quantile_reg_fit
 
 
@@ -110,7 +109,7 @@ class KnnMean:
         _set_neighbour_count(self)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return _by_distance_block(x, self.train_x, [self._from_d2])[:, 0]
+        return _by_distance_block(check_rows(x), self.train_x, [self._from_d2])[:, 0]
 
     def _from_d2(self, d2):
         return self.train_y[_knn_indices_block(d2, self.k)].mean(axis=1)
@@ -344,7 +343,7 @@ class KernelVariance:
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
 
     def evaluate(self, x):
-        return _by_distance_block(x, self.train_x, [self._from_d2])[:, 0]
+        return _by_distance_block(check_rows(x), self.train_x, [self._from_d2])[:, 0]
 
     def _from_d2(self, d2):
         """The smoothed ``r2`` of each row of ``d2``; overwrites ``d2``."""
@@ -448,10 +447,7 @@ class CandidateBank:
         return len(self.specs)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteInput("x: covariates must be finite")
-        x, inverse = _distinct_rows(x)
+        x, inverse = _distinct_rows(check_rows(x))
         out = np.empty((x.shape[0], len(self.fitted)))
         shared = {}  # in d > 1: first candidate of each distinct train_x -> its group
         for j, cand in enumerate(self.fitted):

@@ -35,6 +35,16 @@ def check_covariates(name: str, x) -> np.ndarray:
     return x
 
 
+def check_rows(x) -> np.ndarray:
+    """Rows to evaluate a fitted part at, as a float matrix, rejected unless every
+    entry is finite with |x| <= 1e150: squared distances then stay finite in up
+    to 44 dimensions, and a transport map may carry covariates past 1e100."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if not np.all(np.abs(x) <= 1e150):  # False on a NaN
+        raise NonFiniteInput("x: rows to evaluate must be finite with |x| <= 1e150")
+    return x
+
+
 def check_nonnegative(name: str, v, n_rows: int | None = None) -> np.ndarray:
     """``v`` as a float vector of finite nonnegative entries, ``n_rows`` of
     them when given; the errors start with the argument's name."""

@@ -50,7 +50,8 @@ class LengthMismatch(PiaggError):
 
 
 class NonFiniteInput(PiaggError):
-    """An input holds NaN or infinite entries, or covariates beyond 1e100; the message names it."""
+    """An input holds NaN or infinite entries, or entries past the bound of
+    ``dataset.check_covariates`` or ``check_rows``; the message names it."""
 
 
 class ConfigError(PiaggError, ValueError):

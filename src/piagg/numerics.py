@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize as _sp_optimize
 
-from .dataset import DataTable, check_covariates
+from .dataset import DataTable, check_covariates, check_rows
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -49,7 +49,7 @@ class LinearModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """The linear score: intercept plus covariates times the slopes."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = check_rows(x)
         if x.shape[1] != len(self.coefficients) - 1:
             raise DimensionMismatch(
                 f"model expects {len(self.coefficients) - 1} covariates, got {x.shape[1]}")

@@ -17,8 +17,10 @@ from piagg.aggregate import (
     PiModel,
     ShapeModel,
     ShrinkResult,
+    _Blocks,
     _lift,
     _scan_thresholds,
+    _violates,
     diagnose,
     fit_covariate_shift,
     fit_shape_cov_shift,
@@ -34,7 +36,7 @@ from piagg.aggregate import (
     shrink_source,
 )
 from piagg.candidates import CandidateSpec, fit_candidate_set, fit_mean, residuals
-from piagg.conformal import fit_wqc, fit_wvac, predict_wqc, predict_wvac
+from piagg.conformal import KernelScale, fit_wqc, fit_wvac, predict_wqc, predict_wvac
 from piagg.dataset import (
     DataTable,
     SplitSpec,
@@ -434,11 +436,42 @@ def _lift_two_branch(f, source, floor, alg2_delta):
 @given(method=st.sampled_from(["alg1", "alg1_hinge", "alg2"]), seed=st.integers(0, 2 ** 16))
 def test_property_one_lift_matches_two_branches(fitted_models, method, seed):
     m = fitted_models[method]
-    x = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(60, 1))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, size=(60, 1))
     # the fitted shape at x, plus a vanishing and a sub-floor value
     f = np.concatenate([m.bank.evaluate(x) @ m.shape.alpha, [0.0, m.floor / 2]])
-    assert np.array_equal(_lift(f, m.floor, m.alg2_delta),
-                          _lift_two_branch(f, m.shape.mode == MODE_SOURCE, m.floor, m.alg2_delta))
+    source = m.shape.mode == MODE_SOURCE
+    scale = _lift(f, m.floor, m.alg2_delta)
+    assert np.array_equal(scale, _lift_two_branch(f, source, m.floor, m.alg2_delta))
+    # the violation rule keyed on alg2_delta is the one keyed on the mode, at
+    # residuals on the bound (ties) and on either side of it
+    bound = m.shrink.lambda_hat * scale
+    r2 = np.concatenate([bound, rng.uniform(0.0, 2.0, bound.size) * bound])
+    bound = np.concatenate([bound, bound])
+    assert np.array_equal(_violates(r2, bound, m.alg2_delta),
+                          r2 >= bound if source else r2 > bound)
+
+
+@pytest.mark.parametrize("alpha, alg2_delta, holdout", [(2.0, 0.0, 0.25), (1.5, 0.5, 0.5)],
+                         ids=["alg1_strict", "alg2_non_strict"])
+def test_model_tail_keys_the_violation_rule_on_alg2_delta(alpha, alg2_delta, holdout):
+    # a constant-one bank and f + alg2_delta = 2 exactly: the D22 residual
+    # 1.0 lies on the bound lam_hat * scale = 0.5 * 2, which only the
+    # non-strict rule of Alg. 2 (alg2_delta > 0) counts as a violation; both
+    # cases share a shape mode, so alg2_delta alone picks the rule
+    bank = fit_candidate_set(DataTable(np.zeros((3, 1)), np.zeros(3)), np.zeros(3),
+                             [CandidateSpec("constant_one")])
+    x22 = np.zeros((4, 1))
+    empty = np.zeros((0, 1))
+    b = _Blocks(ZeroMean(), bank, empty, empty, empty, np.zeros(0),
+                x22, bank.evaluate(x22), np.array([1.0, 0.25, 0.0, 3.0]))
+    seen, result = [], ShrinkResult(0.5, 0.25, False)
+    m = b.model(ShapeModel(np.array([alpha]), MODE_SOURCE), "adapter", 0.1, 0.0, alg2_delta,
+                lambda f22: seen.append(f22) or result)
+    assert np.array_equal(seen[0], np.full(4, alpha))
+    assert m.shrink is result and m.holdout_violation == holdout
+    assert (m.alg2_delta, m.floor, m.adapter, m.alpha_level) == (alg2_delta, 0.0, "adapter", 0.1)
+    assert m.bank is bank and isinstance(m.mean_model, ZeroMean)
 
 
 def test_predict_does_not_read_the_shape_mode(fitted_models):
@@ -904,6 +937,7 @@ def _bank():
 
 
 _NAN_ROW = np.vstack([_LABELED.x[:19], [[np.nan]]])
+_LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
 
 
 @pytest.mark.parametrize("call, error", [
@@ -922,6 +956,14 @@ _NAN_ROW = np.vstack([_LABELED.x[:19], [[np.nan]]])
                                     np.ones((2, 1)), np.ones(2), np.ones(2)), ConfigError),
     (lambda: _bank().evaluate([[np.nan]]), NonFiniteInput),
     (lambda: _bank().evaluate([[0.5], [-np.inf]]), NonFiniteInput),
+    (lambda: _bank().evaluate([[1e200]]), NonFiniteInput),
+    (lambda: fit_candidate_set(_LABELED_5D, np.ones(20), None).evaluate([[1e200] * 5]),
+     NonFiniteInput),
+    (lambda: _bank().fitted[-1].evaluate([[0.5], [1e200]]), NonFiniteInput),
+    (lambda: KernelScale(_bank().fitted[-1], 1e-6).predict([[np.nan]]), NonFiniteInput),
+    (lambda: fit_mean(_LABELED, "knn").predict([[np.nan]]), NonFiniteInput),
+    (lambda: fit_mean(_LABELED, "knn").predict([[0.3], [np.nan]]), NonFiniteInput),
+    (lambda: LinearModel([0.0, 1.0], "ols_mean").predict([[np.nan]]), NonFiniteInput),
     (lambda: fit_shape_cov_shift(np.ones((3, 1)), np.ones(3), np.ones(3), np.ones((2, 1)),
                                  mode="hinge", epsilon=0.1), ConfigError),
     (lambda: fit_shape_cov_shift(np.ones((3, 1)), np.ones(3), np.ones(3), np.ones((2, 1)),
@@ -965,7 +1007,9 @@ _NAN_ROW = np.vstack([_LABELED.x[:19], [[np.nan]]])
     *[(call, PiaggError) for call in _UNLABELED_CALLS.values()],
 ], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative",
         "resample_m0", "affine_gauss_n0", "affine_gauss_n2.5", "no_specs",
-        "logistic_labels", "hinge_no_scale", "bank_nan", "bank_inf", "hinge_no_delta",
+        "logistic_labels", "hinge_no_scale", "bank_nan", "bank_inf", "bank_huge",
+        "bank_huge_5d", "kernel_variance_huge", "kernel_scale_nan", "knn_mean_nan",
+        "knn_mean_nan_in_batch", "linear_model_nan", "hinge_no_delta",
         "hinge_no_epsilon", "tuple_map", "map_dimension", "dict_specs", "lone_spec",
         "shrink_negative_weight", "shrink_nan_shape", "shrink_source_inf_shape",
         "shape_nan_weight", "hinge_inf_weight", "shape_nan_phi", "eval_ratio_nan",
@@ -981,6 +1025,15 @@ _NAN_ROW = np.vstack([_LABELED.x[:19], [[np.nan]]])
 def test_public_entry_points_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_rows_a_map_carries_past_the_covariate_bound_still_evaluate():
+    # check_covariates stops inputs at 1e100, but an affine map may carry
+    # them further; the evaluators accept rows up to 1e150
+    for bank, row in ((_bank(), [[1e120]]),
+                      (fit_candidate_set(_LABELED_5D, np.ones(20), None), [[1e120] * 5])):
+        assert np.all(np.isfinite(bank.evaluate(row)))
+    assert np.isfinite(fit_mean(_LABELED, "knn").predict([[-1e150]])[0])
 
 
 @pytest.mark.parametrize("call", list(_UNLABELED_CALLS.values()), ids=list(_UNLABELED_CALLS))

@@ -703,11 +703,12 @@ def test_caller_error_waits_for_every_share(monkeypatch):
 
 
 def test_errstate_holds_on_the_worker_shares(monkeypatch):
-    # the last row, whose square overflows, falls in the pool's share
+    # the last row, whose squared distance over -2h² overflows, falls in the
+    # pool's share
     rng = np.random.default_rng(72)
     cand = KernelVariance(rng.normal(size=(candidates._ENTRIES // 64, 1)),
-                          rng.exponential(size=candidates._ENTRIES // 64), 0.3)
-    x = np.append(rng.normal(size=255), 1e200)[:, None]
+                          rng.exponential(size=candidates._ENTRIES // 64), 1e-5)
+    x = np.append(rng.normal(size=255), 1e150)[:, None]
     monkeypatch.setattr(candidates, "_WORKERS", 2)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         cand.evaluate(x)
