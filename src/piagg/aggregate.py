@@ -548,9 +548,9 @@ def model_from_dict(d: dict) -> PiModel:
         if section == "model" and isinstance(exc, ConfigError):  # "<field>: must ..."
             raise ConfigError(f"model.{exc}") from None
         raise ConfigError(f"{section}: malformed ({type(exc).__name__}: {exc})") from exc
-    if shape.alpha.shape[0] != bank.n_candidates:
+    if shape.alpha.shape[0] != len(bank.specs):
         raise ConfigError(f"model.alpha: {shape.alpha.shape[0]} weights for "
-                          f"{bank.n_candidates} candidates")
+                          f"{len(bank.specs)} candidates")
     return PiModel(shape, bank, mean_model, shrink, adapter=adapter, **scalars)
 
 

@@ -112,7 +112,7 @@ class KnnMean:
         return _by_distance_block(check_rows(x), self.train_x, [self._from_d2])[:, 0]
 
     def _from_d2(self, d2):
-        return self.train_y[_knn_indices_block(d2, self.k)].mean(axis=1)
+        return self.train_y[_k_nearest(d2, self.k)[0]].mean(axis=1)
 
 
 def fit_mean(train: DataTable, method: str = "ols", k: int = 10):
@@ -183,15 +183,15 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return x[index], inverse.reshape(-1)  # NumPy 2.0 gives inverse the shape of keys
 
 
-def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
+def _by_distance_block(x: np.ndarray, train_x: np.ndarray, row_fns) -> np.ndarray:
     """One column per function of ``row_fns``: ``row_fn(d2)`` over blocks of
-    evaluation rows, where ``d2`` holds a block's squared Euclidean
-    distances to every training row, computed once for all the functions.
-    Each row's distances are computed on their own (a broadcast difference
-    in 1-d, where it is faster, SciPy's ``cdist`` otherwise), so a row's
-    value does not depend on the rows evaluated with it. ``d2`` is a new
-    array each block; only the last function may overwrite it."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    the rows ``x``, a float matrix that ``check_rows`` has passed, where
+    ``d2`` holds a block's squared Euclidean distances to every training row,
+    computed once for all the functions. Each row's distances are computed on
+    their own (a broadcast difference in 1-d, where it is faster, SciPy's
+    ``cdist`` otherwise), so a row's value does not depend on the rows
+    evaluated with it. ``d2`` is a new array each block; only the last
+    function may overwrite it."""
     if x.shape[1] != train_x.shape[1]:
         raise DimensionMismatch("covariate dimension does not match training data")
     x, inverse = _distinct_rows(x)
@@ -208,21 +208,18 @@ def _by_distance_block(x, train_x: np.ndarray, row_fns) -> np.ndarray:
     return out if inverse is None else out[inverse]
 
 
-def _k_nearest(d2: np.ndarray, index: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _k_nearest(d2: np.ndarray, k: int, index=None) -> tuple[np.ndarray, np.ndarray]:
     """Positions in each row of ``d2`` of its k nearest entries by (d², index),
-    and each row's k-th d². Only a row whose k-th place splits a distance tie
-    is sorted; any other keeps the order of ``argpartition``, on which the
-    kNN mean's summation order rests."""
+    the column number when ``index`` is None, and each row's k-th d². Only a
+    row whose k-th place splits a distance tie is sorted; any other keeps the
+    order of ``argpartition``, on which the kNN mean's summation order rests."""
     part = np.argpartition(d2, k - 1, axis=1)[:, :k]
     kth = np.take_along_axis(d2, part, axis=1).max(axis=1)
     tie = (d2 <= kth[:, None]).sum(axis=1) > k
     if tie.any():
+        index = np.arange(d2.shape[1]) if index is None else index
         part[tie] = np.lexsort((np.broadcast_to(index, d2.shape)[tie], d2[tie]), axis=-1)[:, :k]
     return part, kth
-
-
-def _knn_indices_block(d2: np.ndarray, k: int) -> np.ndarray:
-    return _k_nearest(d2, np.arange(d2.shape[1]), k)[0]
 
 
 def _window_knn_block(x0: np.ndarray, order: np.ndarray, sorted_x: np.ndarray,
@@ -232,7 +229,7 @@ def _window_knn_block(x0: np.ndarray, order: np.ndarray, sorted_x: np.ndarray,
     stably sorted training column ``sorted_x`` (order ``order``) from k + 1
     rows before each query's ``searchsorted`` position; and a mask of the
     rows whose answer this proves. Rows beyond a window edge are at least
-    as far as that edge, so a finite query is proven when its k-th d² is
+    as far as that edge, so a query is proven when its k-th d² is
     below each edge that is not an end of the array: always, unless
     distances tie, as the k nearest lie within k rows on either side."""
     n = sorted_x.shape[0]
@@ -241,9 +238,8 @@ def _window_knn_block(x0: np.ndarray, order: np.ndarray, sorted_x: np.ndarray,
     pos = start[:, None] + np.arange(w)
     d2 = (x0[:, None] - sorted_x[pos]) ** 2
     index = order[pos]
-    part, kth = _k_nearest(d2, index, k)
-    proven = (np.isfinite(x0) & ((start == 0) | (kth < d2[:, 0]))
-              & ((start + w == n) | (kth < d2[:, -1])))
+    part, kth = _k_nearest(d2, k, index)
+    proven = ((start == 0) | (kth < d2[:, 0])) & ((start + w == n) | (kth < d2[:, -1]))
     return np.take_along_axis(index, part, axis=1), proven
 
 
@@ -271,7 +267,7 @@ def _normal_reference_bandwidth(train_x: np.ndarray) -> float:
 @dataclass(frozen=True)
 class _ConstantOne:
     def evaluate(self, x):
-        return np.ones(np.atleast_2d(x).shape[0])
+        return np.ones(x.shape[0])
 
 
 @dataclass(frozen=True)
@@ -289,7 +285,6 @@ class _KnnQuantile:
         object.__setattr__(self, "tau", float(self.tau))
 
     def evaluate(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.empty(x.shape[0])
         proven = np.zeros(x.shape[0], dtype=bool)
         if x.shape[1] == self.train_x.shape[1] == 1:
@@ -305,7 +300,7 @@ class _KnnQuantile:
         return out
 
     def _from_d2(self, d2):
-        return _equal_weight_quantile_rows(self.r2[_knn_indices_block(d2, self.k)], self.tau)
+        return _equal_weight_quantile_rows(self.r2[_k_nearest(d2, self.k)[0]], self.tau)
 
 
 # np.exp is exactly 0.0 at and below this argument (its result underflows
@@ -397,8 +392,7 @@ class _BinnedQuantile:
         object.__setattr__(self, "values", values)
 
     def evaluate(self, x):
-        x0 = np.atleast_2d(np.asarray(x, float))[:, 0]
-        idx = np.searchsorted(self.edges, x0, side="right")
+        idx = np.searchsorted(self.edges, x[:, 0], side="right")
         return self.values[idx]  # idx <= len(edges) = len(values) - 1
 
 
@@ -441,10 +435,6 @@ class CandidateBank:
 
     specs: list[CandidateSpec]
     fitted: list  # one fitted candidate per spec, of the spec's kind
-
-    @property
-    def n_candidates(self) -> int:
-        return len(self.specs)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x, inverse = _distinct_rows(check_rows(x))

@@ -60,7 +60,7 @@ class WqcModel:
 
 def _ratio_weights(ratio: DensityRatioModel | None, x: np.ndarray) -> np.ndarray:
     if ratio is None:
-        return np.ones(np.atleast_2d(x).shape[0])
+        return np.ones(x.shape[0])
     return eval_ratio(ratio, x)
 
 

@@ -724,6 +724,12 @@ class TestSerialization:
                            match=rf"^model\.{section}: malformed \(ConfigError: {field}: "):
             model_from_dict(json.loads(json.dumps(doc)))  # NaN and Infinity survive JSON
 
+    def test_alpha_of_the_wrong_length_names_both_counts(self):
+        doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
+        del doc["alpha"][3]
+        with pytest.raises(ConfigError, match=r"^model\.alpha: 6 weights for 7 candidates$"):
+            model_from_dict(doc)
+
     def test_loaded_shrink_level_above_one_warns(self):
         doc = json.loads((DATA / "model_v1_alg1_1d.json").read_text())
         doc["lambda_hat"] = 1.3
@@ -956,6 +962,7 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
                                     np.ones((2, 1)), np.ones(2), np.ones(2)), ConfigError),
     (lambda: _bank().evaluate([[np.nan]]), NonFiniteInput),
     (lambda: _bank().evaluate([[0.5], [-np.inf]]), NonFiniteInput),
+    (lambda: _bank().evaluate([[0.5], [np.inf]]), NonFiniteInput),
     (lambda: _bank().evaluate([[1e200]]), NonFiniteInput),
     (lambda: fit_candidate_set(_LABELED_5D, np.ones(20), None).evaluate([[1e200] * 5]),
      NonFiniteInput),
@@ -1007,7 +1014,7 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
     *[(call, PiaggError) for call in _UNLABELED_CALLS.values()],
 ], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative",
         "resample_m0", "affine_gauss_n0", "affine_gauss_n2.5", "no_specs",
-        "logistic_labels", "hinge_no_scale", "bank_nan", "bank_inf", "bank_huge",
+        "logistic_labels", "hinge_no_scale", "bank_nan", "bank_inf", "bank_plus_inf", "bank_huge",
         "bank_huge_5d", "kernel_variance_huge", "kernel_scale_nan", "knn_mean_nan",
         "knn_mean_nan_in_batch", "linear_model_nan", "hinge_no_delta",
         "hinge_no_epsilon", "tuple_map", "map_dimension", "dict_specs", "lone_spec",

@@ -27,9 +27,9 @@ from piagg.candidates import (
     _by_distance_block,
     _distinct_rows,
     _equal_weight_quantile_rows,
+    _k_nearest,
     _KnnQuantile,
     _LinearQuantileSq,
-    _knn_indices_block,
     _window_knn_block,
     default_bank_specs,
     fit_candidate_set,
@@ -228,7 +228,7 @@ def _knn_quantile_brute(cand, x):
     """The brute-force block rule, nearest by (d², index), one row per call."""
     def one(row):
         return _by_distance_block(row, cand.train_x, [lambda d2: _equal_weight_quantile_rows(
-            cand.r2[_knn_indices_block(d2, cand.k)], cand.tau)])[:, 0]
+            cand.r2[_k_nearest(d2, cand.k)[0]], cand.tau)])[:, 0]
     return np.concatenate([one(x[i:i + 1]) for i in range(x.shape[0])])
 
 
@@ -243,11 +243,10 @@ def _knn_1d_case(draw):
     train_x = rng.normal(size=n)
     if duplicated:  # whole runs of repeated training x
         train_x = np.repeat(train_x[:(n + 2) // 3], 3)[:n]
-    # evaluation rows inside, on and well outside the training range, and
-    # non-finite ones
+    # evaluation rows inside, on and well outside the training range; a
+    # non-finite row stops at CandidateBank.evaluate's row check
     x = np.concatenate([rng.normal(scale=2.0, size=draw(st.integers(1, 40))),
-                        rng.choice(train_x, size=3), [train_x.min() - 5, train_x.max() + 5],
-                        [np.nan, np.inf, -np.inf]])
+                        rng.choice(train_x, size=3), [train_x.min() - 5, train_x.max() + 5]])
     if decimals is not None:  # rounding makes heavy distance ties
         train_x, x = np.round(train_x, decimals), np.round(x, decimals)
     r2 = rng.exponential(size=n)
@@ -455,20 +454,26 @@ def _knn_selection_case(draw):
 @given(case=_knn_selection_case())
 def test_property_k_nearest_matches_stable_argsort(case):
     # both kNN selections against the (d², index) order of a stable sort: the
-    # same k nearest rows, in that order where the k-th place splits a tie
+    # same k nearest rows, in that order where the k-th place splits a tie;
+    # the brute one both by column number and by a given (reversed) index
     train_x, x0, k = case
     n = train_x.shape[0]
     d2 = (x0[:, None] - train_x[None, :]) ** 2
     order = np.argsort(train_x, kind="stable")
-    brute = _knn_indices_block(d2, k)
+    brute, kth = _k_nearest(d2, k)
+    reverse = _k_nearest(d2, k, np.arange(n)[::-1])[0]
     window, proven = _window_knn_block(x0, order, train_x[order], k)
     for i in range(x0.shape[0]):
         ref = np.argsort(d2[i], kind="stable")[:k]
+        ref_reverse = n - 1 - np.argsort(d2[i, ::-1], kind="stable")[:k]
+        assert kth[i] == d2[i, ref[-1]]
         assert np.array_equal(np.sort(brute[i]), np.sort(ref))
+        assert np.array_equal(np.sort(reverse[i]), np.sort(ref_reverse))
         if proven[i]:
             assert np.array_equal(np.sort(window[i]), np.sort(ref))
         if np.count_nonzero(d2[i] <= d2[i, ref[-1]]) > k:
             assert np.array_equal(brute[i], ref)
+            assert np.array_equal(reverse[i], ref_reverse)
     assert proven.all() or k < n
 
 
@@ -591,7 +596,7 @@ def test_bank_finds_the_distinct_rows_once(d, distance, monkeypatch):
 def test_empty_input_passes_through(d):
     bank, knn_mean, _ = _default_bank(d, False)
     x = np.empty((0, d))
-    assert bank.evaluate(x).shape == (0, bank.n_candidates)
+    assert bank.evaluate(x).shape == (0, len(bank.specs))
     assert knn_mean.predict(x).shape == (0,)
     kernel = bank.fitted[5]
     assert _by_distance_block(x, kernel.train_x, [kernel._from_d2]).shape == (0, 1)
