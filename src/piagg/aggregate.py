@@ -123,19 +123,21 @@ class PiModel:
     holdout_violation: float = float("nan")
 
 
-def _solve_shape(obj: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, infeasible: str =
-                 "no nonnegative combination covers every constrained row") -> np.ndarray:
-    """Candidate weights alpha of the shape LP min obj@alpha over
-    nonnegative [alpha, slacks] with lhs@[alpha, slacks] <= rhs, clipped
-    at zero; ShapeInfeasible carries the ``infeasible`` message."""
+def _solve_shape(obj: np.ndarray, lhs, rhs: np.ndarray, mode: str, delta: float | None = None,
+                 epsilon: float | None = None, support_threshold: float = 0.0) -> ShapeModel:
+    """The ShapeModel of the shape LP min obj@alpha over nonnegative
+    [alpha, slacks] with lhs@[alpha, slacks] <= rhs, alpha clipped at zero."""
     k = obj.shape[0]
     c = np.concatenate([obj, np.zeros(lhs.shape[1] - k)])
     sol = solve_lp(LinearProgram(c, lhs, rhs, np.ones(c.shape[0], dtype=bool)))
     if sol.status == INFEASIBLE:
-        raise ShapeInfeasible(infeasible)
+        raise ShapeInfeasible("hinge budget cannot be met by any candidate combination"
+                              if mode == MODE_COV_HINGE else
+                              "no nonnegative combination covers every constrained row")
     if sol.status != OPTIMAL:
         raise PiaggError(f"shape LP ended with status {sol.status}")
-    return np.maximum(sol.x[:k], 0.0)
+    alpha = np.maximum(sol.x[:k], 0.0)
+    return ShapeModel(alpha, mode, delta, epsilon, support_threshold, float(obj @ alpha))
 
 
 def _shape_block(phi, r2, w=None):
@@ -169,9 +171,8 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
     obj = phi_target.mean(axis=0)
     if mode == "exact":
         keep = w > support_threshold
-        alpha = _solve_shape(obj, -phi[keep], -r2[keep])
-        return ShapeModel(alpha, MODE_COV_EXACT, delta, epsilon, support_threshold,
-                          float(obj @ alpha))
+        return _solve_shape(obj, -phi[keep], -r2[keep], MODE_COV_EXACT, delta, epsilon,
+                            support_threshold)
     if delta is None or epsilon is None:
         raise ConfigError("delta: hinge mode needs both delta and epsilon")
     keep = w > 0
@@ -180,9 +181,7 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
     lhs = sparse.bmat([[-phi[keep], sparse.identity(int(np.count_nonzero(keep))) * -delta],
                        [None, w[keep][None, :]]])
     rhs = np.concatenate([-(r2[keep] + delta), [phi.shape[0] * epsilon]])
-    alpha = _solve_shape(obj, lhs, rhs, "hinge budget cannot be met by any candidate combination")
-    return ShapeModel(alpha, MODE_COV_HINGE, delta, epsilon, support_threshold,
-                      float(obj @ alpha))
+    return _solve_shape(obj, lhs, rhs, MODE_COV_HINGE, delta, epsilon, support_threshold)
 
 
 def fit_shape_source(phi: np.ndarray, r2: np.ndarray) -> ShapeModel:
@@ -190,8 +189,7 @@ def fit_shape_source(phi: np.ndarray, r2: np.ndarray) -> ShapeModel:
     while minimizing the average combined candidate on the same rows."""
     phi, r2, _ = _shape_block(phi, r2)
     obj = phi.mean(axis=0) if phi.shape[0] else np.zeros(phi.shape[1])
-    alpha = _solve_shape(obj, -phi, -r2)
-    return ShapeModel(alpha, MODE_SOURCE, None, None, 0.0, float(obj @ alpha))
+    return _solve_shape(obj, -phi, -r2, MODE_SOURCE)
 
 
 def hinge_constraint_value(shape: ShapeModel, phi: np.ndarray, r2: np.ndarray,
@@ -332,7 +330,7 @@ def _known_weights(weight_fn, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Blocks:
-    """The fitted mean and bank, and their evaluations on D21 and D22."""
+    """The fitted mean and bank, their evaluations on D21, and D22's rows and residuals."""
 
     mean_model: object
     bank: CandidateBank
@@ -341,14 +339,13 @@ class _Blocks:
     phi21: np.ndarray
     r2_21: np.ndarray
     x22: np.ndarray
-    phi22: np.ndarray
     r2_22: np.ndarray
 
     def model(self, shape: ShapeModel, adapter, alpha_level: float, floor: float,
               alg2_delta: float, shrink) -> PiModel:
-        """Both algorithms' tail: ``shape`` calibrated on D22 by ``shrink(f22)``,
-        and the hold-out violation of its band there."""
-        f22 = np.vecdot(self.phi22, shape.alpha)
+        """Both algorithms' tail: ``shape`` evaluated on D22 as f22, calibrated
+        there by ``shrink(f22)``, and the hold-out violation of its band there."""
+        f22 = np.vecdot(self.bank.evaluate(self.x22), shape.alpha)
         s = shrink(f22)
         bound = s.lambda_hat * _lift(f22, floor, alg2_delta)
         return PiModel(shape, self.bank, self.mean_model, s, alpha_level, adapter, alg2_delta,
@@ -358,7 +355,7 @@ class _Blocks:
 def _fit_pipeline(source: DataTable, tx, specs, fractions, seed: int, mean_method: str) -> _Blocks:
     """The three-block plan of both algorithms up to the shape LP: check the
     source against the target covariates ``tx`` (or None), split the source,
-    fit the mean and the candidates on D1, and evaluate them on D21 and D22."""
+    fit the mean and the candidates on D1, and evaluate the bank on D21."""
     if source.y is None:
         raise PiaggError("source: needs a labeled table")
     if tx is not None and tx.shape[1] != source.d:
@@ -366,9 +363,8 @@ def _fit_pipeline(source: DataTable, tx, specs, fractions, seed: int, mean_metho
     d1, d21, d22 = split(source, SplitSpec(fractions, seed))
     mean_model = fit_mean(d1, mean_method)
     bank = fit_candidate_set(d1, residuals(d1, mean_model), specs)
-    return _Blocks(mean_model, bank, d1.x,
-                   d21.x, bank.evaluate(d21.x), residuals(d21, mean_model),
-                   d22.x, bank.evaluate(d22.x), residuals(d22, mean_model))
+    return _Blocks(mean_model, bank, d1.x, d21.x, bank.evaluate(d21.x),
+                   residuals(d21, mean_model), d22.x, residuals(d22, mean_model))
 
 
 def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -30,9 +30,10 @@ from .dataset import (
     split,
     tilt_resample,
     weighted_resample,
+    write_csv,
 )
 from .densratio import fit_density_ratio
-from .errors import ARG_RULES, ConfigError, LengthMismatch, check_args
+from .errors import ARG_RULES, ConfigError, DimensionMismatch, check_args
 from .numerics import sigmoid
 from .rng import derive_seed
 
@@ -48,9 +49,6 @@ METHOD_KEYS = {
 
 DEFAULT_AFFINE_A = np.diag([1.5, 1.2, 1.6, 2.0, 1.8])
 DEFAULT_AFFINE_B = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
-
-CSV_COLUMNS = ("rep", "method", "coverage", "avg_width", "lambda_hat",
-               "runtime_s", "n_infinite")
 
 # the keys besides "kind" that the data section may set, by generator (or
 # "csv"), and the shift section, by kind; the top level may set the fields
@@ -153,6 +151,9 @@ class RepResult:
     n_infinite: int
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(RepResult))
+
+
 @dataclass
 class RunSummary:
     rows: list[RepResult] = field(default_factory=list)
@@ -191,7 +192,7 @@ def coverage_and_width(intervals, y: np.ndarray) -> tuple[float, float]:
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != intervals.lower.shape[0]:
-        raise LengthMismatch("labels and intervals differ in length")
+        raise DimensionMismatch("labels and intervals differ in length")
     covered = (intervals.lower <= y) & (y <= intervals.upper)
     width = intervals.width
     finite = np.isfinite(width)
@@ -285,23 +286,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunSummary:
     return summary
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def emit_report(s: RunSummary, out_dir: str) -> tuple[str, str]:
-    """Write per_rep.csv (one row per replication and method, fixed column
-    order) and summary.json (median/IQR/mean/SD per metric per method).
+    """Write per_rep.csv (one row per replication and method, one column per
+    field of RepResult) and summary.json (median/IQR/mean/SD per metric per method).
     Returns the two paths."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "per_rep.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in s.rows:
-            fh.write(",".join([
-                str(r.rep), r.method, _fmt(r.coverage), _fmt(r.avg_width),
-                _fmt(r.lambda_hat), _fmt(r.runtime_s), str(r.n_infinite),
-            ]) + "\n")
+    write_csv(csv_path, CSV_COLUMNS, map(astuple, s.rows))
     json_path = os.path.join(out_dir, "summary.json")
     with open(json_path, "w") as fh:
         json.dump({"aggregates": s.aggregates(), "failures": s.failures}, fh, indent=2)

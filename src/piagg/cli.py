@@ -37,15 +37,8 @@ from .bench import (
     emit_report,
     run_scenario,
 )
-from .dataset import gen_affine_gauss, gen_hetero_sim, load_csv, tilt_resample
+from .dataset import gen_affine_gauss, gen_hetero_sim, load_csv, tilt_resample, write_csv
 from .errors import ConfigError, PiaggError
-
-
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _cmd_bench(args) -> int:
@@ -80,8 +73,7 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     x = load_csv(args.x)
     batch = predict_interval(model, x.x)
-    _write_csv(args.out, ["lower", "center", "upper"],
-               [batch.lower, batch.center, batch.upper])
+    write_csv(args.out, ["lower", "center", "upper"], zip(batch.lower, batch.center, batch.upper))
     print(args.out)
     return 0
 
@@ -117,12 +109,10 @@ def _cmd_gen(args) -> int:
         m = max(args.n // 4, 1) if args.m is None else args.m
         source, target = gen_affine_gauss(args.n, m, DEFAULT_AFFINE_A, DEFAULT_AFFINE_B, args.seed)
         if args.out_target:
-            _write_csv(args.out_target,
-                       target.column_names + ["y"],
-                       [target.x[:, j] for j in range(target.d)] + [target.y])
+            write_csv(args.out_target, target.column_names + ["y"],
+                      np.column_stack([target.x, target.y]))
         table = source
-    _write_csv(args.out, table.column_names + ["y"],
-               [table.x[:, j] for j in range(table.d)] + [table.y])
+    write_csv(args.out, table.column_names + ["y"], np.column_stack([table.x, table.y]))
     print(args.out)
     return 0
 

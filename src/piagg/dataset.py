@@ -170,6 +170,17 @@ def load_csv(path: str, label_column: str | None = None) -> DataTable:
     return DataTable(x, y, names)
 
 
+def write_csv(path: str, header, rows) -> None:
+    """Write the ``header`` line, then one line per row of ``rows``. A float is
+    written as its repr, which ``load_csv`` reads back bit for bit; None as an
+    empty cell; any other value as ``str``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                              else "" if v is None else str(v) for v in row) + "\n")
+
+
 def _part_sizes(fractions: tuple[float, ...], n: int) -> list[int]:
     sizes = [int(f * n) for f in fractions]
     remainder = n - sum(sizes)

@@ -45,10 +45,6 @@ class ShrinkUnbounded(PiaggError):
     """No finite shrink level can satisfy the miscoverage budget."""
 
 
-class LengthMismatch(PiaggError):
-    """Paired vectors have different lengths."""
-
-
 class NonFiniteInput(PiaggError):
     """An input holds NaN or infinite entries, or entries past the bound of
     ``dataset.check_covariates`` or ``check_rows``; the message names it."""

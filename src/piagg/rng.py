@@ -62,7 +62,8 @@ class Rng:
     """xoshiro256** generator with splitmix64 seeding.
 
     The four state words come from four consecutive splitmix64 outputs of
-    the seed, which is the reference seeding procedure for this family.
+    the seed, the reference seeding for this family. The output mix is a
+    bijection fixing 0 and the four states differ, so at most one word is 0.
     """
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_gauss_cache")
@@ -73,8 +74,6 @@ class Rng:
         for _ in range(4):
             state, w = splitmix64(state)
             words.append(w)
-        if all(w == 0 for w in words):
-            words[0] = MIX_CONSTANT  # the all-zero state is invalid
         self._s0, self._s1, self._s2, self._s3 = words
         self._gauss_cache: float | None = None
 

@@ -130,8 +130,17 @@ class TestShapeCovShift:
             assert shape.objective_value == pytest.approx(-dual.objective_value, abs=1e-7)
 
     def test_infeasible_without_usable_candidates(self):
-        with pytest.raises(ShapeInfeasible):
+        covering = "^no nonnegative combination covers every constrained row$"
+        with pytest.raises(ShapeInfeasible, match=covering):
             fit_shape_cov_shift(np.zeros((2, 1)), [1.0, 2.0], np.ones(2), np.ones((2, 1)))
+        with pytest.raises(ShapeInfeasible, match=covering):
+            fit_shape_source(np.zeros((2, 1)), [1.0, 2.0])
+        # a zero candidate leaves every slack at (r2 + delta) / delta, far
+        # past a budget of 2 * 0.01
+        with pytest.raises(ShapeInfeasible,
+                           match="^hinge budget cannot be met by any candidate combination$"):
+            fit_shape_cov_shift(np.zeros((2, 1)), [1.0, 2.0], np.ones(2), np.ones((2, 1)),
+                                mode="hinge", delta=0.1, epsilon=0.01)
 
     def test_hinge_constraint_transfers(self):
         rng = np.random.default_rng(7)
@@ -458,13 +467,13 @@ def test_model_tail_keys_the_violation_rule_on_alg2_delta(alpha, alg2_delta, hol
     # a constant-one bank and f + alg2_delta = 2 exactly: the D22 residual
     # 1.0 lies on the bound lam_hat * scale = 0.5 * 2, which only the
     # non-strict rule of Alg. 2 (alg2_delta > 0) counts as a violation; both
-    # cases share a shape mode, so alg2_delta alone picks the rule
+    # cases share a shape mode, so alg2_delta alone picks the rule; the tail
+    # evaluates the bank on D22's rows itself
     bank = fit_candidate_set(DataTable(np.zeros((3, 1)), np.zeros(3)), np.zeros(3),
                              [CandidateSpec("constant_one")])
-    x22 = np.zeros((4, 1))
     empty = np.zeros((0, 1))
     b = _Blocks(ZeroMean(), bank, empty, empty, empty, np.zeros(0),
-                x22, bank.evaluate(x22), np.array([1.0, 0.25, 0.0, 3.0]))
+                np.zeros((4, 1)), np.array([1.0, 0.25, 0.0, 3.0]))
     seen, result = [], ShrinkResult(0.5, 0.25, False)
     m = b.model(ShapeModel(np.array([alpha]), MODE_SOURCE), "adapter", 0.1, 0.0, alg2_delta,
                 lambda f22: seen.append(f22) or result)

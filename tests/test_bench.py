@@ -26,7 +26,7 @@ from piagg.bench import (
 from piagg.conformal import fit_wvac
 from piagg.dataset import SplitSpec, gen_hetero_sim, split
 from piagg.densratio import fit_density_ratio
-from piagg.errors import ARG_RULES, ConfigError, LengthMismatch, check_args
+from piagg.errors import ARG_RULES, ConfigError, DimensionMismatch, check_args
 
 
 def read_per_rep(path):
@@ -84,7 +84,7 @@ class TestCoverageAndWidth:
 
     def test_length_mismatch(self):
         b = IntervalBatch(np.zeros(2), np.ones(2), np.full(2, 0.5))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="labels and intervals differ in length"):
             coverage_and_width(b, np.zeros(3))
 
 
@@ -175,6 +175,16 @@ class TestEmitReport:
         lines = open(csv_path).read().splitlines()
         assert lines == ["rep,method,coverage,avg_width,lambda_hat,runtime_s,n_infinite"]
         assert json.load(open(json_path))["aggregates"] == {}
+
+    def test_rows_keep_the_report_format(self, tmp_path):
+        # NumPy floats are written as the repr of the Python float, a missing
+        # shrink level (the conformal baselines have none) as an empty cell
+        s = RunSummary([
+            RepResult(0, "wvac", np.float64(0.9), np.float64(1.25), None, np.float64(0.5), 0),
+            RepResult(1, "alg1", 0.875, np.float64(2.0), np.float64(1.5), 0.1, 3)])
+        csv_path, _ = emit_report(s, str(tmp_path))
+        assert open(csv_path).read().splitlines()[1:] == [
+            "0,wvac,0.9,1.25,,0.5,0", "1,alg1,0.875,2.0,1.5,0.1,3"]
 
     def test_round_trip_and_aggregate_consistency(self, tmp_path):
         s = run_scenario(_base_config(methods=[{"name": "alg1"}, {"name": "wqc"}]))

@@ -17,6 +17,7 @@ from piagg.dataset import (
     split,
     tilt_resample,
     weighted_resample,
+    write_csv,
 )
 from piagg.errors import ConfigError, DimensionMismatch, MissingColumn, ParseError
 from piagg.rng import Rng, derive_seed
@@ -49,6 +50,17 @@ class TestLoadCsv:
         p.write_text("a,b\n1,2\n")
         with pytest.raises(MissingColumn):
             load_csv(str(p), "nope")
+
+    def test_write_csv_round_trips_bit_for_bit(self, tmp_path):
+        # a signed zero, the smallest subnormal and the covariate bound
+        x = np.array([[-0.0, 5e-324], [1e100, 0.1], [-1e100, 1 / 3]])
+        y = np.array([5e-324, -0.0, 2.0 / 3])
+        p = str(tmp_path / "t.csv")
+        write_csv(p, ["a", "b", "y"], np.column_stack([x, y]))
+        t = load_csv(p, "y")
+        assert t.column_names == ["a", "b"]
+        assert np.array_equal(t.x.view(np.uint64), x.view(np.uint64))
+        assert np.array_equal(t.y.view(np.uint64), y.view(np.uint64))
 
 
 class TestSplit:

@@ -180,6 +180,18 @@ def test_odd_normal_then_even_draws_agree_with_one_long_draw():
     assert np.array_equal(np.concatenate(parts), Rng(5).normal(2055))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_seed_whose_state_reaches_zero_keeps_one_zero_word(k):
+    """Seeding state k is seed + k * MIX_CONSTANT = 0 and splitmix64's output
+    mix takes 0 to 0, so word k - 1 is 0, the other three are not, and the
+    lanes still follow the scalar stream."""
+    seed = -k * rng.MIX_CONSTANT % 2 ** 64
+    g = Rng(seed)
+    assert [i for i, w in enumerate([g._s0, g._s1, g._s2, g._s3]) if w == 0] == [k - 1]
+    ref = Rng(seed)
+    assert np.array_equal(rng._units(g, 1500), [ref.random() for _ in range(1500)])
+
+
 def test_jump_matrix_is_built_on_first_use_only():
     rng._jump_columns.cache_clear()
     Rng(1).uniform(0.0, 1.0, rng._CROSSOVER - 1)
