@@ -122,6 +122,17 @@ class PiModel:
     floor: float = 0.0
     holdout_violation: float = float("nan")
 
+    def __post_init__(self):
+        check_args(alpha_level=self.alpha_level, lambda_hat=self.shrink.lambda_hat,
+                   floor=self.floor, alg2_delta=self.alg2_delta or None)  # Alg. 1's 0 as null
+        if self.alg2_delta is None:
+            raise ConfigError("alg2_delta: must be a number, 0 for an Alg. 1 model")
+        if self.shrink.lambda_exceeds_one is not bool(self.shrink.lambda_hat > 1):
+            raise ConfigError("lambda_exceeds_one: must be true exactly when lambda_hat > 1")
+        if self.shape.alpha.shape[0] != len(self.bank.specs):
+            raise ConfigError(f"alpha: {self.shape.alpha.shape[0]} weights for "
+                              f"{len(self.bank.specs)} candidates")
+
 
 def _solve_shape(obj: np.ndarray, lhs, rhs: np.ndarray, mode: str, delta: float | None = None,
                  epsilon: float | None = None, support_threshold: float = 0.0) -> ShapeModel:
@@ -157,24 +168,27 @@ def fit_shape_cov_shift(phi: np.ndarray, r2: np.ndarray, weights_on_source: np.n
     ``phi`` (one column per candidate), squared residuals and ratio weights
     of the source rows, and the evaluations ``phi_target`` on the target.
 
-    Exact mode enforces coverage on every source row whose estimated
-    ratio exceeds ``support_threshold``; hinge mode replaces the hard
-    constraints with slacks whose ratio-weighted mean hinge loss must stay
-    within ``epsilon`` (delta is the hinge scale). The objective is always
-    the average combined candidate on the target covariates.
+    Exact mode enforces coverage on every source row whose estimated ratio
+    exceeds ``support_threshold``; hinge mode relaxes it by slacks at scale
+    ``delta`` (None: a tenth of r2's 0.9 quantile, at least 1e-12) whose
+    ratio-weighted mean hinge loss stays within ``epsilon`` (None: 0.01).
+    The objective is always the average combined candidate on the target covariates.
     """
     check_args(mode=mode, delta=delta, epsilon=epsilon, support_threshold=support_threshold)
     phi, r2, w = _shape_block(phi, r2, weights_on_source)
     phi_target = np.atleast_2d(np.asarray(phi_target, dtype=np.float64))
     if phi_target.shape[1] != phi.shape[1]:
         raise DimensionMismatch(f"phi_target: needs {phi.shape[1]} candidate columns")
+    if not (phi_target.shape[0] and np.all(np.isfinite(phi_target))):
+        raise ConfigError("phi_target: must be finite, with at least one row")
     obj = phi_target.mean(axis=0)
     if mode == "exact":
         keep = w > support_threshold
         return _solve_shape(obj, -phi[keep], -r2[keep], MODE_COV_EXACT, delta, epsilon,
                             support_threshold)
-    if delta is None or epsilon is None:
-        raise ConfigError("delta: hinge mode needs both delta and epsilon")
+    if delta is None:
+        delta = max(0.1 * float(np.quantile(r2, 0.9)) if r2.size else 0.0, 1e-12)
+    epsilon = 0.01 if epsilon is None else epsilon
     keep = w > 0
     # variables [alpha, s]; rows: delta-scaled hinge dominations + budget, as
     # one sparse block (a dense slack identity needs n_k² entries)
@@ -306,7 +320,7 @@ def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
     z = apply_map(m.adapter, x) if isinstance(m.adapter, AffineMap) else x
     center = np.asarray(m.mean_model.predict(z), dtype=np.float64).ravel()
     f = np.vecdot(m.bank.evaluate(z), m.shape.alpha)
-    half = np.sqrt(np.maximum(m.shrink.lambda_hat * _lift(f, m.floor, m.alg2_delta), 0.0))
+    half = np.sqrt(m.shrink.lambda_hat * _lift(f, m.floor, m.alg2_delta))
     return IntervalBatch(center - half, center + half, center)
 
 
@@ -392,11 +406,6 @@ def fit_covariate_shift(source: DataTable, target_x, alpha_level: float, *,
         b.x1, tx, prob_clip=prob_clip, ratio_cap=ratio_cap)
     w21, w22 = (_known_weights(weight_fn, x) if adapter is None else eval_ratio(adapter, x)
                 for x in (b.x21, b.x22))
-    if mode == "hinge":
-        if delta is None:
-            delta = max(0.1 * float(np.quantile(b.r2_21, 0.9)), 1e-12)
-        if epsilon is None:
-            epsilon = 0.01
     shape = fit_shape_cov_shift(b.phi21, b.r2_21, w21, b.bank.evaluate(tx), mode=mode,
                                 delta=delta, epsilon=epsilon,
                                 support_threshold=support_threshold)
@@ -521,15 +530,6 @@ def model_from_dict(d: dict) -> PiModel:
                            d["epsilon"], d["support_threshold"], d["shape_objective"])
         shrink = ShrinkResult(d["lambda_hat"], d["achieved_violation"],
                               d["lambda_exceeds_one"])
-        scalars = dict(alpha_level=d["alpha_level"], alg2_delta=d["alg2_delta"],
-                       floor=d["floor"], holdout_violation=d["holdout_violation"])
-        # an Alg. 1 model stores alg2_delta = 0, which the rule reads as null
-        check_args(alpha_level=d["alpha_level"], lambda_hat=d["lambda_hat"], floor=d["floor"],
-                   alg2_delta=None if d["alg2_delta"] == 0 else d["alg2_delta"])
-        if d["alg2_delta"] is None:
-            raise ConfigError("alg2_delta: must be a number, 0 for an Alg. 1 model")
-        if d["lambda_exceeds_one"] is not (d["lambda_hat"] > 1):
-            raise ConfigError("lambda_exceeds_one: must be true exactly when lambda_hat > 1")
         bank_state, mean_state = d["bank"], d["mean_model"]
         adapter_state = d["adapter_kind"], d["adapter"]
         section = "model.bank"
@@ -538,16 +538,15 @@ def model_from_dict(d: dict) -> PiModel:
         mean_model = _mean_model_from_state(mean_state)
         section = "model.adapter"
         adapter = _adapter_from_state(*adapter_state)
+        section = "model"
+        return PiModel(shape, bank, mean_model, shrink, d["alpha_level"], adapter,
+                       d["alg2_delta"], d["floor"], d["holdout_violation"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if section == "model" and isinstance(exc, KeyError):
             raise ConfigError(f"model.{exc.args[0]}: missing required field") from None
         if section == "model" and isinstance(exc, ConfigError):  # "<field>: must ..."
             raise ConfigError(f"model.{exc}") from None
         raise ConfigError(f"{section}: malformed ({type(exc).__name__}: {exc})") from exc
-    if shape.alpha.shape[0] != len(bank.specs):
-        raise ConfigError(f"model.alpha: {shape.alpha.shape[0]} weights for "
-                          f"{len(bank.specs)} candidates")
-    return PiModel(shape, bank, mean_model, shrink, adapter=adapter, **scalars)
 
 
 def save_model(m: PiModel, path: str) -> None:

@@ -439,17 +439,15 @@ class CandidateBank:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x, inverse = _distinct_rows(check_rows(x))
         out = np.empty((x.shape[0], len(self.fitted)))
-        shared = {}  # in d > 1: first candidate of each distinct train_x -> its group
+        shared = {}  # in d > 1: the shape and bytes of each distinct train_x -> its group
         for j, cand in enumerate(self.fitted):
             if x.shape[1] == 1 or not isinstance(cand, _BY_DISTANCE):
                 out[:, j] = cand.evaluate(x)
                 continue
-            first = next((i for i in shared
-                          if np.array_equal(self.fitted[i].train_x, cand.train_x)), j)
-            shared.setdefault(first, []).append(j)
-        for first, cols in shared.items():
+            shared.setdefault((cand.train_x.shape, cand.train_x.tobytes()), []).append(j)
+        for cols in shared.values():
             # a kernel overwrites its d2, which the group's kNN candidates read
-            out[:, cols] = _by_distance_block(x, self.fitted[first].train_x, [
+            out[:, cols] = _by_distance_block(x, self.fitted[cols[0]].train_x, [
                 (lambda d2, c=self.fitted[j]: c._from_d2(d2.copy()))
                 if isinstance(self.fitted[j], KernelVariance) else self.fitted[j]._from_d2
                 for j in cols])

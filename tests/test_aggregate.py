@@ -153,6 +153,21 @@ class TestShapeCovShift:
                                         mode="hinge", delta=0.2, epsilon=0.05)
             assert hinge_constraint_value(shape, phi, r2, w) <= 0.05 + 1e-9
 
+    def test_hinge_defaults_equal_the_explicit_values(self):
+        # None stands for delta = max(0.1 * q_0.9(r2), 1e-12), 1e-12 with no
+        # rows, and for epsilon = 0.01
+        rng = np.random.default_rng(8)
+        phi = np.column_stack([np.ones(60), rng.uniform(0, 1, 60)])
+        r2, w, phi_t = rng.exponential(size=60), rng.uniform(0.2, 2, 60), rng.uniform(size=(9, 2))
+        delta = max(0.1 * float(np.quantile(r2, 0.9)), 1e-12)
+        implicit = fit_shape_cov_shift(phi, r2, w, phi_t, mode="hinge")
+        explicit = fit_shape_cov_shift(phi, r2, w, phi_t, mode="hinge", delta=delta, epsilon=0.01)
+        assert implicit.alpha.tobytes() == explicit.alpha.tobytes()
+        assert (implicit.delta, implicit.epsilon) == (delta, 0.01)
+        assert implicit.objective_value == explicit.objective_value
+        no_rows = fit_shape_cov_shift(np.ones((0, 1)), [], [], np.ones((2, 1)), mode="hinge")
+        assert no_rows.delta == 1e-12
+
 
 @pytest.mark.parametrize("fit", [
     lambda phi, r2, w: fit_shape_cov_shift(phi, r2, w, phi),
@@ -429,7 +444,7 @@ def test_property_interval_invariants(fitted_models, method, seed, lams):
     # narrows an interval
     m = fitted_models[method]
     x = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(60, 1))
-    narrow, wide = (predict_interval(replace(m, shrink=replace(m.shrink, lambda_hat=lam)), x)
+    narrow, wide = (predict_interval(replace(m, shrink=ShrinkResult(lam, 0.0, lam > 1)), x)
                     for lam in sorted(lams))
     for b in (narrow, wide):
         assert np.all(b.lower <= b.center) and np.all(b.center <= b.upper)
@@ -951,6 +966,12 @@ def _bank():
     return fit_candidate_set(_LABELED, np.ones(20), None)
 
 
+def _hand_built(alpha=np.ones(6), shrink=ShrinkResult(0.5, 0.0, False), **scalars):
+    """A PiModel on the six candidates of _bank(), built by hand."""
+    return PiModel(ShapeModel(alpha, "cov_shift_exact"), _bank(), ZeroMean(), shrink, 0.1, None,
+                   **scalars)
+
+
 _NAN_ROW = np.vstack([_LABELED.x[:19], [[np.nan]]])
 _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
 
@@ -980,10 +1001,6 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
     (lambda: fit_mean(_LABELED, "knn").predict([[np.nan]]), NonFiniteInput),
     (lambda: fit_mean(_LABELED, "knn").predict([[0.3], [np.nan]]), NonFiniteInput),
     (lambda: LinearModel([0.0, 1.0], "ols_mean").predict([[np.nan]]), NonFiniteInput),
-    (lambda: fit_shape_cov_shift(np.ones((3, 1)), np.ones(3), np.ones(3), np.ones((2, 1)),
-                                 mode="hinge", epsilon=0.1), ConfigError),
-    (lambda: fit_shape_cov_shift(np.ones((3, 1)), np.ones(3), np.ones(3), np.ones((2, 1)),
-                                 mode="hinge", delta=0.1), ConfigError),
     (lambda: fit_transport(_LABELED, transport_map=(np.eye(1), np.zeros(1))), ConfigError),
     (lambda: fit_transport(_LABELED, transport_map=AffineMap.identity(3)), DimensionMismatch),
     (lambda: fit_covariate_shift(_LABELED, _LABELED.x, 0.1, specs=[{"kind": "constant_one"}]),
@@ -998,6 +1015,14 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
                                  np.ones((2, 1)), mode="hinge", delta=0.1, epsilon=0.1),
      ConfigError),
     (lambda: fit_shape_source([[1.0], [np.nan], [1.0]], np.ones(3)), NonFiniteInput),
+    # a NaN or inf phi_target reached the LP, and an empty one took the mean of no rows
+    *[(lambda t=t: fit_shape_cov_shift(np.ones((3, 1)), np.ones(3), np.ones(3), t), ConfigError)
+      for t in ([[1.0], [np.nan]], [[np.inf]], [[-np.inf]], np.ones((0, 1)))],
+    # each was built: two weights failed at predict with NumPy's ValueError, and
+    # the others predicted (zero-width or too narrow) intervals with no error
+    *[(lambda kw=kw: predict_interval(_hand_built(**kw), [[0.5]]), ConfigError) for kw in (
+        {"alpha": np.ones(2)}, {"shrink": ShrinkResult(-1.0, 0.0, False)},
+        {"shrink": ShrinkResult(1.3, 0.0, False)}, {"alg2_delta": -1.0})],
     (lambda: eval_ratio(fit_density_ratio(_LABELED.x, _LABELED.x + 0.5), [[0.0], [np.nan]]),
      NonFiniteInput),
     (lambda: fit_density_ratio(_NAN_ROW, _LABELED.x), NonFiniteInput),
@@ -1025,10 +1050,12 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
         "resample_m0", "affine_gauss_n0", "affine_gauss_n2.5", "no_specs",
         "logistic_labels", "hinge_no_scale", "bank_nan", "bank_inf", "bank_plus_inf", "bank_huge",
         "bank_huge_5d", "kernel_variance_huge", "kernel_scale_nan", "knn_mean_nan",
-        "knn_mean_nan_in_batch", "linear_model_nan", "hinge_no_delta",
-        "hinge_no_epsilon", "tuple_map", "map_dimension", "dict_specs", "lone_spec",
-        "shrink_negative_weight", "shrink_nan_shape", "shrink_source_inf_shape",
-        "shape_nan_weight", "hinge_inf_weight", "shape_nan_phi", "eval_ratio_nan",
+        "knn_mean_nan_in_batch", "linear_model_nan", "tuple_map", "map_dimension", "dict_specs",
+        "lone_spec", "shrink_negative_weight", "shrink_nan_shape", "shrink_source_inf_shape",
+        "shape_nan_weight", "hinge_inf_weight", "shape_nan_phi",
+        *[f"phi_target_{t}" for t in ("nan", "inf", "minus_inf", "empty")],
+        "model_two_weights", "model_lambda_minus_1", "model_stale_flag",
+        "model_alg2_delta_minus_1", "eval_ratio_nan",
         "density_ratio_nan", "apply_map_nan", "affine_transport_nan", "ols_nan",
         "quantile_reg_nan", "logistic_nan",
         *[f"{fit}_y_{v}" for fit in ("ols", "quantile_reg") for v in ("nan", "inf", "minus_inf")],

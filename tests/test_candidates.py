@@ -1,6 +1,7 @@
 """Candidate bank construction: mean models, residuals, and the five
 candidate families."""
 
+import json
 import multiprocessing
 import os
 import pathlib
@@ -413,13 +414,20 @@ def _other_rows(bank, rng):
     return CandidateBank(bank.specs, fitted)
 
 
-@pytest.mark.parametrize("which", ["fitted", "loaded", "different_train_x"])
+@pytest.mark.parametrize("which", ["fitted", "loaded", "signed_zero", "different_train_x"])
 def test_bank_shared_pass_matches_each_candidate(which, monkeypatch):
     rng = np.random.default_rng(50)
     bank = _distance_bank(rng)
-    passes = {"fitted": 1, "loaded": 1, "different_train_x": 3}[which]
-    if which == "loaded":
-        bank = CandidateBank.from_state(bank.to_state())
+    passes = {"fitted": 1, "loaded": 1, "signed_zero": 2, "different_train_x": 3}[which]
+    if which in ("loaded", "signed_zero"):
+        # every distance candidate's first row starts at 0.0, or at -0.0 in the
+        # first kernel: passes are shared by the rows' bytes, so it takes its own
+        state = json.loads(json.dumps(bank.to_state()))
+        for slot in (0, 2, 3, 4):  # the kernels and the kNN candidates
+            state["state"][slot]["train_x"][0][0] = 0.0
+        if which == "signed_zero":
+            state["state"][0]["train_x"][0][0] = -0.0
+        bank = CandidateBank.from_state(state)
         assert bank.fitted[0].train_x is not bank.fitted[2].train_x
     elif which == "different_train_x":
         bank = _other_rows(bank, rng)

@@ -12,9 +12,11 @@ hash per fit covers its intervals on 999 rows drawn with replacement from
 those 333, as a resampled target repeats rows. A row's interval must not
 depend on the rows predicted with it: the tool exits 1, naming the fit,
 unless the resampled intervals, and the first of them predicted alone, are
-the 333-row intervals gathered row for row, byte for byte. Equal output
-from two runs means bit-identical fits and intervals, so diff it across
-commits or BLAS thread counts:
+the 333-row intervals gathered row for row, byte for byte. It exits 1 as
+well unless each piagg fit's document, read back through ``json`` and
+``model_from_dict``, gives a model that predicts those 333 rows byte for
+byte. Equal output from two runs means bit-identical fits and intervals,
+so diff it across commits or BLAS thread counts:
 
     PYTHONPATH=src python tools/hash_set.py > a.txt
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/hash_set.py > b.txt
@@ -38,6 +40,7 @@ from piagg import (
     fit_wvac,
     gen_affine_gauss,
     gen_hetero_sim,
+    model_from_dict,
     model_to_dict,
     predict_interval,
     predict_wqc,
@@ -51,7 +54,8 @@ ALPHA = 0.1
 FAR = [1e10, -1e50, 1e100]
 # RandomState's stream is frozen across NumPy versions
 RESAMPLE = np.random.RandomState(333).randint(0, 333, 999)
-# each fit predicts the 333 rows, the 999 resampled rows, and the first of those alone
+# each fit predicts the 333 rows, the 999 resampled rows, and the first of those
+# alone; a piagg fit's model read back from its document predicts the 333 rows
 PICKS = [slice(None), RESAMPLE, RESAMPLE[:1]]
 KNN_KERNELS = [CandidateSpec("constant_one"), CandidateSpec("knn_quantile", k=20, tau=0.9),
                CandidateSpec("kernel_variance"), CandidateSpec("kernel_variance", bandwidth=0.8)]
@@ -75,7 +79,10 @@ def _piagg(fit, data, **kw):
     def run(seed):
         source, target_x, rows = data(seed)
         model = fit(source, target_x, ALPHA, seed=seed, **kw)
-        return model_to_dict(model), [predict_interval(model, rows[p]) for p in PICKS]
+        doc = model_to_dict(model)
+        read_back = model_from_dict(json.loads(json.dumps(doc)))
+        return doc, [*(predict_interval(model, rows[p]) for p in PICKS),
+                     predict_interval(read_back, rows)]
     return run
 
 
@@ -125,6 +132,12 @@ FITS = {
 }
 
 
+def _differs(batch, pick, got):
+    """Whether ``got`` is not ``batch``'s rows ``pick``, byte for byte."""
+    return any(getattr(batch, v)[pick].tobytes() != getattr(got, v).tobytes()
+               for v in ("lower", "center", "upper"))
+
+
 def _digest(h, batch):
     for v in (batch.lower, batch.center, batch.upper):
         h.update(np.ascontiguousarray(v, dtype=np.float64).tobytes())
@@ -135,11 +148,12 @@ def main():
     total = hashlib.sha256()
     for name, run in FITS.items():
         for rep in range(REPS):
-            doc, (batch, resampled, alone) = run(1000 * rep + 7)
-            for got, pick in ((resampled, RESAMPLE), (alone, RESAMPLE[:1])):
-                if any(getattr(batch, v)[pick].tobytes() != getattr(got, v).tobytes()
-                       for v in ("lower", "center", "upper")):
-                    sys.exit(f"{name} {rep}: an interval depends on the rows predicted with it")
+            doc, (batch, resampled, alone, *read_back) = run(1000 * rep + 7)
+            if _differs(batch, RESAMPLE, resampled) or _differs(batch, RESAMPLE[:1], alone):
+                sys.exit(f"{name} {rep}: an interval depends on the rows predicted with it")
+            if read_back and _differs(batch, slice(None), read_back[0]):
+                sys.exit(f"{name} {rep}: the model read back from its document predicts "
+                         "other intervals")
             fit_hash = _digest(hashlib.sha256(json.dumps(doc, sort_keys=True).encode()), batch)
             for label, h in ((rep, fit_hash),
                              (f"{rep} resampled", _digest(hashlib.sha256(), resampled))):
