@@ -190,8 +190,8 @@ def _by_distance_block(x: np.ndarray, train_x: np.ndarray, row_fns) -> np.ndarra
     computed once for all the functions. Each row's distances are computed on
     their own (a broadcast difference in 1-d, where it is faster, SciPy's
     ``cdist`` otherwise), so a row's value does not depend on the rows
-    evaluated with it. ``d2`` is a new array each block; only the last
-    function may overwrite it."""
+    evaluated with it. ``d2`` is a new array each block, read-only to every
+    function but the last, which may overwrite it."""
     if x.shape[1] != train_x.shape[1]:
         raise DimensionMismatch("covariate dimension does not match training data")
     x, inverse = _distinct_rows(x)
@@ -203,6 +203,7 @@ def _by_distance_block(x: np.ndarray, train_x: np.ndarray, row_fns) -> np.ndarra
         else:
             d2 = cdist(x[rows], train_x, "sqeuclidean")
         for j, row_fn in enumerate(row_fns):
+            d2.flags.writeable = j == len(row_fns) - 1
             out[rows, j] = row_fn(d2)
     _in_shares(x.shape[0], max(1, _ENTRIES // train_x.shape[0]), block)
     return out if inverse is None else out[inverse]
@@ -341,8 +342,9 @@ class KernelVariance:
         return _by_distance_block(check_rows(x), self.train_x, [self._from_d2])[:, 0]
 
     def _from_d2(self, d2):
-        """The smoothed ``r2`` of each row of ``d2``; overwrites ``d2``."""
-        logk = np.divide(d2, -2.0 * self.bandwidth ** 2, out=d2)  # -0.5 * d2 / h**2 exactly
+        """The smoothed ``r2`` of each row of ``d2``; overwrites ``d2`` if it is writable."""
+        logk = np.divide(d2, -2.0 * self.bandwidth ** 2,  # -0.5 * d2 / h**2 exactly
+                         out=d2 if d2.flags.writeable else None)
         logk -= logk.max(axis=1, keepdims=True)
         if logk.min() > _EXP_CUT:
             w = np.exp(logk, out=logk)
@@ -400,9 +402,6 @@ _FITTED = {"constant_one": _ConstantOne, "knn_quantile": _KnnQuantile,
            "kernel_variance": KernelVariance, "linear_quantile_sq": _LinearQuantileSq,
            "binned_quantile": _BinnedQuantile}
 KINDS = tuple(_FITTED)
-# candidates whose ``_from_d2`` CandidateBank.evaluate runs in a shared
-# distance pass
-_BY_DISTANCE = (_KnnQuantile, KernelVariance)
 
 
 def _fit_candidate(spec: CandidateSpec, train_x: np.ndarray, r2: np.ndarray):
@@ -439,18 +438,16 @@ class CandidateBank:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x, inverse = _distinct_rows(check_rows(x))
         out = np.empty((x.shape[0], len(self.fitted)))
-        shared = {}  # in d > 1: the shape and bytes of each distinct train_x -> its group
+        shared = {}  # train_x's shape and bytes -> its distance members but 1-d kNNs
         for j, cand in enumerate(self.fitted):
-            if x.shape[1] == 1 or not isinstance(cand, _BY_DISTANCE):
+            if (isinstance(cand, KernelVariance)
+                    or isinstance(cand, _KnnQuantile) and x.shape[1] > 1):
+                shared.setdefault((cand.train_x.shape, cand.train_x.tobytes()), []).append(j)
+            else:
                 out[:, j] = cand.evaluate(x)
-                continue
-            shared.setdefault((cand.train_x.shape, cand.train_x.tobytes()), []).append(j)
         for cols in shared.values():
-            # a kernel overwrites its d2, which the group's kNN candidates read
-            out[:, cols] = _by_distance_block(x, self.fitted[cols[0]].train_x, [
-                (lambda d2, c=self.fitted[j]: c._from_d2(d2.copy()))
-                if isinstance(self.fitted[j], KernelVariance) else self.fitted[j]._from_d2
-                for j in cols])
+            out[:, cols] = _by_distance_block(x, self.fitted[cols[0]].train_x,
+                                              [self.fitted[j]._from_d2 for j in cols])
         return out if inverse is None else out[inverse]
 
     def to_state(self) -> dict:

@@ -30,6 +30,8 @@ def check_covariates(name: str, x) -> np.ndarray:
     argument's name unless every entry is finite with |x| <= 1e100: squared
     distances between rows then cannot overflow in any realistic dimension."""
     x = x.x if isinstance(x, DataTable) else np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim > 2:
+        raise DimensionMismatch(f"{name}: covariates must be a matrix, one row per point")
     if not np.all(np.abs(x) <= 1e100):  # False on a NaN
         raise NonFiniteInput(f"{name}: covariates must be finite with |x| <= 1e100")
     return x
@@ -40,6 +42,8 @@ def check_rows(x) -> np.ndarray:
     entry is finite with |x| <= 1e150: squared distances then stay finite in up
     to 44 dimensions, and a transport map may carry covariates past 1e100."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim > 2:
+        raise DimensionMismatch("x: rows to evaluate must be a matrix, one row per point")
     if not np.all(np.abs(x) <= 1e150):  # False on a NaN
         raise NonFiniteInput("x: rows to evaluate must be finite with |x| <= 1e150")
     return x

@@ -24,7 +24,7 @@ from .errors import (
     check_args,
 )
 
-_GLOB_ROWS, _GLOB_ROUNDS = 5000, 4  # quantile regression: globbing's row threshold and rounds
+_GLOB_ROWS = 5000  # quantile regression globs above this many rows
 sym_eig = np.linalg.eigh  # bound by name so the benchmark can trace it as numerics.eig
 
 
@@ -178,9 +178,9 @@ def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
     HiGHS solves the Koenker-Bassett rank-score dual, ``max y@a`` subject
     to ``X'a = (1 - tau) X'1`` and ``0 <= a <= 1`` with X the design with
     intercept; the coefficients are the multipliers of its equalities.
-    Above ``_GLOB_ROWS`` rows it globs (Portnoy & Koenker, 1997): it solves the dual on a
-    band of rows around the tau-quantile of a subsample fit's residuals, the other rows
-    fixed, and keeps that fit only when it is optimal for the full LP.
+    Above ``_GLOB_ROWS`` rows it globs (Portnoy & Koenker, 1997): the dual on the 3m rows
+    nearest the tau-quantile of the residuals of an m-row subsample fit, the others fixed,
+    gives the fit if it is optimal for the full LP; the full dual is solved otherwise.
     The test suite checks the check loss against the primal LP with split
     residual parts, solved through ``solve_lp``.
     """
@@ -195,16 +195,15 @@ def quantile_reg_fit(x: np.ndarray, y: np.ndarray, tau: float) -> LinearModel:
         m = int(np.ceil(np.sqrt(p) * n ** (2 / 3)))
         sub = slice(None, None, max(n // m, 1))
         beta = _rank_score_dual(xd[sub], y[sub], (1.0 - tau) * xd[sub].sum(axis=0))[1]
-        for band in 3 * m * 2 ** np.arange(_GLOB_ROUNDS if beta is not None else 0):
+        if beta is not None:
             order = np.argsort(y - xd @ beta)
-            lo, hi = max(int(tau * n) - band // 2, 0), min(int(tau * n) + band // 2, n)
-            glob = _rank_score_dual(xd[order[lo:hi]], y[order[lo:hi]],
+            lo, hi = max(int(tau * n) - 3 * m // 2, 0), min(int(tau * n) + 3 * m // 2, n)
+            beta = _rank_score_dual(xd[order[lo:hi]], y[order[lo:hi]],
                                     b_eq - xd[order[hi:]].sum(axis=0))[1]
-            if glob is not None:
-                r = y - xd @ glob
-                if np.all(r[order[hi:]] >= 0) and np.all(r[order[:lo]] <= 0):
-                    return LinearModel(glob, "quantile", tau=tau)
-                beta = glob
+        if beta is not None:
+            r = y - xd @ beta
+            if np.all(r[order[hi:]] >= 0) and np.all(r[order[:lo]] <= 0):
+                return LinearModel(beta, "quantile", tau=tau)
     res, beta = _rank_score_dual(xd, y, b_eq)
     if beta is None:
         raise PiaggError(f"quantile regression LP failed: {res.message}")

@@ -59,7 +59,7 @@ from piagg.errors import (
 from piagg.linprog import OPTIMAL, LinearProgram, solve_lp
 from piagg.numerics import LinearModel, logistic_fit, ols_fit, quantile_reg_fit
 from piagg.rng import derive_seed
-from piagg.transport import AffineMap, apply_map, fit_affine_transport
+from piagg.transport import AffineMap, apply_map, fit_affine_transport, marginal_ks
 
 DATA = Path(__file__).parent / "data"
 
@@ -1045,6 +1045,13 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
     (lambda: derive_seed("a", 1), ConfigError),
     (lambda: derive_seed(1.7, 1), ConfigError),
     (lambda: derive_seed(1, 2.5), ConfigError),
+    # a 3-d array: the table and the OLS prediction accepted it, the others
+    # failed with NumPy's bare ValueError
+    (lambda: DataTable(np.ones((3, 1, 1))), DimensionMismatch),
+    (lambda: ols_fit(_LABELED.x, _LABELED.y).predict(np.ones((2, 1, 1))), DimensionMismatch),
+    (lambda: predict_interval(_hand_built(), np.ones((3, 1, 1))), DimensionMismatch),
+    (lambda: fit_covariate_shift(_LABELED, np.ones((3, 1, 1)), 0.1), DimensionMismatch),
+    (lambda: marginal_ks(_LABELED.x, np.ones((3, 1, 1))), DimensionMismatch),
     *[(call, PiaggError) for call in _UNLABELED_CALLS.values()],
 ], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative",
         "resample_m0", "affine_gauss_n0", "affine_gauss_n2.5", "no_specs",
@@ -1064,6 +1071,8 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
         "shrink_source_alg2_delta_minus_5", "shrink_source_alg2_delta_null",
         "wvac_empty_calibration", "wqc_empty_calibration",
         "derive_seed_string", "derive_seed_float", "derive_seed_float_index",
+        *[f"{call}_3d" for call in ("datatable", "ols_predict", "predict_interval",
+                                    "covariate_shift_target", "marginal_ks")],
         *[f"unlabeled_{name}" for name in _UNLABELED_CALLS]])
 def test_public_entry_points_raise_typed_errors(call, error):
     with pytest.raises(error):
@@ -1077,6 +1086,12 @@ def test_rows_a_map_carries_past_the_covariate_bound_still_evaluate():
                       (fit_candidate_set(_LABELED_5D, np.ones(20), None), [[1e120] * 5])):
         assert np.all(np.isfinite(bank.evaluate(row)))
     assert np.isfinite(fit_mean(_LABELED, "knn").predict([[-1e150]])[0])
+
+
+def test_a_vector_reads_as_one_row():
+    # the row gates refuse an array of more than two dimensions, not of fewer
+    assert DataTable(np.ones(3)).x.shape == (1, 3)
+    assert predict_interval(_hand_built(), [0.5]).lower.shape == (1,)
 
 
 @pytest.mark.parametrize("call", list(_UNLABELED_CALLS.values()), ids=list(_UNLABELED_CALLS))

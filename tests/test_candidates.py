@@ -496,6 +496,9 @@ def _assert_repeats_exact(f, x, idx):
     assert got.tobytes() == np.concatenate([f(x[i:i + 1]) for i in idx]).tobytes()
 
 
+_BY_DISTANCE = (_KnnQuantile, KernelVariance)  # the candidates with a ``_from_d2``
+
+
 @lru_cache(maxsize=None)
 def _default_bank(d, loaded):
     """A fitted default bank on 300 rows (or that bank saved and loaded),
@@ -519,7 +522,7 @@ def test_property_repeated_rows_are_evaluated_exactly(d, loaded, seed, m, draws)
     x = np.vstack([rng.normal(size=(m, d)), train.x[rng.integers(0, train.n, 3)],
                    np.zeros((1, d)), np.full((1, d), -0.0)])
     idx = rng.integers(0, x.shape[0], draws)
-    by_distance = [c.evaluate for c in bank.fitted if isinstance(c, candidates._BY_DISTANCE)]
+    by_distance = [c.evaluate for c in bank.fitted if isinstance(c, _BY_DISTANCE)]
     for f in [bank.evaluate, knn_mean.predict] + by_distance:
         _assert_repeats_exact(f, x, idx)
 
@@ -570,6 +573,52 @@ def test_each_distinct_row_reaches_the_distance_pass_once(d, monkeypatch):
     assert seen == {KernelVariance: 30, KnnMean: 30}
 
 
+def _two_kernel_bank(d, loaded):
+    """A bank of two kernels around a kNN quantile on 300 rows (or that bank
+    saved and loaded), and the rows to evaluate it at."""
+    rng = np.random.default_rng(64 + d)
+    train = _labeled(rng, n=300, d=d)
+    bank = fit_candidate_set(train, residuals(train, fit_mean(train)), [
+        CandidateSpec("kernel_variance", bandwidth=0.3),
+        CandidateSpec("knn_quantile", k=7, tau=0.9), CandidateSpec("kernel_variance")])
+    if loaded:
+        bank = CandidateBank.from_state(bank.to_state())
+    return bank, rng.normal(size=(50, d))
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["fitted", "loaded"])
+@pytest.mark.parametrize("d", [1, 5])
+def test_only_the_last_function_of_a_pass_may_write_its_d2(d, loaded, monkeypatch):
+    bank, x = _two_kernel_bank(d, loaded)
+    seen = []
+    for cls in _BY_DISTANCE:
+        def spy(self, d2, real=cls._from_d2):
+            seen.append(([c is self for c in bank.fitted].index(True), d2.flags.writeable))
+            return real(self, d2)
+        monkeypatch.setattr(cls, "_from_d2", spy)
+    bank.evaluate(x)
+    # one block of 50 rows; in 1-d the kNN quantile's sorted window proves every row
+    assert seen == ([(0, False), (2, True)] if d == 1 else [(0, False), (1, False), (2, True)])
+    with pytest.raises(ValueError, match="read-only"):
+        _by_distance_block(x, bank.fitted[0].train_x, [lambda d2: np.negative(d2, out=d2)[:, 0], np.min])
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["fitted", "loaded"])
+def test_1d_kernels_share_one_distance_pass(loaded, monkeypatch):
+    bank, x = _two_kernel_bank(1, loaded)
+    passes = []
+
+    def spy(rows, train_x, row_fns, real=candidates._by_distance_block):
+        passes.append([type(f.__self__) for f in row_fns])
+        return real(rows, train_x, row_fns)
+
+    monkeypatch.setattr(candidates, "_by_distance_block", spy)
+    got = bank.evaluate(x)
+    assert [p for p in passes if KernelVariance in p] == [[KernelVariance, KernelVariance]]
+    for j in (0, 2):
+        assert got[:, j].tobytes() == bank.fitted[j].evaluate(x).tobytes()
+
+
 @pytest.mark.parametrize("distance", [True, False], ids=["default_bank", "no_distance"])
 @pytest.mark.parametrize("d", [1, 5])
 def test_bank_finds_the_distinct_rows_once(d, distance, monkeypatch):
@@ -577,7 +626,7 @@ def test_bank_finds_the_distinct_rows_once(d, distance, monkeypatch):
     # distance pass's own check after it sees distinct rows only
     bank, _, train = _default_bank(d, False)
     if not distance:
-        keep = [j for j, c in enumerate(bank.fitted) if not isinstance(c, candidates._BY_DISTANCE)]
+        keep = [j for j, c in enumerate(bank.fitted) if not isinstance(c, _BY_DISTANCE)]
         bank = CandidateBank([bank.specs[j] for j in keep], [bank.fitted[j] for j in keep])
     rng = np.random.default_rng(63)
     x = np.vstack([rng.normal(size=(40, d)), train.x[:5]])[rng.integers(0, 45, 200)]

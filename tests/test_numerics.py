@@ -357,22 +357,19 @@ class TestQuantileRegGlobbing:
         assert np.array_equal(quantile_reg_fit(x, y, 0.9).coefficients, m.coefficients)
         self._assert_full_optimum(x, y, 0.9, m)
 
-    def test_band_that_fails_the_check_doubles(self):
+    def test_band_that_fails_the_check_falls_back_to_the_full_solve(self):
         x, y = _misleading_subsample(lambda v: 10 * v ** 2)
         m, solves = _traced_fit(x, y, 0.7)
-        assert len(solves) == 3 and all(status == 0 for _, status in solves)
-        assert solves[1][0] < solves[2][0] < len(y)
+        n_sub = math.ceil(math.sqrt(2) * len(y) ** (2 / 3))
+        # every (n // n_sub)-th row, one band of about 3 * n_sub rows, then every row
+        assert [rows for rows, _ in solves] == [len(y) // (len(y) // n_sub), 3 * n_sub // 2 * 2,
+                                                len(y)]
+        assert all(status == 0 for _, status in solves)
         self._assert_full_optimum(x, y, 0.7, m)
 
     def test_infeasible_band_is_not_accepted(self):
         x, y = _misleading_subsample(lambda v: 5 * v)
         m, solves = _traced_fit(x, y, 0.3)
-        assert [status for _, status in solves[1:3]] == [2, 2]  # HiGHS: infeasible
+        assert [status for _, status in solves] == [0, 2, 0]  # HiGHS: 2 is infeasible
+        assert solves[2][0] == len(y)
         self._assert_full_optimum(x, y, 0.3, m)
-
-    def test_last_failed_round_falls_back_to_the_full_solve(self):
-        x, y = _misleading_subsample(lambda v: 10 * v ** 2)
-        with mock.patch.object(numerics, "_GLOB_ROUNDS", 1):
-            m, solves = _traced_fit(x, y, 0.7)
-        assert [rows == len(y) for rows, _ in solves] == [False, False, True]
-        self._assert_full_optimum(x, y, 0.7, m)
