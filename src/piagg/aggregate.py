@@ -151,9 +151,11 @@ def _solve_shape(obj: np.ndarray, lhs, rhs: np.ndarray, mode: str, delta: float 
     return ShapeModel(alpha, mode, delta, epsilon, support_threshold, float(obj @ alpha))
 
 
-def _shape_block(phi, r2, w=None):
-    """Shape-block float arrays, aligned row for row: finite phi, finite r2 and w >= 0."""
+def _shape_block(phi, r2, w=None, columns=None):
+    """Row-aligned shape arrays: a finite phi matrix (``columns`` wide if given), r2, w >= 0."""
     phi = np.asarray(phi, dtype=np.float64)
+    if phi.ndim != 2 or columns not in (None, phi.shape[1]):
+        raise DimensionMismatch(f"phi: must be a matrix of {columns or 'candidate'} columns")
     if not np.all(np.isfinite(phi)):
         raise NonFiniteInput("phi: shape values must be finite")
     return (phi, check_nonnegative("r2", r2, phi.shape[0]),
@@ -212,7 +214,7 @@ def hinge_constraint_value(shape: ShapeModel, phi: np.ndarray, r2: np.ndarray,
     mean of max(0, (r2 - f)/delta + 1) over the constraint block."""
     if shape.delta is None:
         raise ConfigError("shape: has no hinge scale")
-    phi, r2, w = _shape_block(phi, r2, weights_on_source)
+    phi, r2, w = _shape_block(phi, r2, weights_on_source, len(shape.alpha))
     hinge = np.maximum(0.0, (r2 - phi @ shape.alpha) / shape.delta + 1.0)
     return float(np.mean(w * hinge))
 
@@ -271,7 +273,8 @@ def _shrink(f: np.ndarray, r2: np.ndarray, w: np.ndarray, alpha_level: float,
     exceeds the budget. Every other row has threshold r2 / scale (zero
     where the scale vanishes).
     """
-    scale, r2, w = _shape_block(_lift(f, floor, alg2_delta), r2, w)
+    scale, r2, w = _shape_block(_lift(f, floor, alg2_delta)[:, None], r2, w)  # one column
+    scale = scale[:, 0]
     n = scale.size
     if n == 0:
         raise PiaggError("calibration set is empty")

@@ -159,16 +159,13 @@ class RunSummary:
     rows: list[RepResult] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
 
-    def methods(self) -> list[str]:
-        return list(dict.fromkeys(r.method for r in self.rows))
-
     def metric(self, method: str, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.rows if r.method == method]
         return np.array([v for v in vals if v is not None], dtype=np.float64)
 
     def aggregates(self) -> dict:
         out: dict = {}
-        for method in self.methods():
+        for method in dict.fromkeys(r.method for r in self.rows):
             entry = {}
             for name in ("coverage", "avg_width", "lambda_hat", "runtime_s"):
                 vals = self.metric(method, name)
@@ -228,23 +225,15 @@ def _run_method(method_cfg: dict, train: DataTable, target_x: np.ndarray,
 
 
 def _make_rep_data(cfg: ScenarioConfig, seed: int,
-                   csv_cache: dict) -> tuple[DataTable, DataTable]:
-    """Source table plus labeled target table for one replication; the
-    target labels exist for evaluation only."""
+                   table: DataTable | None) -> tuple[DataTable, DataTable]:
+    """Source table plus labeled target table for one replication, from the run's
+    CSV ``table`` (None: the generator); the target labels exist for evaluation only."""
     data = cfg.data
     if data["kind"] == "synthetic" and data["generator"] == "affine_gauss":
-        n = int(data["n"])
-        return gen_affine_gauss(n, int(data.get("n_target", max(n // 4, 1))), DEFAULT_AFFINE_A,
+        return gen_affine_gauss(data["n"], data.get("n_target"), DEFAULT_AFFINE_A,
                                 DEFAULT_AFFINE_B, derive_seed(seed, 1))
-
-    if data["kind"] == "synthetic":
-        table = gen_hetero_sim(int(data["n"]), derive_seed(seed, 1))
-    else:
-        key = (data["path"], data["label_column"])
-        if key not in csv_cache:
-            csv_cache[key] = load_csv(*key)
-        table = csv_cache[key]
-
+    if table is None:
+        table = gen_hetero_sim(data["n"], derive_seed(seed, 1))
     train, held = split(table, SplitSpec((cfg.train_fraction, 1.0 - cfg.train_fraction),
                                          derive_seed(seed, 2)))
     shift = cfg.shift
@@ -261,13 +250,14 @@ def _make_rep_data(cfg: ScenarioConfig, seed: int,
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunSummary:
-    """Replay every replication of the scenario; failures of one method
-    in one replication are recorded and do not stop the study."""
+    """Replay every replication of the scenario, reading a CSV source once;
+    failures of one method in one replication are recorded and do not stop the study."""
     summary = RunSummary()
-    csv_cache: dict = {}
+    data = cfg.data
+    table = load_csv(data["path"], data["label_column"]) if data["kind"] == "csv" else None
     for rep in range(cfg.replications):
         seed = derive_seed(cfg.base_seed, rep)
-        train, target = _make_rep_data(cfg, seed, csv_cache)
+        train, target = _make_rep_data(cfg, seed, table)
         for k, method_cfg in enumerate(cfg.methods):
             mseed = derive_seed(seed, 100 + k)
             t0 = time.perf_counter()

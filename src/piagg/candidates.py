@@ -286,18 +286,19 @@ class _KnnQuantile:
         object.__setattr__(self, "tau", float(self.tau))
 
     def evaluate(self, x):
-        out = np.empty(x.shape[0])
-        proven = np.zeros(x.shape[0], dtype=bool)
-        if x.shape[1] == self.train_x.shape[1] == 1:
-            # sorted on each call, so the saved state stays piagg-model-v1
-            order = np.argsort(self.train_x[:, 0], kind="stable")
-            sorted_x = self.train_x[order, 0]
-            def block(rows):
-                nearest, proven[rows] = _window_knn_block(x[rows, 0], order, sorted_x, self.k)
-                out[rows] = _equal_weight_quantile_rows(self.r2[nearest], self.tau)
-            # a window block holds four arrays of its size: pos, d2, index, partition
-            _in_shares(x.shape[0], max(1, _ENTRIES // 4 // (2 * self.k + 2)), block)
-        out[~proven] = _by_distance_block(x[~proven], self.train_x, [self._from_d2])[:, 0]
+        if not x.shape[1] == self.train_x.shape[1] == 1:
+            return _by_distance_block(x, self.train_x, [self._from_d2])[:, 0]
+        out, proven = np.empty(x.shape[0]), np.empty(x.shape[0], dtype=bool)
+        # sorted on each call, so the saved state stays piagg-model-v1
+        order = np.argsort(self.train_x[:, 0], kind="stable")
+        sorted_x = self.train_x[order, 0]
+        def block(rows):
+            nearest, proven[rows] = _window_knn_block(x[rows, 0], order, sorted_x, self.k)
+            out[rows] = _equal_weight_quantile_rows(self.r2[nearest], self.tau)
+        # a window block holds four arrays of its size: pos, d2, index, partition
+        _in_shares(x.shape[0], max(1, _ENTRIES // 4 // (2 * self.k + 2)), block)
+        if not proven.all():  # a distance tie at a window edge
+            out[~proven] = _by_distance_block(x[~proven], self.train_x, [self._from_d2])[:, 0]
         return out
 
     def _from_d2(self, d2):

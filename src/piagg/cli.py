@@ -106,8 +106,8 @@ def _cmd_gen(args) -> int:
         beta = np.asarray(args.beta if args.beta else [1.0], dtype=np.float64)
         table = tilt_resample(base, beta, args.n if args.m is None else args.m, args.seed + 1)
     else:  # "affine": argparse admits only the three choices
-        m = max(args.n // 4, 1) if args.m is None else args.m
-        source, target = gen_affine_gauss(args.n, m, DEFAULT_AFFINE_A, DEFAULT_AFFINE_B, args.seed)
+        source, target = gen_affine_gauss(args.n, args.m, DEFAULT_AFFINE_A, DEFAULT_AFFINE_B,
+                                          args.seed)
         if args.out_target:
             write_csv(args.out_target, target.column_names + ["y"],
                       np.column_stack([target.x, target.y]))

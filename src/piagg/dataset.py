@@ -136,10 +136,9 @@ def load_csv(path: str, label_column: str | None = None) -> DataTable:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInput(f"{path} is empty") from None
+        header = next(reader, None)
+        if header is None:
+            raise EmptyInput(f"{path} is empty")
         header = [h.strip() for h in header]
         label_idx = None
         if label_column is not None:
@@ -258,7 +257,7 @@ def gen_hetero_sim(n: int, seed: int) -> DataTable:
     return DataTable(x[:, None], y, ["x1"])
 
 
-def gen_affine_gauss(n_source: int, n_target: int, a: np.ndarray, b: np.ndarray,
+def gen_affine_gauss(n_source: int, n_target: int | None, a: np.ndarray, b: np.ndarray,
                      seed: int) -> tuple[DataTable, DataTable]:
     """Paired source/target generator for transport-map scenarios.
 
@@ -266,9 +265,12 @@ def gen_affine_gauss(n_source: int, n_target: int, a: np.ndarray, b: np.ndarray,
     heteroskedastic uniform noise. Target covariates are A @ z + b for
     fresh Gaussian draws z, with labels generated from z itself, so the
     conditional law of the response is exactly preserved under the map
-    x -> A^{-1}(x - b). Target labels are for evaluation only.
+    x -> A^{-1}(x - b). Target labels are for evaluation only. A null
+    ``n_target`` draws max(n_source // 4, 1) target rows.
     """
-    check_args(n=n_source, n_target=n_target)  # the scenario's names for the two sizes
+    check_args(n=n_source)  # n and n_target: the scenario's names for the two sizes
+    n_target = max(n_source // 4, 1) if n_target is None else n_target
+    check_args(n_target=n_target)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).ravel()
     d = a.shape[0]
@@ -282,8 +284,6 @@ def gen_affine_gauss(n_source: int, n_target: int, a: np.ndarray, b: np.ndarray,
         noise = gen.uniform(-1.0, 1.0, n) * np.sqrt(1.0 + 0.5 * z[:, 0] ** 2)
         return z, z @ theta + noise
 
-    xs, ys = draw(n_source)
+    source = DataTable(*draw(n_source))  # the source rows are drawn first
     zt, yt = draw(n_target)
-    source = DataTable(xs, ys)
-    target = DataTable(zt @ a.T + b, yt)
-    return source, target
+    return source, DataTable(zt @ a.T + b, yt)

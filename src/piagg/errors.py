@@ -110,7 +110,7 @@ ARG_RULES = {
     "lambda_hat": _FINITE_NONNEGATIVE,  # a fitted model's shrink level
     "k": _COUNT, "bins": _COUNT, "replications": _COUNT,
     "n": _COUNT, "n_target": _COUNT, "m": _COUNT,  # sizes of a generated or resampled table
-    "base_seed": ("be an integer", _integer), "index": ("be an integer", _integer),
+    **dict.fromkeys(("base_seed", "index", "seed"), ("be an integer", _integer)),
     "beta": _NUMBERS, "b": _NUMBERS,  # a scalar stands for a length-1 vector
     "a": ("be a square list of lists of finite numbers", lambda v: isinstance(v, list) and all(
         isinstance(row, list) and len(row) == len(v) and all(map(_finite, row)) for row in v)

@@ -69,6 +69,7 @@ class Rng:
     __slots__ = ("_s0", "_s1", "_s2", "_s3", "_gauss_cache")
 
     def __init__(self, seed: int):
+        check_args(seed=seed)
         state = int(seed) & _MASK64
         words = []
         for _ in range(4):

@@ -1,7 +1,7 @@
 """Shape estimation, shrinkage, prediction, and model serialization."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,14 +35,17 @@ from piagg.aggregate import (
     shrink_cov_shift,
     shrink_source,
 )
+from piagg.bench import coverage_and_width
 from piagg.candidates import CandidateSpec, fit_candidate_set, fit_mean, residuals
 from piagg.conformal import KernelScale, fit_wqc, fit_wvac, predict_wqc, predict_wvac
 from piagg.dataset import (
     DataTable,
     SplitSpec,
+    affine_shift,
     gen_affine_gauss,
     gen_hetero_sim,
     split,
+    tilt_resample,
     weighted_resample,
 )
 from piagg.densratio import eval_ratio, fit_density_ratio
@@ -58,7 +61,7 @@ from piagg.errors import (
 )
 from piagg.linprog import OPTIMAL, LinearProgram, solve_lp
 from piagg.numerics import LinearModel, logistic_fit, ols_fit, quantile_reg_fit
-from piagg.rng import derive_seed
+from piagg.rng import Rng, derive_seed
 from piagg.transport import AffineMap, apply_map, fit_affine_transport, marginal_ks
 
 DATA = Path(__file__).parent / "data"
@@ -1052,6 +1055,13 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
     (lambda: predict_interval(_hand_built(), np.ones((3, 1, 1))), DimensionMismatch),
     (lambda: fit_covariate_shift(_LABELED, np.ones((3, 1, 1)), 0.1), DimensionMismatch),
     (lambda: marginal_ks(_LABELED.x, np.ones((3, 1, 1))), DimensionMismatch),
+    # a 1-d phi raised a bare IndexError, and an alpha of the wrong length
+    # NumPy's ValueError from the matrix product
+    (lambda: fit_shape_source(np.ones(5), np.ones(5)), DimensionMismatch),
+    (lambda: fit_shape_cov_shift(np.ones(5), np.ones(5), np.ones(5), np.ones((2, 1))),
+     DimensionMismatch),
+    (lambda: hinge_constraint_value(ShapeModel(np.ones(3), "cov_shift_hinge", 0.1, 0.01),
+                                    np.ones((4, 2)), np.ones(4), np.ones(4)), DimensionMismatch),
     *[(call, PiaggError) for call in _UNLABELED_CALLS.values()],
 ], ids=["datatable_nan", "datatable_huge", "hetero_n0", "split_sum", "resample_negative",
         "resample_m0", "affine_gauss_n0", "affine_gauss_n2.5", "no_specs",
@@ -1073,10 +1083,133 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
         "derive_seed_string", "derive_seed_float", "derive_seed_float_index",
         *[f"{call}_3d" for call in ("datatable", "ols_predict", "predict_interval",
                                     "covariate_shift_target", "marginal_ks")],
+        "shape_source_vector_phi", "shape_cov_shift_vector_phi", "hinge_three_weights_two_columns",
         *[f"unlabeled_{name}" for name in _UNLABELED_CALLS]])
 def test_public_entry_points_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def _entry_point_calls() -> dict:
+    """A valid base call, as (callable, positional arguments), of each public
+    callable, and each evaluator of a fitted part, that takes arrays or numbers."""
+    x, y, cal = _LABELED.x, _LABELED.y, gen_hetero_sim(20, 4)
+    phi = np.column_stack([np.ones(20), np.abs(x[:, 0])])
+    fit_rows, fit_target = gen_hetero_sim(80, 2), gen_hetero_sim(30, 3).x
+    return {
+        "AffineMap": (AffineMap, (np.eye(2), np.zeros(2))),
+        "DataTable": (DataTable, (x, y)),
+        "IntervalBatch": (IntervalBatch, (-np.ones(3), np.ones(3), np.zeros(3))),
+        "LinearModel": (LinearModel, (np.ones(2), "ols_mean")),
+        "LinearProgram": (LinearProgram, (np.ones(2), np.eye(2), np.ones(2),
+                                          np.ones(2, dtype=bool))),
+        "ShapeModel": (ShapeModel, (np.ones(2), "cov_shift_exact")),
+        "ShrinkResult": (ShrinkResult, (0.5, 0.1, False)),
+        "Rng": (Rng, (3,)),
+        "SplitSpec": (SplitSpec, ((0.5, 0.5), 1)),
+        "CandidateSpec": (CandidateSpec, ("knn_quantile", 5, 0.9)),
+        "affine_shift": (affine_shift, (_LABELED, 2 * np.eye(1), np.ones(1))),
+        "apply_map": (apply_map, (fit_affine_transport(x + 1, x), x)),
+        "coverage_and_width": (coverage_and_width, (IntervalBatch(-np.ones(20), np.ones(20),
+                                                                  np.zeros(20)), y)),
+        "derive_seed": (derive_seed, (1, 2)),
+        "eval_ratio": (eval_ratio, (fit_density_ratio(x, x + 0.5), x)),
+        "fit_affine_transport": (fit_affine_transport, (x + 1, x)),
+        "fit_candidate_set": (fit_candidate_set, (_LABELED, np.ones(20), None)),
+        "fit_covariate_shift": (fit_covariate_shift, (_LABELED, x, 0.1)),
+        "fit_density_ratio": (fit_density_ratio, (x, x + 0.5)),
+        "fit_mean": (fit_mean, (_LABELED, "knn", 5)),
+        "fit_shape_cov_shift": (fit_shape_cov_shift, (phi, y ** 2, np.ones(20), phi[:5])),
+        "fit_shape_source": (fit_shape_source, (phi, y ** 2)),
+        "fit_transport": (fit_transport, (_LABELED, x + 0.5, 0.1)),
+        "fit_wqc": (fit_wqc, (_LABELED, cal, None, 0.1)),
+        "fit_wvac": (fit_wvac, (_LABELED, cal, None, 0.1, 0.3)),
+        "gen_affine_gauss": (gen_affine_gauss, (6, 3, np.eye(2), np.zeros(2), 1)),
+        "gen_hetero_sim": (gen_hetero_sim, (6, 1)),
+        "hinge_constraint_value": (hinge_constraint_value, (
+            ShapeModel(np.ones(2), "cov_shift_hinge", 0.1, 0.01), phi, y ** 2, np.ones(20))),
+        "CandidateBank.evaluate": (_bank().evaluate, (x,)),
+        "CandidateBank.evaluate_5d": (fit_candidate_set(_LABELED_5D, np.ones(20), None).evaluate,
+                                      (_LABELED_5D.x,)),
+        "KnnMean.predict": (fit_mean(_LABELED, "knn", 5).predict, (x,)),
+        "LinearModel.predict": (ols_fit(x, y).predict, (x,)),
+        "logistic_fit": (logistic_fit, (x, (x[:, 0] > 0) * 1.0)),
+        "marginal_ks": (marginal_ks, (x, x + 0.5)),
+        "ols_fit": (ols_fit, (x, y)),
+        "predict_interval_alg1": (predict_interval, (
+            fit_covariate_shift(fit_rows, fit_target, 0.1), x)),
+        "predict_interval_alg2": (predict_interval, (fit_transport(fit_rows, fit_target, 0.1), x)),
+        "predict_wqc": (predict_wqc, (fit_wqc(_LABELED, cal, None, 0.1), x, 0.1)),
+        "predict_wvac": (predict_wvac, (fit_wvac(_LABELED, cal, None), x, 0.1)),
+        "quantile_reg_fit": (quantile_reg_fit, (x, y, 0.5)),
+        "shrink_cov_shift": (shrink_cov_shift, (np.ones(20), y ** 2, np.ones(20), 0.1, 0.0)),
+        "shrink_source": (shrink_source, (np.ones(20), y ** 2, 0.1, 0.1)),
+        "tilt_resample": (tilt_resample, (_LABELED, np.ones(1), 5, 1)),
+        "weighted_resample": (weighted_resample, (_LABELED, np.ones(20), 5, 1)),
+    }
+
+
+_ENTRY_POINTS = _entry_point_calls()
+
+
+def _bad_values(v) -> dict:
+    """The invalid stand-ins for a number or an array argument ``v``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.ndarray)):
+        return {}
+    if not isinstance(v, np.ndarray):
+        return {"nan": np.nan, "inf": np.inf, "minus_inf": -np.inf}
+    out = {}
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("minus_inf", -np.inf)):
+        if v.dtype.kind == "f":
+            out[name] = v.copy()
+            out[name].flat[-1] = bad
+    out["empty"] = v[:0]
+    out["leading_axis"] = v[None]
+    if v.ndim == 2:
+        out["first_column"] = v[:, 0]
+        out["extra_column"] = np.hstack([v, v[:, :1]])
+    elif v.ndim == 1:
+        out["one_short"] = v[:-1]
+    return out
+
+
+def _float_arrays(out, depth=0):
+    """Every float array in a returned value, its tuples and dataclass fields."""
+    if isinstance(out, np.ndarray) and out.dtype.kind == "f":
+        yield out
+    elif depth < 4 and isinstance(out, (tuple, list)):
+        for item in out:
+            yield from _float_arrays(item, depth + 1)
+    elif depth < 4 and is_dataclass(out):
+        for f in fields(out):
+            yield from _float_arrays(getattr(out, f.name), depth + 1)
+
+
+_ENTRY_POINT_CASES = [(name, i, bad) for name, (_, args) in _ENTRY_POINTS.items()
+                      for i, v in enumerate(args) for bad in _bad_values(v)]
+
+
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_entry_point_base_call_is_valid(name):
+    fn, args = _ENTRY_POINTS[name]
+    assert not any(np.isnan(a).any() for a in _float_arrays(fn(*args)))
+
+
+@pytest.mark.parametrize("name, i, bad", _ENTRY_POINT_CASES,
+                         ids=[f"{name}-{i}-{bad}" for name, i, bad in _ENTRY_POINT_CASES])
+def test_property_entry_points_refuse_or_return_no_nan(name, i, bad):
+    # each number or array argument of a valid call in turn becomes NaN or
+    # ±inf in one entry, empty, one axis deeper, a matrix's first column, one
+    # column wider or one entry short: the call raises a PiaggError or returns
+    # no NaN in any float array
+    fn, args = _ENTRY_POINTS[name]
+    args = list(args)
+    args[i] = _bad_values(args[i])[bad]
+    try:
+        out = fn(*args)
+    except PiaggError:
+        return
+    assert not any(np.isnan(a).any() for a in _float_arrays(out))
 
 
 def test_rows_a_map_carries_past_the_covariate_bound_still_evaluate():

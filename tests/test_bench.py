@@ -121,7 +121,7 @@ class TestRunScenario:
         from piagg.bench import _make_rep_data, _run_method
         from piagg.rng import derive_seed
         seed = derive_seed(cfg.base_seed, 0)
-        train, target = _make_rep_data(cfg, seed, {})
+        train, target = _make_rep_data(cfg, seed, None)
         mseed = derive_seed(seed, 100)
         b1, lam1 = _run_method(cfg.methods[0], train, target.x, cfg.alpha_level, mseed)
         perm = np.random.default_rng(0).permutation(target.n)
@@ -167,6 +167,23 @@ class TestShiftAndDataPaths:
                                             "label_column": "y"}))
         assert not s.failures and len(s.rows) == 2
         assert all(np.isfinite(r.coverage) for r in s.rows)
+
+    def test_csv_source_is_read_once_per_run(self, tmp_path, monkeypatch):
+        path = tmp_path / "source.csv"
+        table = gen_hetero_sim(300, seed=12)
+        path.write_text("x1,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in
+                                           zip(table.x[:, 0].tolist(), table.y.tolist())))
+        reads = []
+
+        def load_csv(*args, real=bench.load_csv):
+            reads.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bench, "load_csv", load_csv)
+        s = run_scenario(_base_config(replications=3, data={"kind": "csv", "path": str(path),
+                                                            "label_column": "y"}))
+        assert not s.failures and len(s.rows) == 3
+        assert reads == [(str(path), "y")]
 
 
 class TestEmitReport:

@@ -288,6 +288,33 @@ def test_knn_window_edge_tie_at_rounded_distance(sign):
     assert cand.evaluate(x)[0] == _knn_quantile_brute(cand, x)[0] == 1.0
 
 
+def test_knn_blocked_pass_takes_only_unproven_rows(monkeypatch):
+    # the 1-d window proves continuous rows, so no blocked pass runs; a tie at
+    # a window edge sends exactly its rows there; d > 1 goes there directly
+    calls = []
+
+    def spy(x, *args, real=candidates._by_distance_block):
+        calls.append(x.copy())
+        return real(x, *args)
+
+    monkeypatch.setattr(candidates, "_by_distance_block", spy)
+    rng = np.random.default_rng(29)
+    cand = _KnnQuantile(rng.normal(size=(937, 1)), rng.exponential(size=937), 50, 0.9)
+    cand.evaluate(rng.normal(size=(368, 1)))
+    assert calls == []
+    train_x = np.array([1 + 2.0 ** -52, 1.0, 1 - 2.0 ** -53, -10.0, -20.0])
+    cand = _KnnQuantile(train_x[:, None], np.arange(1.0, 6.0), 1, 0.5)
+    x = np.array([[-15.0], [-1.0], [3.0], [-1.0]])
+    _, proven = _window_knn_block(x[:, 0], np.argsort(train_x, kind="stable"),
+                                  np.sort(train_x, kind="stable"), 1)
+    assert proven.tolist() == [True, False, True, False]
+    assert np.array_equal(cand.evaluate(x), _knn_quantile_brute(cand, x))
+    assert len(calls) == 1 and np.array_equal(calls.pop(), x[~proven])
+    x5 = rng.normal(size=(7, 5))
+    _KnnQuantile(rng.normal(size=(30, 5)), np.ones(30), 3, 0.5).evaluate(x5)
+    assert len(calls) == 1 and np.array_equal(calls[0], x5)
+
+
 @pytest.mark.parametrize("d", [1, 5])
 def test_knn_quantile_with_k_spanning_the_rows_is_the_global_quantile(d):
     # at k >= n every row's neighbours are all of D1, in whatever order, so

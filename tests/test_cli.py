@@ -60,6 +60,18 @@ def test_gen_tilt_and_affine(tmp_path):
     assert len(open(tgt).read().splitlines()) == 101
 
 
+def test_gen_affine_default_target_size(tmp_path):
+    # without --m, the generator draws max(n // 4, 1) target rows itself
+    outs = []
+    for m in ([], ["--m", "12"]):
+        src, tgt = tmp_path / f"src{len(m)}.csv", tmp_path / f"tgt{len(m)}.csv"
+        assert main(["gen", "--scenario", "affine", "--out", str(src), "--out-target", str(tgt),
+                     "--n", "50", *m]) == 0
+        outs.append((src.read_bytes(), tgt.read_bytes()))
+    assert outs[0] == outs[1]
+    assert len(outs[0][1].splitlines()) == 13
+
+
 def test_bench_subcommand(tmp_path):
     cfg = {
         "data": {"kind": "synthetic", "generator": "hetero1d", "n": 300},

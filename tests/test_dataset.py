@@ -212,6 +212,20 @@ class TestAffineShift:
             affine_shift(DataTable(np.ones((2, 2))), np.eye(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("n", [1, 3, 4, 9])
+def test_affine_gauss_null_target_size_draws_a_quarter(n):
+    # a null n_target draws max(n // 4, 1) target rows, byte for byte
+    a, b = np.diag([1.5, 0.5]), np.array([1.0, -1.0])
+    for got, want in zip(gen_affine_gauss(n, None, a, b, 5),
+                         gen_affine_gauss(n, max(n // 4, 1), a, b, 5)):
+        assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+
+def test_affine_gauss_checks_the_source_size_before_the_default():
+    with pytest.raises(ConfigError, match="^n: must be an integer >= 1$"):
+        gen_affine_gauss(0, None, np.eye(2), np.zeros(2), 1)
+
+
 class TestHeteroSim:
     def test_support(self):
         t = gen_hetero_sim(5000, seed=1)
