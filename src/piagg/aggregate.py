@@ -77,6 +77,11 @@ class ShrinkResult:
     achieved_violation: float
     lambda_exceeds_one: bool
 
+    def __post_init__(self):
+        check_args(lambda_hat=self.lambda_hat, achieved_violation=self.achieved_violation)
+        if self.lambda_exceeds_one is not bool(self.lambda_hat > 1):
+            raise ConfigError("lambda_exceeds_one: must be true exactly when lambda_hat > 1")
+
 
 @dataclass(frozen=True)
 class IntervalBatch:
@@ -123,12 +128,10 @@ class PiModel:
     holdout_violation: float = float("nan")
 
     def __post_init__(self):
-        check_args(alpha_level=self.alpha_level, lambda_hat=self.shrink.lambda_hat,
-                   floor=self.floor, alg2_delta=self.alg2_delta or None)  # Alg. 1's 0 as null
+        check_args(alpha_level=self.alpha_level, floor=self.floor,
+                   alg2_delta=self.alg2_delta or None)  # Alg. 1's 0 as null
         if self.alg2_delta is None:
             raise ConfigError("alg2_delta: must be a number, 0 for an Alg. 1 model")
-        if self.shrink.lambda_exceeds_one is not bool(self.shrink.lambda_hat > 1):
-            raise ConfigError("lambda_exceeds_one: must be true exactly when lambda_hat > 1")
         if self.shape.alpha.shape[0] != len(self.bank.specs):
             raise ConfigError(f"alpha: {self.shape.alpha.shape[0]} weights for "
                               f"{len(self.bank.specs)} candidates")
@@ -237,10 +240,10 @@ def _scan_thresholds(thresholds: np.ndarray, weights: np.ndarray,
     order = np.argsort(thresholds, kind="stable")
     t_sorted, w_sorted = thresholds[order], weights[order]
     total = float(w_sorted.sum())
-    # cum[i] is the weight of the i smallest thresholds
+    # cum[i] is the weight of the i smallest thresholds; a mass below 0 is rounding
     cum = np.concatenate([[0.0], np.cumsum(w_sorted)])
     candidates = np.concatenate([[0.0], t_sorted[t_sorted > 0.0]])
-    masses = total - cum[np.searchsorted(t_sorted, candidates, side="right")]
+    masses = np.maximum(total - cum[np.searchsorted(t_sorted, candidates, side="right")], 0.0)
     violations = (permanent_mass + masses) / n
     feasible = violations <= alpha_level
     if not np.any(feasible):
@@ -322,7 +325,7 @@ def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
     x = check_covariates("x", x)
     z = apply_map(m.adapter, x) if isinstance(m.adapter, AffineMap) else x
     center = np.asarray(m.mean_model.predict(z), dtype=np.float64).ravel()
-    f = np.vecdot(m.bank.evaluate(z), m.shape.alpha)
+    f = m.bank.combine(z, m.shape.alpha)
     half = np.sqrt(m.shrink.lambda_hat * _lift(f, m.floor, m.alg2_delta))
     return IntervalBatch(center - half, center + half, center)
 
@@ -362,7 +365,7 @@ class _Blocks:
               alg2_delta: float, shrink) -> PiModel:
         """Both algorithms' tail: ``shape`` evaluated on D22 as f22, calibrated
         there by ``shrink(f22)``, and the hold-out violation of its band there."""
-        f22 = np.vecdot(self.bank.evaluate(self.x22), shape.alpha)
+        f22 = self.bank.combine(self.x22, shape.alpha)
         s = shrink(f22)
         bound = s.lambda_hat * _lift(f22, floor, alg2_delta)
         return PiModel(shape, self.bank, self.mean_model, s, alpha_level, adapter, alg2_delta,

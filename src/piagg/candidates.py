@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextvars
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
@@ -142,14 +143,15 @@ _ENTRIES = 2 ** 17
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)  # threads of a distance pass, the caller's included
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # by process id
+_D2 = threading.local()  # .buffer: this thread's d² blocks, reused so no block faults
 
 
 def _in_shares(n_rows: int, step: int, block) -> None:
-    """``block(rows)`` for each ``step``-row slice of ``range(n_rows)``, in one
-    contiguous share per worker at two blocks or more per worker: the caller runs
-    the first share, the pool the others, each in a copy of the caller's context
-    (so ``np.errstate`` holds there), and the caller waits for all before it
-    returns or re-raises. ``block`` writes only its rows and never calls back here."""
+    """``block(rows)`` for each ``step``-row slice of ``range(n_rows)``, one at a
+    time per thread, in one contiguous share per worker at two blocks or more per
+    worker: the caller runs the first share, the pool the others, each in a copy
+    of the caller's context (so ``np.errstate`` holds there), and waits for all
+    before it returns or re-raises. ``block`` writes only its rows and never calls back here."""
     n_blocks = -(-n_rows // step)
     n = _WORKERS if n_blocks >= 2 * _WORKERS else 1
     cuts = [step * (n_blocks * i // n) for i in range(n)] + [n_rows]
@@ -190,18 +192,21 @@ def _by_distance_block(x: np.ndarray, train_x: np.ndarray, row_fns) -> np.ndarra
     computed once for all the functions. Each row's distances are computed on
     their own (a broadcast difference in 1-d, where it is faster, SciPy's
     ``cdist`` otherwise), so a row's value does not depend on the rows
-    evaluated with it. ``d2`` is a new array each block, read-only to every
-    function but the last, which may overwrite it."""
+    evaluated with it. ``d2`` is a view of its thread's reused buffer, read-only
+    to every function but the last, which may overwrite it; none keeps it."""
     if x.shape[1] != train_x.shape[1]:
         raise DimensionMismatch("covariate dimension does not match training data")
     x, inverse = _distinct_rows(x)
     out = np.empty((x.shape[0], len(row_fns)))
     def block(rows):
+        if getattr(_D2, "buffer", np.empty(0)).size < max(_ENTRIES, train_x.shape[0]):
+            _D2.buffer = np.empty(max(_ENTRIES, train_x.shape[0]))  # any block fits
+        d2 = _D2.buffer[:x[rows].shape[0] * train_x.shape[0]].reshape(-1, train_x.shape[0])
         if x.shape[1] == 1:
-            d2 = np.subtract(x[rows, 0][:, None], train_x[:, 0][None, :])
+            np.subtract(x[rows, 0][:, None], train_x[:, 0][None, :], out=d2)
             np.square(d2, out=d2)
         else:
-            d2 = cdist(x[rows], train_x, "sqeuclidean")
+            cdist(x[rows], train_x, "sqeuclidean", out=d2)
         for j, row_fn in enumerate(row_fns):
             d2.flags.writeable = j == len(row_fns) - 1
             out[rows, j] = row_fn(d2)
@@ -216,8 +221,9 @@ def _k_nearest(d2: np.ndarray, k: int, index=None) -> tuple[np.ndarray, np.ndarr
     order of ``argpartition``, on which the kNN mean's summation order rests."""
     part = np.argpartition(d2, k - 1, axis=1)[:, :k]
     kth = np.take_along_axis(d2, part, axis=1).max(axis=1)
-    tie = (d2 <= kth[:, None]).sum(axis=1) > k
-    if tie.any():
+    within = d2 <= kth[:, None]  # k entries of each row, more only where its k-th place ties
+    if np.count_nonzero(within) > k * d2.shape[0]:
+        tie = within.sum(axis=1) > k
         index = np.arange(d2.shape[1]) if index is None else index
         part[tie] = np.lexsort((np.broadcast_to(index, d2.shape)[tie], d2[tie]), axis=-1)[:, :k]
     return part, kth
@@ -430,17 +436,18 @@ def _fit_candidate(spec: CandidateSpec, train_x: np.ndarray, r2: np.ndarray):
 
 @dataclass(frozen=True)
 class CandidateBank:
-    """Fitted candidates; ``evaluate`` gives one nonnegative column per
-    candidate. Built by ``fit_candidate_set`` or ``from_state``."""
+    """Fitted candidates, built by ``fit_candidate_set`` or ``from_state``; ``evaluate``
+    gives one nonnegative column per candidate, 0 where a mask ``active`` omits one."""
 
     specs: list[CandidateSpec]
     fitted: list  # one fitted candidate per spec, of the spec's kind
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def evaluate(self, x: np.ndarray, active=None) -> np.ndarray:
         x, inverse = _distinct_rows(check_rows(x))
-        out = np.empty((x.shape[0], len(self.fitted)))
+        out = np.zeros((x.shape[0], len(self.fitted)))
         shared = {}  # train_x's shape and bytes -> its distance members but 1-d kNNs
-        for j, cand in enumerate(self.fitted):
+        for j in range(len(self.fitted)) if active is None else np.flatnonzero(active):
+            cand = self.fitted[j]
             if (isinstance(cand, KernelVariance)
                     or isinstance(cand, _KnnQuantile) and x.shape[1] > 1):
                 shared.setdefault((cand.train_x.shape, cand.train_x.tobytes()), []).append(j)
@@ -450,6 +457,11 @@ class CandidateBank:
             out[:, cols] = _by_distance_block(x, self.fitted[cols[0]].train_x,
                                               [self.fitted[j]._from_d2 for j in cols])
         return out if inverse is None else out[inverse]
+
+    def combine(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """``np.vecdot(self.evaluate(x), alpha)`` bit for bit, evaluating only weights > 0."""
+        alpha = check_nonnegative("alpha", alpha, len(self.fitted))
+        return np.vecdot(self.evaluate(x, alpha > 0), alpha)
 
     def to_state(self) -> dict:
         return {"specs": [s.to_dict() for s in self.specs],

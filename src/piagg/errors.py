@@ -107,7 +107,7 @@ ARG_RULES = {
     "support_threshold": _FINITE_NONNEGATIVE, "ridge": _FINITE_NONNEGATIVE,
     "ratio_ridge": _FINITE_NONNEGATIVE,  # the scenario's name for the ratio fit's ridge
     "cov_ridge": _FINITE_NONNEGATIVE, "floor": _FINITE_NONNEGATIVE,
-    "lambda_hat": _FINITE_NONNEGATIVE,  # a fitted model's shrink level
+    "lambda_hat": _FINITE_NONNEGATIVE, "achieved_violation": _FINITE_NONNEGATIVE,
     "k": _COUNT, "bins": _COUNT, "replications": _COUNT,
     "n": _COUNT, "n_target": _COUNT, "m": _COUNT,  # sizes of a generated or resampled table
     **dict.fromkeys(("base_seed", "index", "seed"), ("be an integer", _integer)),

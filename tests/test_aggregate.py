@@ -284,7 +284,7 @@ def _scan_thresholds_loop(thresholds, weights, permanent_mass, n, alpha_level):
 
     def mass_above(value):
         pos = int(np.searchsorted(t_sorted, value, side="right"))
-        return total if pos == 0 else total - float(cum[pos - 1])
+        return total if pos == 0 else max(total - float(cum[pos - 1]), 0.0)
 
     uniq = np.unique(t_sorted)
     candidates = np.concatenate([[0.0], uniq[uniq > 0.0]])
@@ -499,6 +499,20 @@ def test_model_tail_keys_the_violation_rule_on_alg2_delta(alpha, alg2_delta, hol
     assert m.shrink is result and m.holdout_violation == holdout
     assert (m.alg2_delta, m.floor, m.adapter, m.alpha_level) == (alg2_delta, 0.0, "adapter", 0.1)
     assert m.bank is bank and isinstance(m.mean_model, ZeroMean)
+
+
+def test_an_inactive_candidate_does_not_reach_the_band():
+    # a kernel at bandwidth 1e-100 is NaN at x = 1e60, where every log weight
+    # is -inf; at weight 0 it is never evaluated, so the band is the constant's
+    t = gen_hetero_sim(20, 1)
+    bank = fit_candidate_set(t, np.ones(20), [CandidateSpec("constant_one"),
+                                              CandidateSpec("kernel_variance", bandwidth=1e-100)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(bank.evaluate([[1e60]])[0, 1])
+    m = PiModel(ShapeModel(np.array([2.0, 0.0]), "cov_shift_exact"), bank, ZeroMean(),
+                ShrinkResult(0.5, 0.0, False), 0.1, None)
+    batch = predict_interval(m, [[1e60], [0.0]])
+    assert np.array_equal(batch.upper, [1.0, 1.0]) and np.array_equal(batch.lower, [-1.0, -1.0])
 
 
 def test_predict_does_not_read_the_shape_mode(fitted_models):
@@ -868,6 +882,24 @@ class TestKnownWeights:
         with pytest.raises(error, match="^weight_fn: "):
             fit_covariate_shift(src, src.x[:50], 0.1, weight_fn=weight_fn)
 
+    def test_accepted_weights_calibrate_the_band(self):
+        # valid known weights replace the ratio fit: they are read on D21 and
+        # D22, in that order, and D22's weights are the shrink's
+        src = gen_hetero_sim(300, seed=19)
+        seen = []
+
+        def weight_fn(x):
+            seen.append(x.copy())
+            return np.exp(0.5 * x[:, 0])
+
+        m = fit_covariate_shift(src, src.x[:50], 0.1, weight_fn=weight_fn)
+        _, d21, d22 = split(src, SplitSpec((0.5, 0.25, 0.25), 0))
+        assert m.adapter is None and len(seen) == 2
+        assert np.array_equal(seen[0], d21.x) and np.array_equal(seen[1], d22.x)
+        f22 = np.vecdot(m.bank.evaluate(d22.x), m.shape.alpha)
+        assert m.shrink == shrink_cov_shift(f22, residuals(d22, m.mean_model), weight_fn(d22.x),
+                                            0.1, floor=m.floor)
+
 
 class TestPipelineArguments:
     @pytest.mark.parametrize("fit", [fit_covariate_shift, fit_transport])
@@ -1024,8 +1056,7 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
     # each was built: two weights failed at predict with NumPy's ValueError, and
     # the others predicted (zero-width or too narrow) intervals with no error
     *[(lambda kw=kw: predict_interval(_hand_built(**kw), [[0.5]]), ConfigError) for kw in (
-        {"alpha": np.ones(2)}, {"shrink": ShrinkResult(-1.0, 0.0, False)},
-        {"shrink": ShrinkResult(1.3, 0.0, False)}, {"alg2_delta": -1.0})],
+        {"alpha": np.ones(2)}, {"alg2_delta": -1.0})],
     (lambda: eval_ratio(fit_density_ratio(_LABELED.x, _LABELED.x + 0.5), [[0.0], [np.nan]]),
      NonFiniteInput),
     (lambda: fit_density_ratio(_NAN_ROW, _LABELED.x), NonFiniteInput),
@@ -1071,8 +1102,7 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
         "lone_spec", "shrink_negative_weight", "shrink_nan_shape", "shrink_source_inf_shape",
         "shape_nan_weight", "hinge_inf_weight", "shape_nan_phi",
         *[f"phi_target_{t}" for t in ("nan", "inf", "minus_inf", "empty")],
-        "model_two_weights", "model_lambda_minus_1", "model_stale_flag",
-        "model_alg2_delta_minus_1", "eval_ratio_nan",
+        "model_two_weights", "model_alg2_delta_minus_1", "eval_ratio_nan",
         "density_ratio_nan", "apply_map_nan", "affine_transport_nan", "ols_nan",
         "quantile_reg_nan", "logistic_nan",
         *[f"{fit}_y_{v}" for fit in ("ols", "quantile_reg") for v in ("nan", "inf", "minus_inf")],
@@ -1088,6 +1118,18 @@ _LABELED_5D = gen_affine_gauss(20, 10, np.eye(5), np.zeros(5), 1)[0]
 def test_public_entry_points_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("lambda_hat, achieved_violation, lambda_exceeds_one", [
+    (-1.0, 0.0, False), (1.3, 0.0, False), (np.nan, np.nan, False), (0.5, -0.1, False),
+    (0.5, np.inf, False), (1.3, 0.0, 1), (0.5, 0.0, np.False_),
+], ids=["lambda_minus_1", "stale_flag", "nan", "violation_minus", "violation_inf",
+        "flag_int", "flag_numpy_bool"])
+def test_shrink_result_refuses_bad_fields(lambda_hat, achieved_violation, lambda_exceeds_one):
+    # a shrink result checks its own fields, so a bad one fails where it is built,
+    # not where a PiModel first holds it (which the first two once did)
+    with pytest.raises(ConfigError):
+        ShrinkResult(lambda_hat, achieved_violation, lambda_exceeds_one)
 
 
 def _entry_point_calls() -> dict:
@@ -1129,6 +1171,7 @@ def _entry_point_calls() -> dict:
         "hinge_constraint_value": (hinge_constraint_value, (
             ShapeModel(np.ones(2), "cov_shift_hinge", 0.1, 0.01), phi, y ** 2, np.ones(20))),
         "CandidateBank.evaluate": (_bank().evaluate, (x,)),
+        "CandidateBank.combine": (_bank().combine, (x, np.arange(6.0))),
         "CandidateBank.evaluate_5d": (fit_candidate_set(_LABELED_5D, np.ones(20), None).evaluate,
                                       (_LABELED_5D.x,)),
         "KnnMean.predict": (fit_mean(_LABELED, "knn", 5).predict, (x,)),

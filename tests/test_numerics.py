@@ -120,6 +120,22 @@ class TestLogistic:
         m = logistic_fit(x, y, ridge=1e-4)
         assert np.all(np.isfinite(m.coefficients))
 
+    def test_singular_hessian_falls_back_to_least_squares(self):
+        # without a ridge, a duplicated column makes every Hessian singular:
+        # each Newton step comes from lstsq, and the fit still converges to
+        # the one-column fit, its slope split between the two copies
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(200, 1))
+        y = (rng.random(200) < sigmoid(x[:, 0])).astype(float)
+        calls = []
+        with mock.patch.object(np.linalg, "lstsq",
+                               lambda *a, real=np.linalg.lstsq, **k: calls.append(1) or real(*a, **k)):
+            m = logistic_fit(np.hstack([x, x]), y, ridge=0.0)
+        assert calls and m.converged
+        one = logistic_fit(x, y, ridge=0.0).coefficients
+        assert m.coefficients[0] == pytest.approx(one[0], abs=1e-6)
+        assert m.coefficients[1] + m.coefficients[2] == pytest.approx(one[1], abs=1e-6)
+
     def test_penalized_nll_monotone(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(300, 3))

@@ -7,8 +7,10 @@ held-out rows with probability proportional to sigmoid(2x); and 5-d alg1
 and alg2 on ``gen_affine_gauss`` with 4000 and with 40 000 source rows and
 half as many target rows. Each line gives a SHA-256 over the model document
 and the intervals on the target rows, as ``tools/hash_set.py`` hashes them,
-then ``lambda_hat``, the mean width and the fit and predict seconds. Equal
-hashes from two commits mean bit-identical fits and intervals:
+then ``lambda_hat``, the mean width, the fit and predict seconds and, last,
+the minor page faults the predict took (``predict_faults``, the change in
+``ru_minflt``). Fields after the hash are ``name=value``, to be read by name.
+Equal hashes from two commits mean bit-identical fits and intervals:
 
     PYTHONPATH=src python tools/large_fits.py > a.txt
 
@@ -18,6 +20,7 @@ about half a minute on two cores and is not part of the test suite.
 
 import hashlib
 import json
+import resource
 import sys
 import time
 
@@ -71,14 +74,15 @@ def main():
         start = time.perf_counter()
         model = fit(source, target_x, ALPHA, seed=seed + 3, **kw)
         fit_s = time.perf_counter() - start
-        start = time.perf_counter()
+        faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
         batch = predict_interval(model, target_x)
         predict_s = time.perf_counter() - start
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         doc = json.dumps(model_to_dict(model), sort_keys=True).encode()
         width = float(np.mean(batch.upper - batch.lower))
         print(f"{name} {_digest(hashlib.sha256(doc), batch).hexdigest()} "
               f"lambda_hat={float(model.shrink.lambda_hat)!r} mean_width={width!r} "
-              f"fit_s={fit_s:.3f} predict_s={predict_s:.3f}", flush=True)
+              f"fit_s={fit_s:.3f} predict_s={predict_s:.3f} predict_faults={faults}", flush=True)
 
 
 if __name__ == "__main__":
