@@ -325,7 +325,7 @@ def predict_interval(m: PiModel, x: np.ndarray) -> IntervalBatch:
     x = check_covariates("x", x)
     z = apply_map(m.adapter, x) if isinstance(m.adapter, AffineMap) else x
     center = np.asarray(m.mean_model.predict(z), dtype=np.float64).ravel()
-    f = m.bank.combine(z, m.shape.alpha)
+    f = np.vecdot(m.bank.evaluate(z), m.shape.alpha)
     half = np.sqrt(m.shrink.lambda_hat * _lift(f, m.floor, m.alg2_delta))
     return IntervalBatch(center - half, center + half, center)
 
@@ -365,7 +365,7 @@ class _Blocks:
               alg2_delta: float, shrink) -> PiModel:
         """Both algorithms' tail: ``shape`` evaluated on D22 as f22, calibrated
         there by ``shrink(f22)``, and the hold-out violation of its band there."""
-        f22 = self.bank.combine(self.x22, shape.alpha)
+        f22 = np.vecdot(self.bank.evaluate(self.x22), shape.alpha)
         s = shrink(f22)
         bound = s.lambda_hat * _lift(f22, floor, alg2_delta)
         return PiModel(shape, self.bank, self.mean_model, s, alpha_level, adapter, alg2_delta,

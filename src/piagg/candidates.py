@@ -143,7 +143,6 @@ _ENTRIES = 2 ** 17
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)  # threads of a distance pass, the caller's included
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # by process id
-_D2 = threading.local()  # .buffer: this thread's d² blocks, reused so no block faults
 
 
 def _in_shares(n_rows: int, step: int, block) -> None:
@@ -192,16 +191,19 @@ def _by_distance_block(x: np.ndarray, train_x: np.ndarray, row_fns) -> np.ndarra
     computed once for all the functions. Each row's distances are computed on
     their own (a broadcast difference in 1-d, where it is faster, SciPy's
     ``cdist`` otherwise), so a row's value does not depend on the rows
-    evaluated with it. ``d2`` is a view of its thread's reused buffer, read-only
-    to every function but the last, which may overwrite it; none keeps it."""
+    evaluated with it. ``d2`` is a view of its thread's buffer for this pass,
+    reused block after block: read-only to every function but the last, which
+    may overwrite it; none keeps it."""
     if x.shape[1] != train_x.shape[1]:
         raise DimensionMismatch("covariate dimension does not match training data")
     x, inverse = _distinct_rows(x)
     out = np.empty((x.shape[0], len(row_fns)))
+    step = max(1, _ENTRIES // train_x.shape[0])
+    local = threading.local()  # .d2: each thread's buffer for its blocks of this pass
     def block(rows):
-        if getattr(_D2, "buffer", np.empty(0)).size < max(_ENTRIES, train_x.shape[0]):
-            _D2.buffer = np.empty(max(_ENTRIES, train_x.shape[0]))  # any block fits
-        d2 = _D2.buffer[:x[rows].shape[0] * train_x.shape[0]].reshape(-1, train_x.shape[0])
+        if not hasattr(local, "d2"):
+            local.d2 = np.empty(min(step, x.shape[0]) * train_x.shape[0])  # the largest block
+        d2 = local.d2[:x[rows].shape[0] * train_x.shape[0]].reshape(-1, train_x.shape[0])
         if x.shape[1] == 1:
             np.subtract(x[rows, 0][:, None], train_x[:, 0][None, :], out=d2)
             np.square(d2, out=d2)
@@ -210,7 +212,7 @@ def _by_distance_block(x: np.ndarray, train_x: np.ndarray, row_fns) -> np.ndarra
         for j, row_fn in enumerate(row_fns):
             d2.flags.writeable = j == len(row_fns) - 1
             out[rows, j] = row_fn(d2)
-    _in_shares(x.shape[0], max(1, _ENTRIES // train_x.shape[0]), block)
+    _in_shares(x.shape[0], step, block)
     return out if inverse is None else out[inverse]
 
 
@@ -436,18 +438,17 @@ def _fit_candidate(spec: CandidateSpec, train_x: np.ndarray, r2: np.ndarray):
 
 @dataclass(frozen=True)
 class CandidateBank:
-    """Fitted candidates, built by ``fit_candidate_set`` or ``from_state``; ``evaluate``
-    gives one nonnegative column per candidate, 0 where a mask ``active`` omits one."""
+    """Fitted candidates; ``evaluate`` gives one nonnegative column per
+    candidate. Built by ``fit_candidate_set`` or ``from_state``."""
 
     specs: list[CandidateSpec]
     fitted: list  # one fitted candidate per spec, of the spec's kind
 
-    def evaluate(self, x: np.ndarray, active=None) -> np.ndarray:
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
         x, inverse = _distinct_rows(check_rows(x))
-        out = np.zeros((x.shape[0], len(self.fitted)))
+        out = np.empty((x.shape[0], len(self.fitted)))
         shared = {}  # train_x's shape and bytes -> its distance members but 1-d kNNs
-        for j in range(len(self.fitted)) if active is None else np.flatnonzero(active):
-            cand = self.fitted[j]
+        for j, cand in enumerate(self.fitted):
             if (isinstance(cand, KernelVariance)
                     or isinstance(cand, _KnnQuantile) and x.shape[1] > 1):
                 shared.setdefault((cand.train_x.shape, cand.train_x.tobytes()), []).append(j)
@@ -457,11 +458,6 @@ class CandidateBank:
             out[:, cols] = _by_distance_block(x, self.fitted[cols[0]].train_x,
                                               [self.fitted[j]._from_d2 for j in cols])
         return out if inverse is None else out[inverse]
-
-    def combine(self, x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """``np.vecdot(self.evaluate(x), alpha)`` bit for bit, evaluating only weights > 0."""
-        alpha = check_nonnegative("alpha", alpha, len(self.fitted))
-        return np.vecdot(self.evaluate(x, alpha > 0), alpha)
 
     def to_state(self) -> dict:
         return {"specs": [s.to_dict() for s in self.specs],

@@ -501,20 +501,6 @@ def test_model_tail_keys_the_violation_rule_on_alg2_delta(alpha, alg2_delta, hol
     assert m.bank is bank and isinstance(m.mean_model, ZeroMean)
 
 
-def test_an_inactive_candidate_does_not_reach_the_band():
-    # a kernel at bandwidth 1e-100 is NaN at x = 1e60, where every log weight
-    # is -inf; at weight 0 it is never evaluated, so the band is the constant's
-    t = gen_hetero_sim(20, 1)
-    bank = fit_candidate_set(t, np.ones(20), [CandidateSpec("constant_one"),
-                                              CandidateSpec("kernel_variance", bandwidth=1e-100)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(bank.evaluate([[1e60]])[0, 1])
-    m = PiModel(ShapeModel(np.array([2.0, 0.0]), "cov_shift_exact"), bank, ZeroMean(),
-                ShrinkResult(0.5, 0.0, False), 0.1, None)
-    batch = predict_interval(m, [[1e60], [0.0]])
-    assert np.array_equal(batch.upper, [1.0, 1.0]) and np.array_equal(batch.lower, [-1.0, -1.0])
-
-
 def test_predict_does_not_read_the_shape_mode(fitted_models):
     x = np.linspace(-2.0, 2.0, 41)[:, None]
     for m in fitted_models.values():
@@ -1171,7 +1157,6 @@ def _entry_point_calls() -> dict:
         "hinge_constraint_value": (hinge_constraint_value, (
             ShapeModel(np.ones(2), "cov_shift_hinge", 0.1, 0.01), phi, y ** 2, np.ones(20))),
         "CandidateBank.evaluate": (_bank().evaluate, (x,)),
-        "CandidateBank.combine": (_bank().combine, (x, np.arange(6.0))),
         "CandidateBank.evaluate_5d": (fit_candidate_set(_LABELED_5D, np.ones(20), None).evaluate,
                                       (_LABELED_5D.x,)),
         "KnnMean.predict": (fit_mean(_LABELED, "knn", 5).predict, (x,)),
